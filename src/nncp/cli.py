@@ -188,7 +188,8 @@ def build_parser():
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--seeds", required=True, type=int, metavar="K")
     p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; does not change results")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_degeneracy)
 

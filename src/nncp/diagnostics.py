@@ -10,7 +10,6 @@ iterate respected the coercivity cap that nonnegative fits must obey
 (BOUNDED), or declines to call it (INCONCLUSIVE).
 """
 
-import concurrent.futures
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -58,7 +57,12 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
         (r.iter, r.residual_E, r.max_component_F, r.delta_l1) for r in rows
     )
     first, last = rows[0], rows[-1]
-    blowup = last.max_component_F / a_f if a_f > 0 else math.inf
+    if last.max_component_F == 0.0:
+        blowup = 0.0  # every summand shrank to 0, whatever ||A||_F is
+    elif a_f > 0:
+        blowup = last.max_component_F / a_f
+    else:
+        blowup = math.inf
     trend = (
         last.residual_E / first.residual_E if first.residual_E > 0 else 1.0
     )
@@ -181,27 +185,18 @@ def run_contrast_experiment(
 ):
     """Fit each seed with both families under identical budgets.
 
-    Returns a ContrastSummary with one row per (seed, family), assembled in
-    seed order regardless of worker count.  Requires a nonnegative target
-    (the nonnegative family demands it).
+    Returns a ContrastSummary with one row per (seed, family), in seed order.
+    Requires a nonnegative target (the nonnegative family demands it).
+    ``workers`` is accepted for compatibility; its value does not change the
+    results.
     """
     if np.any(a.data < 0):
         raise ValueError("contrast experiment requires a nonnegative tensor")
-    seeds = [int(s) for s in seeds]
-
-    def work(seed):
-        return _one_seed(
-            a, rank, seed, max_iters, tol, trace_every, loss, thresholds
-        )
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, seeds))
-    else:
-        results = [work(s) for s in seeds]
-
     summary = ContrastSummary()
-    for pairs in results:
+    for seed in seeds:
+        pairs = _one_seed(
+            a, rank, int(seed), max_iters, tol, trace_every, loss, thresholds
+        )
         for row, report in pairs:
             summary.rows.append(row)
             if report is not None:

@@ -13,9 +13,9 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, norm
+from .tensor import DenseTensor, _json_array, norm
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
 
 class KruskalModel:
@@ -89,20 +89,48 @@ class KruskalModel:
         )
 
 
-def _einsum_expr(k):
-    if k > len(_LETTERS) - 1:
-        raise ValueError(f"order {k} exceeds supported maximum {len(_LETTERS) - 1}")
+def _einsum_spec(k, mode=None, weighted=False):
+    """np.einsum subscripts over the factors of an order-k CP model.
+
+    Modes are a, b, c, ... and the component index is z.  With mode=None the
+    operands are ([delta,] W_1, ..., W_k) and the output is the tensor; with
+    mode=n they are the tensor and every factor but W_n, and the output is
+    the (d_n, r) MTTKRP.  At k = 1 the Khatri-Rao product of no factors is a
+    1 x r row of ones, so that MTTKRP takes a length-r ones operand.
+    """
+    if k > len(_LETTERS):
+        raise ValueError(f"order {k} exceeds supported maximum {len(_LETTERS)}")
     modes = _LETTERS[:k]
-    ins = ",".join(f"{m}z" for m in modes)
-    return f"z,{ins}->{modes}"
+    if mode is None:
+        ins = ",".join(f"{m}z" for m in modes)
+        return f"z,{ins}->{modes}" if weighted else f"{ins}->{modes}"
+    others = [f"{m}z" for i, m in enumerate(modes) if i != mode] or ["z"]
+    return ",".join([modes, *others]) + f"->{modes[mode]}z"
 
 
 def reconstruct(model):
     """Dense tensor sum_p delta_p * (outer product of factor columns p)."""
     if model.r == 0:
         return DenseTensor.zeros(model.shape)
-    out = np.einsum(_einsum_expr(model.order), model.delta, *model.factors)
+    spec = _einsum_spec(model.order, weighted=True)
+    out = np.einsum(spec, model.delta, *model.factors)
     return DenseTensor.from_array(out)
+
+
+def _rescale_columns(model, column_scales, **flags):
+    """Divide each factor m by its column scales ``column_scales(m)`` and
+    multiply them into delta, dropping components with a zero weight or a
+    zero scale."""
+    scales = [column_scales(m) for m in model.factors]
+    keep = model.delta != 0.0
+    for s in scales:
+        keep &= s != 0.0
+    delta = model.delta[keep]
+    factors = []
+    for m, s in zip(model.factors, scales):
+        factors.append(m[:, keep] / s[keep])
+        delta = delta * s[keep]
+    return KruskalModel(model.shape, delta, factors, **flags)
 
 
 def normalize(model):
@@ -115,23 +143,14 @@ def normalize(model):
     """
     if np.any(model.delta < 0) or any(np.any(m < 0) for m in model.factors):
         raise ValueError("normalize requires a nonnegative model")
-    new_delta = []
-    new_cols = [[] for _ in model.shape]
-    for p in range(model.r):
-        d = model.delta[p]
-        scales = [np.sum(m[:, p]) for m in model.factors]
-        if d == 0.0 or any(s == 0.0 for s in scales):
-            continue
-        for i, m in enumerate(model.factors):
-            new_cols[i].append(m[:, p] / scales[i])
-            d = d * scales[i]
-        new_delta.append(d)
-    r = len(new_delta)
-    factors = [
-        np.column_stack(cols) if r else np.zeros((d, 0))
-        for cols, d in zip(new_cols, model.shape)
-    ]
-    return KruskalModel(model.shape, new_delta, factors, nonneg=True, normalized=True)
+    # Row sums of the transpose add each column in the same order as
+    # np.sum(m[:, p]); np.sum(m, axis=0) rounds differently once d >= 8.
+    return _rescale_columns(
+        model,
+        lambda m: np.sum(np.ascontiguousarray(m.T), axis=1),
+        nonneg=True,
+        normalized=True,
+    )
 
 
 def l2_normalize(model):
@@ -140,23 +159,10 @@ def l2_normalize(model):
     Used by the degeneracy metrics: after this rescaling |delta_p| equals the
     F-norm of the p-th rank-1 summand.  Zero columns drop the component.
     """
-    new_delta = []
-    new_cols = [[] for _ in model.shape]
-    for p in range(model.r):
-        d = model.delta[p]
-        scales = [float(np.linalg.norm(m[:, p])) for m in model.factors]
-        if d == 0.0 or any(s == 0.0 for s in scales):
-            continue
-        for i, m in enumerate(model.factors):
-            new_cols[i].append(m[:, p] / scales[i])
-            d = d * scales[i]
-        new_delta.append(d)
-    r = len(new_delta)
-    factors = [
-        np.column_stack(cols) if r else np.zeros((d, 0))
-        for cols, d in zip(new_cols, model.shape)
-    ]
-    return KruskalModel(model.shape, new_delta, factors)
+    # Per-column norms: np.linalg.norm(m, axis=0) sums in another order.
+    return _rescale_columns(
+        model, lambda m: np.array([np.linalg.norm(c) for c in m.T])
+    )
 
 
 def delta_l1_equals_e_norm_check(model):
@@ -285,9 +291,14 @@ def model_from_json(text):
     for field in ("shape", "delta", "factors"):
         if field not in doc:
             raise ValueError(f"model JSON missing field {field!r}")
-    shape = doc["shape"]
-    delta = np.asarray(doc["delta"], dtype=np.float64).reshape(-1)
-    factors = [np.asarray(f, dtype=np.float64) for f in doc["factors"]]
+    shape = _json_array(doc["shape"], "model shape", integral=True)
+    delta = _json_array(doc["delta"], "model delta")
+    if type(doc["factors"]) is not list:
+        raise ValueError("model factors must be a list")
+    factors = [
+        _json_array(f, f"model factor {i}", ndim=2)
+        for i, f in enumerate(doc["factors"])
+    ]
     nonneg = bool(np.all(delta >= 0)) and all(np.all(m >= 0) for m in factors)
     normalized = bool(np.all(delta >= 0)) and all(
         m.size == 0 or np.max(np.abs(np.sum(np.abs(m), axis=0) - 1.0)) <= 1e-12

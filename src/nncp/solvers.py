@@ -1,7 +1,7 @@
 """
 Fitting routines for CP models.
 
-Two entry points share one trace format:
+Two entry points share one fit driver and one trace format:
 
 * :func:`fit_nncp` — nonnegative CP by multiplicative updates, squared
   Frobenius or generalized KL loss.  Factors stay nonnegative throughout, the
@@ -12,6 +12,12 @@ Two entry points share one trace format:
   the squared Frobenius loss.  Each mode update solves its least-squares
   subproblem exactly, so the objective is nonincreasing; on degenerate inputs
   the rank-1 terms are free to blow up, and the trace records exactly that.
+
+Each entry point checks its input and supplies a per-mode update to the
+driver :func:`_iterate`, which owns the sweeps, the stop rule, the trace rows,
+the coercivity check and the packaging.  The driver reconstructs X once per
+sweep; the objective, the trace row and the next sweep's first KL update all
+read that one reconstruction.
 
 Multiplicative updates are the standard majorization rules extended to k
 modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
@@ -27,15 +33,16 @@ subproblem, so full sweeps decrease the loss (to floor-level slack).
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergence import KL_SOLVER_FLOOR, generalized_kl
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
+from .kruskal import _einsum_spec
 from .tensor import norm
 
-_LETTERS = "abcdefghijklmnopqrstuvwxy"
 DEN_FLOOR = 1e-12
 RIDGE_JITTER = 1e-12
 STOP_WINDOW = 5
@@ -133,24 +140,15 @@ class FitResult:
     final_objective: float
 
 
-def _einsum_recon(factors):
-    k = len(factors)
-    modes = _LETTERS[:k]
-    ins = ",".join(f"{m}z" for m in modes)
-    return np.einsum(f"{ins}->{modes}", *factors)
+def _reconstruct(factors):
+    return np.einsum(_einsum_spec(len(factors)), *factors)
 
 
 def _mttkrp(arr, factors, n):
-    k = len(factors)
-    modes = _LETTERS[:k]
-    subs = [modes]
-    ops = [arr]
-    for m in range(k):
-        if m == n:
-            continue
-        subs.append(f"{modes[m]}z")
-        ops.append(factors[m])
-    return np.einsum(",".join(subs) + f"->{modes[n]}z", *ops)
+    others = [f for m, f in enumerate(factors) if m != n]
+    if not others:  # order 1: the Khatri-Rao product of no factors is ones
+        others = [np.ones(factors[0].shape[1])]
+    return np.einsum(_einsum_spec(len(factors), mode=n), arr, *others)
 
 
 def _gram_others(factors, n):
@@ -171,6 +169,18 @@ def _colsum_prod_others(factors, n):
     return p
 
 
+def _loss(a_arr, xhat, factors, loss, rho):
+    if loss is Loss.KL:
+        return generalized_kl(
+            a_arr.reshape(-1), xhat.reshape(-1), floor=KL_SOLVER_FLOOR
+        )
+    resid = a_arr - xhat
+    val = float(np.sum(resid * resid))
+    if rho > 0:
+        val += rho * float(sum(np.sum(f * f) for f in factors))
+    return val
+
+
 def objective(a, model, loss, reg_rho=0.0):
     """Loss of a model against a target tensor.
 
@@ -183,26 +193,18 @@ def objective(a, model, loss, reg_rho=0.0):
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")
     if reg_rho < 0:
         raise ValueError("reg_rho must be >= 0")
-    x = reconstruct(model)
-    if loss is Loss.FROBENIUS:
-        resid = a.data - x.data
-        val = float(np.sum(resid * resid))
-        if reg_rho > 0:
-            val += reg_rho * float(
-                sum(np.sum(f * f) for f in model.factors)
-            )
-        return val
     if loss is Loss.KL:
         if np.any(model.delta < 0) or any(np.any(f < 0) for f in model.factors):
             raise ValueError("KL objective requires a nonnegative model")
         if np.any(a.data < 0):
             raise ValueError("KL objective requires a nonnegative tensor")
-        return generalized_kl(a.data, x.data, floor=KL_SOLVER_FLOOR)
-    raise ValueError(f"unknown loss {loss!r}")
+    elif loss is not Loss.FROBENIUS:
+        raise ValueError(f"unknown loss {loss!r}")
+    x = reconstruct(model).as_array()
+    return _loss(a.as_array(), x, model.factors, loss, reg_rho)
 
 
-def _trace_quantities(a_arr, factors, nonneg):
-    xhat = _einsum_recon(factors)
+def _trace_quantities(a_arr, xhat, factors, nonneg):
     residual_e = float(np.sum(np.abs(a_arr - xhat)))
     col_l2 = [np.linalg.norm(f, axis=0) for f in factors]
     comp_f = np.prod(np.vstack(col_l2), axis=0)
@@ -211,68 +213,49 @@ def _trace_quantities(a_arr, factors, nonneg):
         delta_hat = np.prod(np.vstack(col_l1), axis=0)
     else:
         delta_hat = comp_f
-    return xhat, residual_e, float(np.sum(delta_hat)), float(np.max(comp_f))
+    return residual_e, float(np.sum(delta_hat)), float(np.max(comp_f))
 
 
-def _frobenius_objective(a_arr, xhat, factors, rho):
-    resid = a_arr - xhat
-    val = float(np.sum(resid * resid))
-    if rho > 0:
-        val += rho * float(sum(np.sum(f * f) for f in factors))
-    return val
+def _iterate(a, cfg, factors, nonneg, update):
+    """The fit loop of both solvers.
 
-
-class _Run:
-    """Shared bookkeeping for both fit loops: tracing, stopping, packaging."""
-
-    def __init__(self, a, cfg, factors, nonneg):
-        self.a = a
-        self.a_arr = a.as_array()
-        self.a_e = norm(a, "E")
-        self.cfg = cfg
-        self.factors = factors
-        self.nonneg = nonneg
-        self.trace = FitTrace()
-        self.objectives = []
-        self.converged = False
-
-    def record(self, iteration, obj, force=False):
-        self.objectives.append(obj)
-        last = iteration == self.cfg.max_iters
-        if iteration % self.cfg.trace_every == 0 or last or force:
-            _, res_e, dl1, cmax = _trace_quantities(
-                self.a_arr, self.factors, self.nonneg
-            )
-            self.trace.append(TraceRow(iteration, obj, dl1, cmax, res_e))
-            if self.nonneg:
-                cap = self.a_e + res_e
-                if dl1 > cap + 1e-9 * (1.0 + cap):
-                    raise RuntimeError(
-                        "coercivity bound violated at iteration "
-                        f"{iteration}: {dl1} > {cap}"
-                    )
-
-    def should_stop(self, iteration, obj):
+    ``update(factors, n, xhat, note)`` returns the new mode-n factor.
+    ``xhat`` is the reconstruction of ``factors``, or None once an earlier
+    mode of the sweep has changed; ``note(message)`` records an event on the
+    trace at the current iteration.
+    """
+    a_arr = a.as_array()
+    a_e = norm(a, "E")
+    trace = FitTrace()
+    objectives = []
+    for it in range(cfg.max_iters + 1):
+        if it > 0:
+            note = functools.partial(trace.note, it)
+            for n in range(len(factors)):
+                factors[n] = update(factors, n, xhat, note)
+                xhat = None
+        xhat = _reconstruct(factors)
+        obj = _loss(a_arr, xhat, factors, cfg.loss, cfg.reg_rho)
         # Relative decrease over the trailing window; objectives holds the
-        # values for iterations 0 .. iteration-1 at this point.
-        if self.cfg.tol <= 0 or iteration < STOP_WINDOW:
-            return False
-        ref = self.objectives[iteration - STOP_WINDOW]
-        dec = (ref - obj) / max(abs(ref), 1e-300)
-        return dec < self.cfg.tol
-
-    def finish(self):
-        raw = KruskalModel(
-            self.a.shape, np.ones(self.factors[0].shape[1]), self.factors
-        )
-        model = normalize(raw) if self.nonneg else l2_normalize(raw)
-        model = sort_by_weight(model)
-        return FitResult(
-            model=model,
-            trace=self.trace,
-            converged=self.converged,
-            final_objective=self.objectives[-1],
-        )
+        # values for iterations 0 .. it-1 at this point.
+        stop = False
+        if cfg.tol > 0 and it >= STOP_WINDOW:
+            ref = objectives[it - STOP_WINDOW]
+            stop = (ref - obj) / max(abs(ref), 1e-300) < cfg.tol
+        objectives.append(obj)
+        if it % cfg.trace_every == 0 or it == cfg.max_iters or stop:
+            res_e, dl1, cmax = _trace_quantities(a_arr, xhat, factors, nonneg)
+            trace.append(TraceRow(it, obj, dl1, cmax, res_e))
+            cap = a_e + res_e
+            if nonneg and dl1 > cap + 1e-9 * (1.0 + cap):
+                raise RuntimeError(
+                    f"coercivity bound violated at iteration {it}: {dl1} > {cap}"
+                )
+        if stop:
+            break
+    raw = KruskalModel(a.shape, np.ones(factors[0].shape[1]), factors)
+    model = normalize(raw) if nonneg else l2_normalize(raw)
+    return FitResult(sort_by_weight(model), trace, converged=stop, final_objective=obj)
 
 
 def sort_by_weight(model):
@@ -315,43 +298,26 @@ def fit_nncp(a, cfg):
         raise ValueError("fit_nncp requires cfg.nonneg = True")
     if np.any(a.data < 0):
         raise ValueError("fit_nncp requires a nonnegative tensor")
-    run = _Run(a, cfg, _init_nonneg(a, cfg), nonneg=True)
-    a_arr = run.a_arr
+    a_arr = a.as_array()
     rho = cfg.reg_rho
-    kl = cfg.loss is Loss.KL
 
-    def current_objective():
-        xhat = _einsum_recon(run.factors)
-        if kl:
-            return generalized_kl(a_arr.reshape(-1), xhat.reshape(-1),
-                                  floor=KL_SOLVER_FLOOR)
-        return _frobenius_objective(a_arr, xhat, run.factors, rho)
+    def frobenius(factors, n, xhat, note):
+        num = _mttkrp(a_arr, factors, n)
+        den = factors[n] @ _gram_others(factors, n)
+        if rho > 0:
+            den = den + rho * factors[n]
+        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
 
-    run.record(0, current_objective())
-    for it in range(1, cfg.max_iters + 1):
-        for n in range(len(run.factors)):
-            if kl:
-                xhat = _einsum_recon(run.factors)
-                ratio = np.where(
-                    a_arr > 0, a_arr / np.maximum(xhat, KL_SOLVER_FLOOR), 0.0
-                )
-                num = _mttkrp(ratio, run.factors, n)
-                den = np.broadcast_to(
-                    _colsum_prod_others(run.factors, n), num.shape
-                )
-            else:
-                num = _mttkrp(a_arr, run.factors, n)
-                den = run.factors[n] @ _gram_others(run.factors, n)
-                if rho > 0:
-                    den = den + rho * run.factors[n]
-            run.factors[n] = run.factors[n] * (num / np.maximum(den, DEN_FLOOR))
-        obj = current_objective()
-        stop = run.should_stop(it, obj)
-        run.converged = run.converged or stop
-        run.record(it, obj, force=stop)
-        if stop:
-            break
-    return run.finish()
+    def kl(factors, n, xhat, note):
+        if xhat is None:
+            xhat = _reconstruct(factors)
+        ratio = np.where(a_arr > 0, a_arr / np.maximum(xhat, KL_SOLVER_FLOOR), 0.0)
+        num = _mttkrp(ratio, factors, n)
+        den = np.broadcast_to(_colsum_prod_others(factors, n), num.shape)
+        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
+
+    update = kl if cfg.loss is Loss.KL else frobenius
+    return _iterate(a, cfg, _init_nonneg(a, cfg), True, update)
 
 
 def fit_cp_unconstrained(a, cfg):
@@ -365,34 +331,21 @@ def fit_cp_unconstrained(a, cfg):
         raise ValueError("fit_cp_unconstrained requires cfg.nonneg = False")
     if cfg.loss is not Loss.FROBENIUS:
         raise ValueError("fit_cp_unconstrained supports only the Frobenius loss")
-    run = _Run(a, cfg, _init_signed(a, cfg), nonneg=False)
-    a_arr = run.a_arr
+    a_arr = a.as_array()
     rho = cfg.reg_rho
-    r = cfg.rank
-    eye = np.eye(r)
+    eye = np.eye(cfg.rank)
 
-    def current_objective():
-        xhat = _einsum_recon(run.factors)
-        return _frobenius_objective(a_arr, xhat, run.factors, rho)
+    def als(factors, n, xhat, note):
+        gram = _gram_others(factors, n)
+        if rho > 0:
+            gram = gram + rho * eye
+        mtt = _mttkrp(a_arr, factors, n)
+        try:
+            np.linalg.cholesky(gram)
+            return np.linalg.solve(gram, mtt.T).T
+        except np.linalg.LinAlgError:
+            sol = np.linalg.solve(gram + RIDGE_JITTER * eye, mtt.T).T
+            note(f"ridge jitter on mode {n}")
+            return sol
 
-    run.record(0, current_objective())
-    for it in range(1, cfg.max_iters + 1):
-        for n in range(len(run.factors)):
-            gram = _gram_others(run.factors, n)
-            if rho > 0:
-                gram = gram + rho * eye
-            mtt = _mttkrp(a_arr, run.factors, n)
-            try:
-                np.linalg.cholesky(gram)
-                sol = np.linalg.solve(gram, mtt.T).T
-            except np.linalg.LinAlgError:
-                sol = np.linalg.solve(gram + RIDGE_JITTER * eye, mtt.T).T
-                run.trace.note(it, f"ridge jitter on mode {n}")
-            run.factors[n] = sol
-        obj = current_objective()
-        stop = run.should_stop(it, obj)
-        run.converged = run.converged or stop
-        run.record(it, obj, force=stop)
-        if stop:
-            break
-    return run.finish()
+    return _iterate(a, cfg, _init_signed(a, cfg), False, als)

@@ -162,6 +162,25 @@ def inner(a, b):
 # are emitted with shortest round-trip precision, so write/read is bit-exact.
 
 
+def _json_array(value, what, ndim=1, integral=False):
+    """Array of a parsed JSON value that must be a list nested ``ndim`` deep
+    with numbers at the bottom (integers only if ``integral``).  Strings,
+    booleans, null, objects and, for integers, 2.0 or 2.7 are rejected."""
+    kinds = (int,) if integral else (int, float)
+    level = [value]
+    for _ in range(ndim):
+        if any(type(v) is not list for v in level):
+            raise ValueError(f"{what} must be a list nested {ndim} deep")
+        level = [x for v in level for x in v]
+    if any(type(x) not in kinds for x in level):
+        noun = "integers" if integral else "numbers"
+        raise ValueError(f"{what} must hold only {noun}")
+    try:
+        return np.array(value, dtype=np.int64 if integral else np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def tensor_to_json(a):
     return json.dumps({"shape": list(a.shape), "data": a.data.tolist()})
 
@@ -173,7 +192,10 @@ def tensor_from_json(text):
         raise ValueError(f"malformed tensor JSON: {exc}") from exc
     if not isinstance(doc, dict) or "shape" not in doc or "data" not in doc:
         raise ValueError("tensor JSON must have 'shape' and 'data' fields")
-    return DenseTensor(doc["shape"], doc["data"])
+    return DenseTensor(
+        _json_array(doc["shape"], "tensor shape", integral=True),
+        _json_array(doc["data"], "tensor data"),
+    )
 
 
 def write_tensor(a, path):

@@ -13,7 +13,7 @@ from nncp.diagnostics import (
 from nncp.kruskal import random_model, reconstruct
 from nncp.pathologies import bclr_limit, w_sequence
 from nncp.solvers import FitConfig, FitTrace, TraceRow, fit_cp_unconstrained, fit_nncp
-from nncp.tensor import norm
+from nncp.tensor import DenseTensor, norm
 
 
 def synthetic_trace(rows):
@@ -134,6 +134,17 @@ def test_contrast_rejects_negative_input():
         run_contrast_experiment(
             DenseTensor([2], [1.0, -1.0]), rank=1, seeds=[0]
         )
+
+
+def test_contrast_zero_tensor_is_not_degenerate():
+    # Every component of the nonnegative fit shrinks to 0; ||A||_F = 0 must
+    # not turn that into an infinite blow-up.
+    summary = run_contrast_experiment(
+        DenseTensor.zeros((3, 3, 3)), rank=2, seeds=[0], max_iters=50
+    )
+    (row,) = [r for r in summary.rows if r.family == "nonneg"]
+    assert row.verdict != "DEGENERATE"
+    assert row.blowup_ratio == 0.0
 
 
 def test_contrast_csv_and_workers_determinism():

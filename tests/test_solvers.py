@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nncp import solvers
 from nncp.divergence import DivergenceKind, distance
 from nncp.kruskal import KruskalModel, random_model, reconstruct
 from nncp.pathologies import bclr_limit, w_sequence
@@ -296,3 +297,52 @@ def test_final_residuals_match_model():
     assert distance(a, recon, DivergenceKind.E_NORM) == pytest.approx(
         res.trace.rows[-1].residual_E, rel=1e-9, abs=1e-12
     )
+
+
+# --- shared driver and einsum helper ---------------------------------------------
+
+_SOLVERS = [
+    (fit_nncp, FitConfig(rank=1, max_iters=50)),
+    (fit_nncp, FitConfig(rank=1, loss=Loss.KL, max_iters=50)),
+    (fit_cp_unconstrained, FitConfig(rank=1, nonneg=False, max_iters=50)),
+]
+
+
+@pytest.mark.parametrize("fit, cfg", _SOLVERS)
+def test_order_one_fit_reproduces_the_vector(fit, cfg):
+    a = DenseTensor([5], [1.0, 2.0, 3.0, 4.0, 5.0])
+    res = fit(a, cfg)
+    assert reconstruct(res.model).data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("fit, cfg", _SOLVERS)
+def test_order_above_25_rejected_clearly(fit, cfg):
+    with pytest.raises(ValueError, match="order 26 exceeds supported maximum 25"):
+        fit(DenseTensor([1] * 26, [1.0]), cfg)
+
+
+@pytest.mark.parametrize(
+    "fit, loss, nonneg, shape, per_sweep",
+    [
+        (fit_nncp, Loss.FROBENIUS, True, (3, 4, 2), 1),
+        (fit_cp_unconstrained, Loss.FROBENIUS, False, (3, 4, 2), 1),
+        (fit_nncp, Loss.KL, True, (3, 4, 2), 3),
+        (fit_nncp, Loss.KL, True, (2, 3, 2, 2), 4),
+    ],
+)
+def test_reconstructions_per_fit(monkeypatch, fit, loss, nonneg, shape, per_sweep):
+    # One reconstruction per sweep, shared by the objective and the trace
+    # row; KL updates of modes 1..k-1 each need a fresh one.
+    calls = []
+    spec = solvers._einsum_spec
+
+    def counting(k, mode=None, weighted=False):
+        if mode is None:
+            calls.append(k)
+        return spec(k, mode, weighted)
+
+    monkeypatch.setattr(solvers, "_einsum_spec", counting)
+    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
+    iters = 7
+    fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
+    assert len(calls) == per_sweep * iters + 1

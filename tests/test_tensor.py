@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nncp.kruskal import model_from_json
 from nncp.tensor import (
     DenseTensor,
     add_scaled,
@@ -221,3 +223,26 @@ def test_json_malformed_inputs():
         tensor_from_json('{"shape": [2]}')
     with pytest.raises(ValueError):
         tensor_from_json('{"shape": [2], "data": [1, 2, 3]}')
+
+
+_MODEL = {"shape": [2], "delta": [1.0], "factors": [[[0.5], [0.5]]]}
+
+
+@pytest.mark.parametrize(
+    "reader, doc",
+    [
+        (tensor_from_json, {"shape": [2], "data": ["1.5", 2]}),
+        (tensor_from_json, {"shape": [True, 2], "data": [1, 2]}),
+        (tensor_from_json, {"shape": {"2": 0}, "data": [1, 2]}),
+        (tensor_from_json, {"shape": [2.7], "data": [1, 2]}),
+        (model_from_json, {**_MODEL, "delta": ["1.5"]}),
+        (model_from_json, {**_MODEL, "shape": [True], "factors": [[[1.0]]]}),
+        (model_from_json, {**_MODEL, "shape": {"2": 0}}),
+        (model_from_json, {**_MODEL, "shape": [2.7]}),
+        (model_from_json, {**_MODEL, "factors": [[["0.5"], [0.5]]]}),
+        (model_from_json, {**_MODEL, "factors": {"0": [[0.5], [0.5]]}}),
+    ],
+)
+def test_json_readers_reject_non_numbers(reader, doc):
+    with pytest.raises(ValueError):
+        reader(json.dumps(doc))
