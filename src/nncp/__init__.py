@@ -44,6 +44,7 @@ from .solvers import (
     Loss,
     fit_cp_unconstrained,
     fit_nncp,
+    fit_seeds,
     objective,
 )
 from .tensor import (
@@ -80,6 +81,7 @@ __all__ = [
     "distance",
     "fit_cp_unconstrained",
     "fit_nncp",
+    "fit_seeds",
     "inner",
     "kl_counterexample",
     "kl_phi",

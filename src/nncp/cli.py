@@ -107,6 +107,8 @@ def _cmd_pathology(args):
 
 
 def _cmd_degeneracy(args):
+    if args.seeds < 1:
+        raise CliError("--seeds must be >= 1")
     t = read_tensor(args.input)
     summary = diagnostics.run_contrast_experiment(
         t,
@@ -189,7 +191,8 @@ def build_parser():
     p.add_argument("--seeds", required=True, type=int, metavar="K")
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; does not change results")
+                   help="accepted for compatibility; does not change results "
+                        "(the seeds run as one batch)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_degeneracy)
 

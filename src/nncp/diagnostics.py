@@ -18,8 +18,14 @@ import numpy as np
 
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
-from .solvers import FitConfig, Loss, fit_cp_unconstrained, fit_nncp
+from .solvers import FitConfig, Loss, fit_seeds
 from .tensor import norm
+
+# The single-fit entry points stay importable from here: perfbench's sweep
+# wraps these module attributes.
+from .solvers import fit_cp_unconstrained, fit_nncp  # noqa: F401
+
+_FAMILIES = ("nonneg", "unconstrained")
 
 
 @dataclass(frozen=True)
@@ -129,22 +135,12 @@ class ContrastSummary:
             fh.write(self.to_csv())
 
 
-def _one_seed(a, rank, seed, max_iters, tol, trace_every, loss, thresholds):
-    a_norms = (norm(a, "E"), norm(a, "F"))
-    out = []
-    for family in ("nonneg", "unconstrained"):
-        cfg = FitConfig(
-            rank=rank,
-            loss=loss if family == "nonneg" else Loss.FROBENIUS,
-            nonneg=family == "nonneg",
-            max_iters=max_iters,
-            tol=tol,
-            seed=seed,
-            trace_every=trace_every,
-        )
-        fit = fit_nncp if family == "nonneg" else fit_cp_unconstrained
+def _contrast_row(a, a_norms, seed, family, result, thresholds):
+    """Summary row and degeneracy report of one fit (a FitResult or the
+    exception it raised); any error becomes an ERROR row."""
+    error = result
+    if not isinstance(result, Exception):
         try:
-            result = fit(a, cfg)
             report = detect_degeneracy(result.trace, a_norms, thresholds)
             model_recon = reconstruct(result.model)
             row = ContrastRow(
@@ -156,20 +152,20 @@ def _one_seed(a, rank, seed, max_iters, tol, trace_every, loss, thresholds):
                 blowup_ratio=report.blowup_ratio,
                 iters=result.trace.rows[-1].iter,
             )
+            return row, report
         except Exception as exc:  # propagate per seed without killing the sweep
-            report = None
-            row = ContrastRow(
-                seed=seed,
-                family=family,
-                verdict="ERROR",
-                final_residual_E=math.nan,
-                final_residual_F=math.nan,
-                blowup_ratio=math.nan,
-                iters=0,
-                error=str(exc),
-            )
-        out.append((row, report))
-    return out
+            error = exc
+    row = ContrastRow(
+        seed=seed,
+        family=family,
+        verdict="ERROR",
+        final_residual_E=math.nan,
+        final_residual_F=math.nan,
+        blowup_ratio=math.nan,
+        iters=0,
+        error=str(error),
+    )
+    return row, None
 
 
 def run_contrast_experiment(
@@ -186,19 +182,37 @@ def run_contrast_experiment(
     """Fit each seed with both families under identical budgets.
 
     Returns a ContrastSummary with one row per (seed, family), in seed order.
-    Requires a nonnegative target (the nonnegative family demands it).
+    Requires a nonnegative target (the nonnegative family demands it).  Each
+    family fits all seeds as one batch (:func:`nncp.solvers.fit_seeds`); a
+    seed whose fit raises gets an ERROR row and the others are unaffected.
     ``workers`` is accepted for compatibility; its value does not change the
-    results.
+    results or how they are computed.
     """
     if np.any(a.data < 0):
         raise ValueError("contrast experiment requires a nonnegative tensor")
+    seeds = [int(seed) for seed in seeds]
     summary = ContrastSummary()
-    for seed in seeds:
-        pairs = _one_seed(
-            a, rank, int(seed), max_iters, tol, trace_every, loss, thresholds
+    if not seeds:
+        return summary
+    a_norms = (norm(a, "E"), norm(a, "F"))
+    fits = {}
+    for family in _FAMILIES:
+        cfg = FitConfig(
+            rank=rank,
+            loss=loss if family == "nonneg" else Loss.FROBENIUS,
+            nonneg=family == "nonneg",
+            max_iters=max_iters,
+            tol=tol,
+            trace_every=trace_every,
         )
-        for row, report in pairs:
+        try:
+            fits[family] = fit_seeds(a, cfg, seeds)
+        except Exception as exc:  # a failure of the whole batch, e.g. its order
+            fits[family] = [exc] * len(seeds)
+    for i, seed in enumerate(seeds):
+        for family in _FAMILIES:
+            row, report = _contrast_row(a, a_norms, seed, family, fits[family][i], thresholds)
             summary.rows.append(row)
             if report is not None:
-                summary.reports[(row.seed, row.family)] = report
+                summary.reports[(seed, family)] = report
     return summary

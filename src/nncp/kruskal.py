@@ -9,6 +9,7 @@ unit l1-norm and absorbs the scale into the weights; in that form
 unit-E-norm model into a naive-Bayes joint distribution.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -89,23 +90,30 @@ class KruskalModel:
         )
 
 
+@functools.lru_cache(maxsize=None)
 def _einsum_spec(k, mode=None, weighted=False):
     """np.einsum subscripts over the factors of an order-k CP model.
 
-    Modes are a, b, c, ... and the component index is z.  With mode=None the
-    operands are ([delta,] W_1, ..., W_k) and the output is the tensor; with
-    mode=n they are the tensor and every factor but W_n, and the output is
-    the (d_n, r) MTTKRP.  At k = 1 the Khatri-Rao product of no factors is a
-    1 x r row of ones, so that MTTKRP takes a length-r ones operand.
+    Modes are a, b, c, ... and the component index is z.  The weighted form
+    takes one model's (delta, W_1, ..., W_k) and gives its tensor; it is the
+    form :func:`reconstruct` uses.  The solver forms put a seed axis S in
+    front of every operand and of the output, so that one call serves a stack
+    of fits: with mode=None the operands are the (S, d_i, r) factor stacks
+    and the output is the stack of reconstructions; with mode=n they are a
+    stack of tensors and every factor stack but W_n, and the output is the
+    (S, d_n, r) stack of MTTKRPs.  At k = 1 the Khatri-Rao product of no
+    factors is a 1 x r row of ones, so that MTTKRP takes an (S, r) ones
+    operand.
     """
     if k > len(_LETTERS):
         raise ValueError(f"order {k} exceeds supported maximum {len(_LETTERS)}")
     modes = _LETTERS[:k]
+    if weighted:
+        return "z," + ",".join(f"{m}z" for m in modes) + f"->{modes}"
     if mode is None:
-        ins = ",".join(f"{m}z" for m in modes)
-        return f"z,{ins}->{modes}" if weighted else f"{ins}->{modes}"
-    others = [f"{m}z" for i, m in enumerate(modes) if i != mode] or ["z"]
-    return ",".join([modes, *others]) + f"->{modes[mode]}z"
+        return ",".join(f"S{m}z" for m in modes) + f"->S{modes}"
+    others = [f"S{m}z" for i, m in enumerate(modes) if i != mode] or ["Sz"]
+    return ",".join([f"S{modes}", *others]) + f"->S{modes[mode]}z"
 
 
 def reconstruct(model):

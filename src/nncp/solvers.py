@@ -13,11 +13,21 @@ Two entry points share one fit driver and one trace format:
   subproblem exactly, so the objective is nonincreasing; on degenerate inputs
   the rank-1 terms are free to blow up, and the trace records exactly that.
 
-Each entry point checks its input and supplies a per-mode update to the
-driver :func:`_iterate`, which owns the sweeps, the stop rule, the trace rows,
-the coercivity check and the packaging.  The driver reconstructs X once per
+:func:`fit_seeds` runs either solver from many random starts at once.  Each
+entry point checks its input and supplies a per-mode update to the driver
+:func:`_iterate`, which owns the sweeps, the stop rule, the trace rows, the
+coercivity check and the packaging.  The driver reconstructs X once per
 sweep; the objective, the trace row and the next sweep's first KL update all
 read that one reconstruction.
+
+The driver fits a batch of seeds: every factor is an (S, d_i, r) stack with
+one matrix per seed, so one einsum, matmul or LAPACK call serves all S seeds,
+and a single fit is a batch of one.  Per-seed events stay per seed.  The stop
+rule, the finiteness of the trace, the coercivity check, a ridge note and a
+failed solve each concern one seed; a seed that stops or raises leaves the
+stack and its batch-mates carry on.  A seed's arithmetic never mixes with
+its batch-mates', so it gets the same trace, notes, model or exception, byte
+for byte, in any batch.
 
 Multiplicative updates are the standard majorization rules extended to k
 modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
@@ -34,7 +44,7 @@ subproblem, so full sweeps decrease the loss (to floor-level slack).
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,45 +150,61 @@ class FitResult:
     final_objective: float
 
 
+# The kernels below take factor stacks of shape (S, d_i, r) and return one
+# result per seed along the leading axis.
+
+
 def _reconstruct(factors):
     return np.einsum(_einsum_spec(len(factors)), *factors)
 
 
 def _mttkrp(arr, factors, n):
+    """MTTKRP of each tensor of the stack ``arr`` with the stacks other than
+    factors[n]; a stack of one tensor serves every seed."""
     others = [f for m, f in enumerate(factors) if m != n]
     if not others:  # order 1: the Khatri-Rao product of no factors is ones
-        others = [np.ones(factors[0].shape[1])]
+        s, _, r = factors[0].shape
+        others = [np.ones((s, r))]
     return np.einsum(_einsum_spec(len(factors), mode=n), arr, *others)
 
 
 def _gram_others(factors, n):
-    r = factors[0].shape[1]
-    g = np.ones((r, r))
+    s, _, r = factors[0].shape
+    g = np.ones((s, r, r))
     for m, f in enumerate(factors):
         if m != n:
-            g = g * (f.T @ f)
+            g = g * (f.transpose(0, 2, 1) @ f)
     return g
 
 
 def _colsum_prod_others(factors, n):
-    r = factors[0].shape[1]
-    p = np.ones(r)
+    s, _, r = factors[0].shape
+    p = np.ones((s, r))
     for m, f in enumerate(factors):
         if m != n:
-            p = p * np.sum(f, axis=0)
+            p = p * np.sum(f, axis=1)
     return p
 
 
-def _loss(a_arr, xhat, factors, loss, rho):
+def _per_seed_sum(x):
+    # A reduction over every axis but the first sums each seed's entries in
+    # memory order, as np.sum does for one array; reshape(S, -1) would copy
+    # a transposed stack into another order.
+    return np.sum(x, axis=tuple(range(1, x.ndim)))
+
+
+def _loss(a_arr, xhat, resid, factors, loss, rho):
+    """Loss of each reconstruction in the stack ``xhat`` (``resid`` is
+    ``a_arr - xhat``), as a list of floats."""
     if loss is Loss.KL:
-        return generalized_kl(
-            a_arr.reshape(-1), xhat.reshape(-1), floor=KL_SOLVER_FLOOR
-        )
-    resid = a_arr - xhat
-    val = float(np.sum(resid * resid))
+        flat = a_arr.reshape(-1)
+        return [
+            generalized_kl(flat, x.reshape(-1), floor=KL_SOLVER_FLOOR) for x in xhat
+        ]
+    val = _per_seed_sum(resid * resid)
     if rho > 0:
-        val += rho * float(sum(np.sum(f * f) for f in factors))
-    return val
+        val = val + rho * sum(_per_seed_sum(f * f) for f in factors)
+    return val.tolist()
 
 
 def objective(a, model, loss, reg_rho=0.0):
@@ -200,62 +226,114 @@ def objective(a, model, loss, reg_rho=0.0):
             raise ValueError("KL objective requires a nonnegative tensor")
     elif loss is not Loss.FROBENIUS:
         raise ValueError(f"unknown loss {loss!r}")
-    x = reconstruct(model).as_array()
-    return _loss(a.as_array(), x, model.factors, loss, reg_rho)
+    a_arr = a.as_array()
+    x = reconstruct(model).as_array()[None]
+    factors = [f[None] for f in model.factors]
+    return _loss(a_arr, x, a_arr - x, factors, loss, reg_rho)[0]
 
 
-def _trace_quantities(a_arr, xhat, factors, nonneg):
-    residual_e = float(np.sum(np.abs(a_arr - xhat)))
-    col_l2 = [np.linalg.norm(f, axis=0) for f in factors]
-    comp_f = np.prod(np.vstack(col_l2), axis=0)
+def _trace_quantities(resid, factors, nonneg):
+    """Per-seed residual_E, delta_l1 and max_component_F arrays."""
+    residual_e = _per_seed_sum(np.abs(resid))
+    comp_f = functools.reduce(np.multiply, [np.linalg.norm(f, axis=1) for f in factors])
     if nonneg:
-        col_l1 = [np.sum(f, axis=0) for f in factors]
-        delta_hat = np.prod(np.vstack(col_l1), axis=0)
+        delta_hat = functools.reduce(np.multiply, [np.sum(f, axis=1) for f in factors])
     else:
         delta_hat = comp_f
-    return residual_e, float(np.sum(delta_hat)), float(np.max(comp_f))
+    return residual_e, np.sum(delta_hat, axis=1), np.max(comp_f, axis=1)
 
 
-def _iterate(a, cfg, factors, nonneg, update):
-    """The fit loop of both solvers.
+def _iterate(a, cfg, seeds, nonneg, init, update):
+    """The fit loop of both solvers, over a batch of seeds.
 
-    ``update(factors, n, xhat, note)`` returns the new mode-n factor.
-    ``xhat`` is the reconstruction of ``factors``, or None once an earlier
-    mode of the sweep has changed; ``note(message)`` records an event on the
-    trace at the current iteration.
+    ``init(a, cfg)`` returns one seed's starting factors.
+    ``update(factors, n, xhat, note, fail)`` returns the new mode-n factor
+    stack.  ``xhat`` is the reconstruction stack of ``factors``, or None once
+    an earlier mode of the sweep has changed; ``note(j, message)`` records an
+    event on the trace of stack entry j at the current iteration, and
+    ``fail(j, exc)`` ends that entry's fit with ``exc``.  Returns, in seed
+    order, each seed's FitResult or the exception its fit raised.
     """
     a_arr = a.as_array()
     a_e = norm(a, "E")
-    trace = FitTrace()
-    objectives = []
+    out = [None] * len(seeds)
+    live, starts = [], []  # live[j]: the seed index of stack entry j
+    for i, seed in enumerate(seeds):
+        try:
+            starts.append(init(a, replace(cfg, seed=seed)))
+            live.append(i)
+        except Exception as exc:
+            out[i] = exc
+    if not live:
+        return out
+    factors = [np.stack(stack) for stack in zip(*starts)]
+    traces = [FitTrace() for _ in seeds]
+    objectives = [[] for _ in seeds]
+    ended = {}  # stack entry -> its FitResult or exception
+
+    def retire():
+        """Record the ended entries and drop them from the stack."""
+        for j, res in ended.items():
+            out[live[j]] = res
+        keep = [j for j in range(len(live)) if j not in ended]
+        live[:] = [live[j] for j in keep]
+        factors[:] = [f[keep] for f in factors]
+        ended.clear()
+        return keep
+
+    def note(j, message):
+        traces[live[j]].note(it, message)
+
     for it in range(cfg.max_iters + 1):
         if it > 0:
-            note = functools.partial(trace.note, it)
             for n in range(len(factors)):
-                factors[n] = update(factors, n, xhat, note)
+                factors[n] = update(factors, n, xhat, note, ended.__setitem__)
                 xhat = None
+                if ended:
+                    retire()
+                    if not live:
+                        return out
         xhat = _reconstruct(factors)
-        obj = _loss(a_arr, xhat, factors, cfg.loss, cfg.reg_rho)
-        # Relative decrease over the trailing window; objectives holds the
-        # values for iterations 0 .. it-1 at this point.
-        stop = False
-        if cfg.tol > 0 and it >= STOP_WINDOW:
-            ref = objectives[it - STOP_WINDOW]
-            stop = (ref - obj) / max(abs(ref), 1e-300) < cfg.tol
-        objectives.append(obj)
-        if it % cfg.trace_every == 0 or it == cfg.max_iters or stop:
-            res_e, dl1, cmax = _trace_quantities(a_arr, xhat, factors, nonneg)
-            trace.append(TraceRow(it, obj, dl1, cmax, res_e))
-            cap = a_e + res_e
-            if nonneg and dl1 > cap + 1e-9 * (1.0 + cap):
-                raise RuntimeError(
-                    f"coercivity bound violated at iteration {it}: {dl1} > {cap}"
-                )
-        if stop:
-            break
-    raw = KruskalModel(a.shape, np.ones(factors[0].shape[1]), factors)
-    model = normalize(raw) if nonneg else l2_normalize(raw)
-    return FitResult(sort_by_weight(model), trace, converged=stop, final_objective=obj)
+        resid = a_arr - xhat
+        objs = _loss(a_arr, xhat, resid, factors, cfg.loss, cfg.reg_rho)
+        last = it == cfg.max_iters
+        traced = last or it % cfg.trace_every == 0
+        rows = None
+        for j, i in enumerate(live):
+            obj = objs[j]
+            # Relative decrease over the trailing window; objectives[i] holds
+            # the values for iterations 0 .. it-1 at this point.
+            stop = False
+            if cfg.tol > 0 and it >= STOP_WINDOW:
+                ref = objectives[i][it - STOP_WINDOW]
+                stop = (ref - obj) / max(abs(ref), 1e-300) < cfg.tol
+            objectives[i].append(obj)
+            if not (traced or stop):
+                continue
+            if rows is None:
+                quantities = _trace_quantities(resid, factors, nonneg)
+                rows = list(zip(*(q.tolist() for q in quantities)))
+            res_e, dl1, cmax = rows[j]
+            try:
+                traces[i].append(TraceRow(it, obj, dl1, cmax, res_e))
+                cap = a_e + res_e
+                if nonneg and dl1 > cap + 1e-9 * (1.0 + cap):
+                    raise RuntimeError(
+                        f"coercivity bound violated at iteration {it}: {dl1} > {cap}"
+                    )
+                if stop or last:
+                    raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
+                    model = normalize(raw) if nonneg else l2_normalize(raw)
+                    ended[j] = FitResult(
+                        sort_by_weight(model), traces[i], converged=stop, final_objective=obj
+                    )
+            except Exception as exc:
+                ended[j] = exc
+        if ended:
+            xhat = xhat[retire()]
+            if not live:
+                return out
+    return out
 
 
 def sort_by_weight(model):
@@ -287,6 +365,95 @@ def _init_signed(a, cfg):
     return w
 
 
+def _mu_update(a_arr, cfg):
+    rho = cfg.reg_rho
+    support = a_arr > 0
+
+    def frobenius(factors, n, xhat, note, fail):
+        num = _mttkrp(a_arr[None], factors, n)
+        den = factors[n] @ _gram_others(factors, n)
+        if rho > 0:
+            den = den + rho * factors[n]
+        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
+
+    def kl(factors, n, xhat, note, fail):
+        if xhat is None:
+            xhat = _reconstruct(factors)
+        ratio = np.where(support, a_arr / np.maximum(xhat, KL_SOLVER_FLOOR), 0.0)
+        num = _mttkrp(ratio, factors, n)
+        den = _colsum_prod_others(factors, n)[:, None, :]
+        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
+
+    return kl if cfg.loss is Loss.KL else frobenius
+
+
+def _als_update(a_arr, cfg):
+    rho = cfg.reg_rho
+    eye = np.eye(cfg.rank)
+
+    def als(factors, n, xhat, note, fail):
+        gram = _gram_others(factors, n)
+        if rho > 0:
+            gram = gram + rho * eye
+        rhs = _mttkrp(a_arr[None], factors, n).transpose(0, 2, 1)
+        try:
+            np.linalg.cholesky(gram)
+            return np.linalg.solve(gram, rhs).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:
+            pass
+        # Some seed's normal equations are singular: solve seed by seed, into
+        # the (S, r, d) layout that the batched solve returns.
+        sol = np.zeros(rhs.shape)
+        for j in range(len(gram)):
+            try:
+                sol[j], ridged = _solve_normal_equations(gram[j], rhs[j], eye)
+            except np.linalg.LinAlgError as exc:
+                fail(j, exc)
+                continue
+            if ridged:
+                note(j, f"ridge jitter on mode {n}")
+        return sol.transpose(0, 2, 1)
+
+    return als
+
+
+def _solve_normal_equations(gram, rhs, eye):
+    """Solution for one seed, and whether it needed the ridge: a Gram that
+    fails the Cholesky probe, or whose solve fails, gets RIDGE_JITTER * I."""
+    try:
+        np.linalg.cholesky(gram)
+        return np.linalg.solve(gram, rhs), False
+    except np.linalg.LinAlgError:
+        return np.linalg.solve(gram + RIDGE_JITTER * eye, rhs), True
+
+
+def fit_seeds(a, cfg, seeds):
+    """Fit one configuration from several random starts as one batch.
+
+    ``cfg.nonneg`` picks the solver: the multiplicative updates of
+    :func:`fit_nncp` or the alternating least squares of
+    :func:`fit_cp_unconstrained`, with the same input checks.  ``cfg.seed``
+    is ignored; ``seeds`` lists the starts.  Returns one entry per seed, in
+    order: the FitResult that ``cfg`` with that seed gives alone, or the
+    exception that fit raises.
+    """
+    a_arr = a.as_array()
+    if cfg.nonneg:
+        if np.any(a.data < 0):
+            raise ValueError("fit_nncp requires a nonnegative tensor")
+        return _iterate(a, cfg, seeds, True, _init_nonneg, _mu_update(a_arr, cfg))
+    if cfg.loss is not Loss.FROBENIUS:
+        raise ValueError("fit_cp_unconstrained supports only the Frobenius loss")
+    return _iterate(a, cfg, seeds, False, _init_signed, _als_update(a_arr, cfg))
+
+
+def _fit_one(a, cfg):
+    (result,) = fit_seeds(a, cfg, [cfg.seed])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def fit_nncp(a, cfg):
     """Nonnegative CP fit by multiplicative updates.
 
@@ -296,28 +463,7 @@ def fit_nncp(a, cfg):
     """
     if not cfg.nonneg:
         raise ValueError("fit_nncp requires cfg.nonneg = True")
-    if np.any(a.data < 0):
-        raise ValueError("fit_nncp requires a nonnegative tensor")
-    a_arr = a.as_array()
-    rho = cfg.reg_rho
-
-    def frobenius(factors, n, xhat, note):
-        num = _mttkrp(a_arr, factors, n)
-        den = factors[n] @ _gram_others(factors, n)
-        if rho > 0:
-            den = den + rho * factors[n]
-        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
-
-    def kl(factors, n, xhat, note):
-        if xhat is None:
-            xhat = _reconstruct(factors)
-        ratio = np.where(a_arr > 0, a_arr / np.maximum(xhat, KL_SOLVER_FLOOR), 0.0)
-        num = _mttkrp(ratio, factors, n)
-        den = np.broadcast_to(_colsum_prod_others(factors, n), num.shape)
-        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
-
-    update = kl if cfg.loss is Loss.KL else frobenius
-    return _iterate(a, cfg, _init_nonneg(a, cfg), True, update)
+    return _fit_one(a, cfg)
 
 
 def fit_cp_unconstrained(a, cfg):
@@ -329,23 +475,4 @@ def fit_cp_unconstrained(a, cfg):
     """
     if cfg.nonneg:
         raise ValueError("fit_cp_unconstrained requires cfg.nonneg = False")
-    if cfg.loss is not Loss.FROBENIUS:
-        raise ValueError("fit_cp_unconstrained supports only the Frobenius loss")
-    a_arr = a.as_array()
-    rho = cfg.reg_rho
-    eye = np.eye(cfg.rank)
-
-    def als(factors, n, xhat, note):
-        gram = _gram_others(factors, n)
-        if rho > 0:
-            gram = gram + rho * eye
-        mtt = _mttkrp(a_arr, factors, n)
-        try:
-            np.linalg.cholesky(gram)
-            return np.linalg.solve(gram, mtt.T).T
-        except np.linalg.LinAlgError:
-            sol = np.linalg.solve(gram + RIDGE_JITTER * eye, mtt.T).T
-            note(f"ridge jitter on mode {n}")
-            return sol
-
-    return _iterate(a, cfg, _init_signed(a, cfg), False, als)
+    return _fit_one(a, cfg)

@@ -156,6 +156,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run([]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    # a seed count below 1, with or without a valid rank
+    write_tensor(DenseTensor([2, 2], [1, 2, 3, 4]), a)
+    summary = tmp_path / "summary.csv"
+    for argv in (["--rank", 1, "--seeds", -3], ["--rank", 0, "--seeds", 0]):
+        assert run(["degeneracy", "--input", a, *argv, "--out", summary]) == 1
+        assert "error: --seeds must be >= 1" in capsys.readouterr().err
+    assert not summary.exists()
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import nncp.diagnostics as diag
+from nncp import solvers
 from nncp.diagnostics import (
     SUMMARY_HEADER,
     DegeneracyThresholds,
@@ -161,14 +161,14 @@ def test_contrast_csv_and_workers_determinism():
 
 def test_contrast_per_seed_errors_do_not_abort(monkeypatch):
     a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
-    real = diag.fit_nncp
+    real = solvers._init_nonneg
 
     def flaky(tensor, cfg):
         if cfg.seed == 1:
             raise RuntimeError("boom")
         return real(tensor, cfg)
 
-    monkeypatch.setattr(diag, "fit_nncp", flaky)
+    monkeypatch.setattr(solvers, "_init_nonneg", flaky)
     summary = run_contrast_experiment(a, rank=2, seeds=range(3), max_iters=50)
     assert len(summary.rows) == 6  # no silent drops
     bad = [r for r in summary.rows if r.verdict == "ERROR"]
@@ -177,3 +177,36 @@ def test_contrast_per_seed_errors_do_not_abort(monkeypatch):
     assert "boom" in bad[0].error
     ok = [r for r in summary.rows if r.seed == 1 and r.family == "unconstrained"]
     assert ok[0].verdict != "ERROR"
+
+
+def test_contrast_without_seeds_is_empty():
+    a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
+    summary = run_contrast_experiment(a, rank=2, seeds=[])
+    assert summary.rows == [] and summary.reports == {}
+    assert summary.to_csv() == SUMMARY_HEADER + "\n"
+
+
+def test_contrast_nonfinite_seed_is_the_only_error(monkeypatch):
+    # NaN enters the second seed's nonneg MTTKRP at iteration 4; that fit ends
+    # with the message it gets alone, and every other row is unchanged.
+    a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
+    clean = run_contrast_experiment(a, rank=2, seeds=range(3), max_iters=50)
+    real = solvers._mttkrp
+    calls = []
+
+    def poisoned(arr, factors, n):
+        out = real(arr, factors, n)
+        calls.append(n)
+        if len(calls) == 10:  # the nonneg batch runs first
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(solvers, "_mttkrp", poisoned)
+    summary = run_contrast_experiment(a, rank=2, seeds=range(3), max_iters=50)
+    bad = [r for r in summary.rows if r.verdict == "ERROR"]
+    assert [(r.seed, r.family, r.error) for r in bad] == [
+        (1, "nonneg", "trace objective must be finite")
+    ]
+    assert [r for r in summary.rows if r not in bad] == [
+        r for r in clean.rows if (r.seed, r.family) != (1, "nonneg")
+    ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -346,3 +347,127 @@ def test_reconstructions_per_fit(monkeypatch, fit, loss, nonneg, shape, per_swee
     iters = 7
     fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
     assert len(calls) == per_sweep * iters + 1
+
+
+# --- seed batches ---------------------------------------------------------------
+
+
+def _fingerprint(result):
+    """Everything a fit returns, in comparable form (exceptions by message)."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    model = result.model
+    return (
+        result.trace.to_csv(),
+        result.trace.notes,
+        result.converged,
+        result.final_objective,
+        model.delta.tobytes(),
+        [f.tobytes() for f in model.factors],
+    )
+
+
+def _solo(a, cfg, seed):
+    fit = fit_nncp if cfg.nonneg else fit_cp_unconstrained
+    try:
+        return fit(a, dataclasses.replace(cfg, seed=seed))
+    except Exception as exc:
+        return exc
+
+
+def assert_batch_matches_solo(a, cfg, seeds):
+    batch = solvers.fit_seeds(a, cfg, seeds)
+    assert len(batch) == len(seeds)
+    for seed, result in zip(seeds, batch):
+        assert _fingerprint(result) == _fingerprint(_solo(a, cfg, seed)), seed
+    return batch
+
+
+_NB = reconstruct(random_model((3, 4, 5), 2, seed=77, nonneg=True, e_norm=3.0))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FitConfig(rank=5, max_iters=300, tol=0.0),
+        FitConfig(rank=5, loss=Loss.KL, max_iters=300, tol=0.0),
+        FitConfig(rank=5, nonneg=False, max_iters=300, tol=0.0),
+        FitConfig(rank=5, max_iters=300, tol=0.0, trace_every=7),
+        FitConfig(rank=5, loss=Loss.KL, max_iters=300, tol=0.0, trace_every=7),
+        FitConfig(rank=5, nonneg=False, max_iters=300, tol=0.0, trace_every=7),
+        FitConfig(rank=5, max_iters=300, tol=0.0, reg_rho=0.5),
+        FitConfig(rank=5, nonneg=False, max_iters=300, tol=0.0, reg_rho=0.5),
+    ],
+    ids=["mu", "kl", "als", "mu-every7", "kl-every7", "als-every7", "mu-rho", "als-rho"],
+)
+def test_batch_matches_solo_fits_on_bclr(cfg):
+    assert_batch_matches_solo(bclr_limit(4), cfg, [56, 57, 58, 59, 60, 1020])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FitConfig(rank=2, max_iters=3000, tol=1e-6),
+        FitConfig(rank=2, loss=Loss.KL, max_iters=3000, tol=1e-7, trace_every=7),
+        FitConfig(rank=2, nonneg=False, max_iters=3000, tol=1e-9),
+    ],
+    ids=["mu", "kl-every7", "als"],
+)
+def test_batch_seeds_stop_at_their_own_iteration(cfg):
+    # A rank-2 fit of uniform noise settles at a positive objective, where
+    # the relative-decrease rule stops each seed at its own iteration.
+    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
+    batch = assert_batch_matches_solo(noise, cfg, list(range(6)))
+    assert all(r.converged for r in batch)
+    assert len({r.trace.rows[-1].iter for r in batch}) > 1
+
+
+def test_batch_without_seeds_is_empty():
+    assert solvers.fit_seeds(_NB, FitConfig(rank=2), []) == []
+
+
+def test_batch_ridge_notes_stay_with_their_seed(monkeypatch):
+    real = solvers._init_signed
+
+    def zero_column(a, cfg):
+        w = real(a, cfg)
+        if cfg.seed == 2:  # mode 0's Gram is singular from the first sweep on
+            w[-1][:, 1] = 0.0
+        return w
+
+    monkeypatch.setattr(solvers, "_init_signed", zero_column)
+    cfg = FitConfig(rank=2, nonneg=False, max_iters=50, tol=0.0)
+    batch = assert_batch_matches_solo(_NB, cfg, [0, 1, 2, 3])
+    assert [bool(r.trace.notes) for r in batch] == [False, False, True, False]
+    assert (1, "ridge jitter on mode 0") in batch[2].trace.notes
+
+
+@pytest.mark.parametrize("nonneg", [True, False])
+def test_batch_nonfinite_seed_fails_alone(monkeypatch, nonneg):
+    # NaN enters one stack entry's MTTKRP at iteration 4 (mode 0).
+    cfg = FitConfig(rank=2, nonneg=nonneg, max_iters=50, tol=0.0)
+    seeds = [0, 1, 2]
+    clean = [_solo(_NB, cfg, seed) for seed in seeds]
+    real = solvers._mttkrp
+
+    def poison(entry):
+        calls = []
+
+        def poisoned(arr, factors, n):
+            out = real(arr, factors, n)
+            calls.append(n)
+            if len(calls) == 10:
+                out[entry] = np.nan
+            return out
+
+        monkeypatch.setattr(solvers, "_mttkrp", poisoned)
+
+    poison(0)
+    alone = _solo(_NB, cfg, 1)
+    assert isinstance(alone, ValueError)
+    assert str(alone) == "trace objective must be finite"
+    poison(1)
+    batch = solvers.fit_seeds(_NB, cfg, seeds)
+    assert _fingerprint(batch[1]) == _fingerprint(alone)
+    for j in (0, 2):
+        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
