@@ -36,29 +36,18 @@ def _cmd_norms(args):
     return 0
 
 
-_KINDS = {
-    "e": DivergenceKind.E_NORM,
-    "f": DivergenceKind.F_NORM,
-    "g": DivergenceKind.G_NORM,
-    "kl": DivergenceKind.KL,
-}
-
-
 def _cmd_divergence(args):
     a = read_tensor(args.a)
     b = read_tensor(args.b)
-    print(_fmt(distance(a, b, _KINDS[args.kind])))
+    print(_fmt(distance(a, b, DivergenceKind(args.kind))))
     return 0
 
 
 def _cmd_decompose(args):
     t = read_tensor(args.input)
-    loss = Loss.KL if args.loss == "kl" else Loss.FROBENIUS
-    if loss is Loss.KL and not args.nonneg:
-        raise CliError("the KL loss requires --nonneg")
     cfg = FitConfig(
         rank=args.rank,
-        loss=loss,
+        loss=Loss(args.loss),
         nonneg=args.nonneg,
         max_iters=args.max_iters,
         tol=args.tol,
@@ -115,7 +104,6 @@ def _cmd_degeneracy(args):
         rank=args.rank,
         seeds=range(args.seeds),
         max_iters=args.iters,
-        workers=args.workers,
     )
     summary.write_csv(args.out)
     for family in ("nonneg", "unconstrained"):
@@ -142,13 +130,13 @@ def build_parser():
     p = sub.add_parser("divergence", help="distance between two tensors")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--kind", required=True, choices=sorted(_KINDS))
+    p.add_argument("--kind", required=True, choices=[k.value for k in DivergenceKind])
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("decompose", help="fit a CP model to a tensor")
     p.add_argument("--input", required=True)
     p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--loss", default="frob", choices=["frob", "kl"])
+    p.add_argument("--loss", default="frob", choices=[loss.value for loss in Loss])
     p.add_argument("--nonneg", action="store_true")
     p.add_argument("--reg", type=float, default=0.0, metavar="RHO")
     p.add_argument("--seed", type=int, default=0)
@@ -190,9 +178,8 @@ def build_parser():
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--seeds", required=True, type=int, metavar="K")
     p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; does not change results "
-                        "(the seeds run as one batch)")
+    # Accepted for compatibility and ignored: the seeds run as one batch.
+    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_degeneracy)
 

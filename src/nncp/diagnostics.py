@@ -18,7 +18,7 @@ import numpy as np
 
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
-from .solvers import FitConfig, Loss, fit_seeds
+from .solvers import FitConfig, coercivity_bound, fit_seeds
 from .tensor import norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
@@ -35,7 +35,6 @@ class DegeneracyThresholds:
 
     blowup_ratio: float = 10.0
     residual_factor: float = 2.0
-    coercivity_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,9 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     DEGENERATE: the largest rank-1 summand ended above blowup_ratio times
     ||A||_F while the residual shrank by at least residual_factor.  BOUNDED:
     every row satisfied the coercivity cap delta_l1, max_component_F <=
-    ||A||_E + residual_E (so nothing blew up).  Otherwise INCONCLUSIVE.
+    ||A||_E + residual_E, up to the slack of
+    :func:`nncp.solvers.coercivity_bound` (so nothing blew up).  Otherwise
+    INCONCLUSIVE.
     """
     rows = list(trace)
     if not rows:
@@ -76,8 +77,7 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
         verdict = "DEGENERATE"
     else:
         capped = all(
-            max(r.delta_l1, r.max_component_F)
-            <= a_e + r.residual_E + th.coercivity_tol * (1.0 + a_e + r.residual_E)
+            max(r.delta_l1, r.max_component_F) <= coercivity_bound(a_e, r.residual_E)
             for r in rows
         )
         verdict = "BOUNDED" if capped else "INCONCLUSIVE"
@@ -168,43 +168,26 @@ def _contrast_row(a, a_norms, seed, family, result, thresholds):
     return row, None
 
 
-def run_contrast_experiment(
-    a,
-    rank,
-    seeds,
-    max_iters=2000,
-    tol=0.0,
-    trace_every=1,
-    loss=Loss.FROBENIUS,
-    thresholds=None,
-    workers=1,
-):
+def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     """Fit each seed with both families under identical budgets.
 
-    Returns a ContrastSummary with one row per (seed, family), in seed order.
-    Requires a nonnegative target (the nonnegative family demands it).  Each
-    family fits all seeds as one batch (:func:`nncp.solvers.fit_seeds`); a
-    seed whose fit raises gets an ERROR row and the others are unaffected.
-    ``workers`` is accepted for compatibility; its value does not change the
-    results or how they are computed.
+    Both families run the Frobenius loss for exactly ``max_iters`` iterations
+    (tol = 0) and trace every iterate, so a BOUNDED verdict certifies every
+    iterate of the fit.  Returns a ContrastSummary with one row per (seed,
+    family), in seed order.  Requires a nonnegative target (the nonnegative
+    family demands it); an invalid rank or budget raises ValueError from
+    FitConfig.  Each family fits all seeds as one batch
+    (:func:`nncp.solvers.fit_seeds`); a seed whose fit raises, an invalid
+    seed included, gets an ERROR row and the others are unaffected.
     """
     if np.any(a.data < 0):
         raise ValueError("contrast experiment requires a nonnegative tensor")
-    seeds = [int(seed) for seed in seeds]
+    seeds = list(seeds)
     summary = ContrastSummary()
-    if not seeds:
-        return summary
     a_norms = (norm(a, "E"), norm(a, "F"))
     fits = {}
     for family in _FAMILIES:
-        cfg = FitConfig(
-            rank=rank,
-            loss=loss if family == "nonneg" else Loss.FROBENIUS,
-            nonneg=family == "nonneg",
-            max_iters=max_iters,
-            tol=tol,
-            trace_every=trace_every,
-        )
+        cfg = FitConfig(rank=rank, nonneg=family == "nonneg", max_iters=max_iters, tol=0.0)
         try:
             fits[family] = fit_seeds(a, cfg, seeds)
         except Exception as exc:  # a failure of the whole batch, e.g. its order

@@ -19,6 +19,16 @@ from .tensor import DenseTensor, _json_array, norm
 _LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
 
+def _nonnegative(*arrays):
+    """True when no array has a negative entry."""
+    return not any(np.any(x < 0) for x in arrays)
+
+
+def _unit_l1_columns(m):
+    """True when every column of the matrix m has l1-norm 1 within 1e-12."""
+    return bool(np.all(np.abs(np.sum(np.abs(m), axis=0) - 1.0) <= 1e-12))
+
+
 class KruskalModel:
     """Weights ``delta`` (length r) and k factor matrices of shape (d_i, r).
 
@@ -53,15 +63,13 @@ class KruskalModel:
             m = m.copy()
             m.flags.writeable = False
             mats.append(m)
-        if nonneg:
-            if np.any(delta < 0) or any(np.any(m < 0) for m in mats):
-                raise ValueError("nonneg model must have no negative entries")
+        if nonneg and not _nonnegative(delta, *mats):
+            raise ValueError("nonneg model must have no negative entries")
         if normalized:
-            if np.any(delta < 0):
+            if not _nonnegative(delta):
                 raise ValueError("normalized model requires delta >= 0")
             for i, m in enumerate(mats):
-                colsums = np.sum(np.abs(m), axis=0)
-                if r and np.max(np.abs(colsums - 1.0)) > 1e-12:
+                if not _unit_l1_columns(m):
                     raise ValueError(
                         f"normalized model requires unit l1 columns in factor {i}"
                     )
@@ -149,7 +157,7 @@ def normalize(model):
     column contribute nothing and are dropped, so r may shrink.  The
     reconstruction is preserved exactly.
     """
-    if np.any(model.delta < 0) or any(np.any(m < 0) for m in model.factors):
+    if not _nonnegative(model.delta, *model.factors):
         raise ValueError("normalize requires a nonnegative model")
     # Row sums of the transpose add each column in the same order as
     # np.sum(m[:, p]); np.sum(m, axis=0) rounds differently once d >= 8.
@@ -198,18 +206,18 @@ class NaiveBayesModel:
         prior = np.asarray(prior, dtype=np.float64).reshape(-1).copy()
         if prior.size < 1:
             raise ValueError("prior must be nonempty")
-        if np.any(prior < 0):
+        if not _nonnegative(prior):
             raise ValueError("prior must be nonnegative")
-        if abs(np.sum(prior) - 1.0) > 1e-12:
+        if not _unit_l1_columns(prior[:, None]):
             raise ValueError("prior must sum to 1 within 1e-12")
         mats = []
         for i, c in enumerate(conditionals):
             m = np.asarray(c, dtype=np.float64)
             if m.ndim != 2 or m.shape[1] != prior.size:
                 raise ValueError(f"conditional {i} must have {prior.size} columns")
-            if np.any(m < 0):
+            if not _nonnegative(m):
                 raise ValueError(f"conditional {i} has negative entries")
-            if np.max(np.abs(np.sum(m, axis=0) - 1.0)) > 1e-12:
+            if not _unit_l1_columns(m):
                 raise ValueError(f"conditional {i} columns must sum to 1 within 1e-12")
             m = m.copy()
             m.flags.writeable = False
@@ -307,11 +315,8 @@ def model_from_json(text):
         _json_array(f, f"model factor {i}", ndim=2)
         for i, f in enumerate(doc["factors"])
     ]
-    nonneg = bool(np.all(delta >= 0)) and all(np.all(m >= 0) for m in factors)
-    normalized = bool(np.all(delta >= 0)) and all(
-        m.size == 0 or np.max(np.abs(np.sum(np.abs(m), axis=0) - 1.0)) <= 1e-12
-        for m in factors
-    )
+    nonneg = _nonnegative(delta, *factors)
+    normalized = _nonnegative(delta) and all(_unit_l1_columns(m) for m in factors)
     return KruskalModel(shape, delta, factors, nonneg=nonneg, normalized=normalized)
 
 

@@ -13,12 +13,13 @@ Two entry points share one fit driver and one trace format:
   subproblem exactly, so the objective is nonincreasing; on degenerate inputs
   the rank-1 terms are free to blow up, and the trace records exactly that.
 
-:func:`fit_seeds` runs either solver from many random starts at once.  Each
-entry point checks its input and supplies a per-mode update to the driver
-:func:`_iterate`, which owns the sweeps, the stop rule, the trace rows, the
-coercivity check and the packaging.  The driver reconstructs X once per
-sweep; the objective, the trace row and the next sweep's first KL update all
-read that one reconstruction.
+:func:`fit_seeds` runs either solver from many random starts at once.
+:class:`FitConfig` rejects every invalid configuration; each entry point
+checks its tensor and hands the config to the driver :func:`_iterate`, which
+picks the solver from ``cfg.nonneg`` and owns the sweeps, the stop rule, the
+trace rows, the coercivity check and the packaging.  The driver reconstructs
+X once per sweep; the objective, the trace row and the next sweep's first KL
+update all read that one reconstruction.
 
 The driver fits a batch of seeds: every factor is an (S, d_i, r) stack with
 one matrix per seed, so one einsum, matmul or LAPACK call serves all S seeds,
@@ -44,13 +45,15 @@ subproblem, so full sweeps decrease the loss (to floor-level slack).
 
 import enum
 import functools
+import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .divergence import KL_SOLVER_FLOOR, generalized_kl
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
-from .kruskal import _einsum_spec
+from .kruskal import _einsum_spec, _nonnegative
 from .tensor import norm
 
 DEN_FLOOR = 1e-12
@@ -65,8 +68,9 @@ class Loss(enum.Enum):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver hyperparameters; tol = 0 disables the convergence stop so runs
-    exhaust max_iters (used by the degeneracy experiments)."""
+    """Solver hyperparameters, checked at construction (ValueError); tol = 0
+    disables the convergence stop so runs exhaust max_iters (used by the
+    degeneracy experiments)."""
 
     rank: int
     loss: Loss = Loss.FROBENIUS
@@ -78,18 +82,26 @@ class FitConfig:
     trace_every: int = 1
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.reg_rho < 0:
-            raise ValueError("reg_rho must be >= 0")
+        for name, least in (("rank", 1), ("max_iters", 1), ("trace_every", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        for name in ("tol", "reg_rho"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.reg_rho > 0 and self.loss is not Loss.FROBENIUS:
             raise ValueError("reg_rho > 0 requires the Frobenius loss")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+        if self.loss is Loss.KL and not self.nonneg:
+            raise ValueError("the KL loss requires nonneg=True")
 
 
 @dataclass(frozen=True)
@@ -220,9 +232,9 @@ def objective(a, model, loss, reg_rho=0.0):
     if reg_rho < 0:
         raise ValueError("reg_rho must be >= 0")
     if loss is Loss.KL:
-        if np.any(model.delta < 0) or any(np.any(f < 0) for f in model.factors):
+        if not _nonnegative(model.delta, *model.factors):
             raise ValueError("KL objective requires a nonnegative model")
-        if np.any(a.data < 0):
+        if not _nonnegative(a.data):
             raise ValueError("KL objective requires a nonnegative tensor")
     elif loss is not Loss.FROBENIUS:
         raise ValueError(f"unknown loss {loss!r}")
@@ -230,6 +242,14 @@ def objective(a, model, loss, reg_rho=0.0):
     x = reconstruct(model).as_array()[None]
     factors = [f[None] for f in model.factors]
     return _loss(a_arr, x, a_arr - x, factors, loss, reg_rho)[0]
+
+
+def coercivity_bound(a_e, residual_e):
+    """The cap ||A||_E + ||A - X||_E on ||delta||_1 of a nonnegative iterate,
+    given ||A||_E and the iterate's residual_E, plus the rounding slack
+    1e-9 * (1 + cap) that every check of the cap allows."""
+    cap = a_e + residual_e
+    return cap + 1e-9 * (1.0 + cap)
 
 
 def _trace_quantities(resid, factors, nonneg):
@@ -243,19 +263,25 @@ def _trace_quantities(resid, factors, nonneg):
     return residual_e, np.sum(delta_hat, axis=1), np.max(comp_f, axis=1)
 
 
-def _iterate(a, cfg, seeds, nonneg, init, update):
+def _iterate(a, cfg, seeds):
     """The fit loop of both solvers, over a batch of seeds.
 
-    ``init(a, cfg)`` returns one seed's starting factors.
-    ``update(factors, n, xhat, note, fail)`` returns the new mode-n factor
-    stack.  ``xhat`` is the reconstruction stack of ``factors``, or None once
-    an earlier mode of the sweep has changed; ``note(j, message)`` records an
-    event on the trace of stack entry j at the current iteration, and
-    ``fail(j, exc)`` ends that entry's fit with ``exc``.  Returns, in seed
+    ``cfg.nonneg`` picks the solver: a start ``init(a, cfg)`` that returns
+    one seed's starting factors, and a per-mode update
+    ``update(factors, n, xhat, note, fail)`` that returns the new mode-n
+    factor stack.  ``xhat`` is the reconstruction stack of ``factors``, or
+    None once an earlier mode of the sweep has changed; ``note(j, message)``
+    records an event on the trace of stack entry j at the current iteration,
+    and ``fail(j, exc)`` ends that entry's fit with ``exc``.  Returns, in seed
     order, each seed's FitResult or the exception its fit raised.
     """
     a_arr = a.as_array()
     a_e = norm(a, "E")
+    # Module globals looked up per call, so that tests can substitute them.
+    if cfg.nonneg:
+        init, update = _init_nonneg, _mu_update(a_arr, cfg)
+    else:
+        init, update = _init_signed, _als_update(a_arr, cfg)
     out = [None] * len(seeds)
     live, starts = [], []  # live[j]: the seed index of stack entry j
     for i, seed in enumerate(seeds):
@@ -311,19 +337,18 @@ def _iterate(a, cfg, seeds, nonneg, init, update):
             if not (traced or stop):
                 continue
             if rows is None:
-                quantities = _trace_quantities(resid, factors, nonneg)
+                quantities = _trace_quantities(resid, factors, cfg.nonneg)
                 rows = list(zip(*(q.tolist() for q in quantities)))
             res_e, dl1, cmax = rows[j]
             try:
                 traces[i].append(TraceRow(it, obj, dl1, cmax, res_e))
-                cap = a_e + res_e
-                if nonneg and dl1 > cap + 1e-9 * (1.0 + cap):
+                if cfg.nonneg and dl1 > coercivity_bound(a_e, res_e):
                     raise RuntimeError(
-                        f"coercivity bound violated at iteration {it}: {dl1} > {cap}"
+                        f"coercivity bound violated at iteration {it}: {dl1} > {a_e + res_e}"
                     )
                 if stop or last:
                     raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
-                    model = normalize(raw) if nonneg else l2_normalize(raw)
+                    model = normalize(raw) if cfg.nonneg else l2_normalize(raw)
                     ended[j] = FitResult(
                         sort_by_weight(model), traces[i], converged=stop, final_objective=obj
                     )
@@ -435,16 +460,11 @@ def fit_seeds(a, cfg, seeds):
     :func:`fit_cp_unconstrained`, with the same input checks.  ``cfg.seed``
     is ignored; ``seeds`` lists the starts.  Returns one entry per seed, in
     order: the FitResult that ``cfg`` with that seed gives alone, or the
-    exception that fit raises.
+    exception that fit raises (a seed that FitConfig rejects fails alone).
     """
-    a_arr = a.as_array()
-    if cfg.nonneg:
-        if np.any(a.data < 0):
-            raise ValueError("fit_nncp requires a nonnegative tensor")
-        return _iterate(a, cfg, seeds, True, _init_nonneg, _mu_update(a_arr, cfg))
-    if cfg.loss is not Loss.FROBENIUS:
-        raise ValueError("fit_cp_unconstrained supports only the Frobenius loss")
-    return _iterate(a, cfg, seeds, False, _init_signed, _als_update(a_arr, cfg))
+    if cfg.nonneg and np.any(a.data < 0):
+        raise ValueError("fit_nncp requires a nonnegative tensor")
+    return _iterate(a, cfg, seeds)
 
 
 def _fit_one(a, cfg):

@@ -163,6 +163,9 @@ def test_error_exit_codes(tmp_path, capsys):
         assert run(["degeneracy", "--input", a, *argv, "--out", summary]) == 1
         assert "error: --seeds must be >= 1" in capsys.readouterr().err
     assert not summary.exists()
+    # a tolerance that is not a number
+    assert run(["decompose", "--input", a, "--rank", 1, "--tol", "nan"]) == 1
+    assert "error: tol must be finite" in capsys.readouterr().err
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,14 @@ from nncp.diagnostics import (
 )
 from nncp.kruskal import random_model, reconstruct
 from nncp.pathologies import bclr_limit, w_sequence
-from nncp.solvers import FitConfig, FitTrace, TraceRow, fit_cp_unconstrained, fit_nncp
+from nncp.solvers import (
+    FitConfig,
+    FitTrace,
+    TraceRow,
+    coercivity_bound,
+    fit_cp_unconstrained,
+    fit_nncp,
+)
 from nncp.tensor import DenseTensor, norm
 
 
@@ -61,6 +68,21 @@ def test_detect_bounded_recheck_rejects_cap_violation():
     rows = [(0, 25.0, 5.0, 2.0, 5.0), (1, 25.0, 50.0, 40.0, 5.0)]
     report = detect_degeneracy(synthetic_trace(rows), A_NORMS)
     assert report.verdict == "INCONCLUSIVE"
+
+
+def test_detect_bounded_up_to_the_shared_coercivity_bound():
+    # A row exactly at solvers.coercivity_bound is BOUNDED; one float above
+    # it is not.  The residual does not shrink, so nothing reads DEGENERATE.
+    a_e, res_e = A_NORMS[0], 3.0
+    bound = coercivity_bound(a_e, res_e)
+    assert bound == a_e + res_e + 1e-9 * (1.0 + a_e + res_e)
+    for delta_l1, comp_f in ((bound, 1.0), (1.0, bound)):
+        trace = synthetic_trace([(0, 9.0, delta_l1, comp_f, res_e)])
+        assert detect_degeneracy(trace, A_NORMS).verdict == "BOUNDED"
+    above = float(np.nextafter(bound, math.inf))
+    for delta_l1, comp_f in ((above, 1.0), (1.0, above)):
+        trace = synthetic_trace([(0, 9.0, delta_l1, comp_f, res_e)])
+        assert detect_degeneracy(trace, A_NORMS).verdict == "INCONCLUSIVE"
 
 
 def test_detect_empty_trace_raises():
@@ -127,6 +149,15 @@ def test_contrast_bclr_small():
             assert row.final_residual_E > 1e-3
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"rank": 2.5}, {"rank": 0}, {"max_iters": 2.5}, {"max_iters": True}]
+)
+def test_contrast_rejects_invalid_config(kwargs):
+    a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
+    with pytest.raises(ValueError):
+        run_contrast_experiment(a, **{"rank": 2, "seeds": range(2), **kwargs})
+
+
 def test_contrast_rejects_negative_input():
     from nncp.tensor import DenseTensor
 
@@ -147,10 +178,10 @@ def test_contrast_zero_tensor_is_not_degenerate():
     assert row.blowup_ratio == 0.0
 
 
-def test_contrast_csv_and_workers_determinism():
+def test_contrast_csv_determinism():
     a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
-    s1 = run_contrast_experiment(a, rank=2, seeds=range(4), max_iters=100, workers=1)
-    s2 = run_contrast_experiment(a, rank=2, seeds=range(4), max_iters=100, workers=3)
+    s1 = run_contrast_experiment(a, rank=2, seeds=range(4), max_iters=100)
+    s2 = run_contrast_experiment(a, rank=2, seeds=range(4), max_iters=100)
     assert s1.to_csv() == s2.to_csv()
     lines = s1.to_csv().strip().split("\n")
     assert lines[0] == SUMMARY_HEADER

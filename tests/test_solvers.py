@@ -59,7 +59,27 @@ def test_config_validation():
         FitConfig(rank=1, loss=Loss.KL, reg_rho=0.5)
     with pytest.raises(ValueError):
         FitConfig(rank=1, trace_every=0)
+    with pytest.raises(ValueError, match="nonneg"):
+        FitConfig(rank=1, loss=Loss.KL, nonneg=False)
+    for bad in (
+        {"rank": 2.5},
+        {"rank": True},
+        {"max_iters": 2.5},
+        {"max_iters": np.float64(3.0)},
+        {"trace_every": 1.5},
+        {"trace_every": np.True_},
+        {"seed": None},
+        {"seed": -1},
+        {"seed": False},
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"reg_rho": math.nan},
+        {"reg_rho": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            FitConfig(**{"rank": 1, **bad})
     FitConfig(rank=1, tol=0.0)  # tol = 0 turns the convergence stop off
+    FitConfig(rank=np.int64(2), max_iters=np.int32(3), trace_every=np.uint8(1), seed=np.int64(4))
 
 
 def test_trace_invariants():
@@ -420,6 +440,15 @@ def test_batch_seeds_stop_at_their_own_iteration(cfg):
     batch = assert_batch_matches_solo(noise, cfg, list(range(6)))
     assert all(r.converged for r in batch)
     assert len({r.trace.rows[-1].iter for r in batch}) > 1
+
+
+def test_batch_takes_numpy_seeds_and_fails_bad_seeds_alone():
+    cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
+    assert_batch_matches_solo(_NB, cfg, np.arange(3))
+    batch = solvers.fit_seeds(_NB, cfg, [0, -1, 2.5, None, 1])
+    assert [type(r) for r in batch[1:4]] == [ValueError] * 3
+    solo = [fit_nncp(_NB, dataclasses.replace(cfg, seed=seed)) for seed in (0, 1)]
+    assert [_fingerprint(r) for r in (batch[0], batch[4])] == [_fingerprint(r) for r in solo]
 
 
 def test_batch_without_seeds_is_empty():
