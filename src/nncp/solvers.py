@@ -19,7 +19,8 @@ checks its tensor and hands the config to the driver :func:`_iterate`, which
 picks the solver from ``cfg.nonneg`` and owns the sweeps, the stop rule, the
 trace rows, the coercivity check and the packaging.  The driver reconstructs
 X once per sweep; the objective, the trace row and the next sweep's first KL
-update all read that one reconstruction.
+update all read that one reconstruction.  It caches each factor's Gram (for
+KL its column sums, which the trace rows reuse), refreshed after its update.
 
 The driver fits a batch of seeds: every factor is an (S, d_i, r) stack with
 one matrix per seed, so one einsum, matmul or LAPACK call serves all S seeds,
@@ -35,9 +36,9 @@ modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
 X_(n) = W^(n) K^T (K the Khatri-Rao product of the other factors):
 
   Frobenius:  W^(n) <- W^(n) * (A_(n) K) / (W^(n) (K^T K) + rho W^(n)),
-              K^T K computed as the Hadamard product of the other Grams;
+              K^T K the Hadamard product of the other factors' Grams;
   KL:         W^(n) <- W^(n) * ((A/X)_(n) K) / (1_(n) K),
-              the denominator column p being prod_{i != n} sum(W^(i)[:, p]).
+              1_(n) K the product of the other factors' column sums.
 
 Both denominators are floored at 1e-12; each mode update majorizes its block
 subproblem, so full sweeps decrease the loss (to floor-level slack).
@@ -51,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import KL_SOLVER_FLOOR, generalized_kl
+from .divergence import KL_SOLVER_FLOOR
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _einsum_spec, _nonnegative
 from .tensor import norm
@@ -92,16 +93,20 @@ class FitConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        for name in ("tol", "reg_rho"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.reg_rho > 0 and self.loss is not Loss.FROBENIUS:
-            raise ValueError("reg_rho > 0 requires the Frobenius loss")
+        _check_finite_nonneg("tol", self.tol)
+        _check_finite_nonneg("reg_rho", self.reg_rho, self.loss)
         if self.loss is Loss.KL and not self.nonneg:
             raise ValueError("the KL loss requires nonneg=True")
+
+
+def _check_finite_nonneg(name, value, loss=Loss.FROBENIUS):
+    """tol and reg_rho: finite, >= 0, and > 0 only with the Frobenius loss."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    if value > 0 and loss is not Loss.FROBENIUS:
+        raise ValueError(f"{name} > 0 requires the Frobenius loss")
 
 
 @dataclass(frozen=True)
@@ -180,22 +185,13 @@ def _mttkrp(arr, factors, n):
     return np.einsum(_einsum_spec(len(factors), mode=n), arr, *others)
 
 
-def _gram_others(factors, n):
-    s, _, r = factors[0].shape
-    g = np.ones((s, r, r))
-    for m, f in enumerate(factors):
-        if m != n:
-            g = g * (f.transpose(0, 2, 1) @ f)
-    return g
+def _factor_stat(f, kl):
+    return f.sum(axis=1) if kl else f.transpose(0, 2, 1) @ f
 
 
-def _colsum_prod_others(factors, n):
-    s, _, r = factors[0].shape
-    p = np.ones((s, r))
-    for m, f in enumerate(factors):
-        if m != n:
-            p = p * np.sum(f, axis=1)
-    return p
+def _product_of_others(stats, n):
+    others = [st for m, st in enumerate(stats) if m != n]
+    return functools.reduce(np.multiply, others) if others else np.ones_like(stats[n])
 
 
 def _per_seed_sum(x):
@@ -205,18 +201,27 @@ def _per_seed_sum(x):
     return np.sum(x, axis=tuple(range(1, x.ndim)))
 
 
-def _loss(a_arr, xhat, resid, factors, loss, rho):
-    """Loss of each reconstruction in the stack ``xhat`` (``resid`` is
-    ``a_arr - xhat``), as a list of floats."""
+def _loss(a_arr, loss, rho):
+    """The loss against ``a_arr`` as ``f(xhat, resid, factors)``, one float per
+    seed; KL is generalized_kl(a, x, KL_SOLVER_FLOOR) with a's terms fixed."""
     if loss is Loss.KL:
-        flat = a_arr.reshape(-1)
-        return [
-            generalized_kl(flat, x.reshape(-1), floor=KL_SOLVER_FLOOR) for x in xhat
-        ]
-    val = _per_seed_sum(resid * resid)
-    if rho > 0:
-        val = val + rho * sum(_per_seed_sum(f * f) for f in factors)
-    return val.tolist()
+        pos = np.flatnonzero(a_arr > 0.0)
+        av = a_arr.take(pos)
+        a_sum, log_a = np.sum(av), np.log(av)
+
+    def per_seed(xhat, resid, factors):
+        if loss is Loss.KL:
+            # take() keeps each row contiguous, so it sums as a flat array does;
+            # the last add is on Python floats, as in generalized_kl.
+            b = np.maximum(xhat.reshape(len(xhat), -1), KL_SOLVER_FLOOR)
+            terms = (av * (log_a - np.log(b.take(pos, axis=1)))).sum(axis=1).tolist()
+            return [m + t for m, t in zip((b.sum(axis=1) - a_sum).tolist(), terms)]
+        val = _per_seed_sum(resid * resid)
+        if rho > 0:
+            val = val + rho * sum(_per_seed_sum(f * f) for f in factors)
+        return val.tolist()
+
+    return per_seed
 
 
 def objective(a, model, loss, reg_rho=0.0):
@@ -229,8 +234,7 @@ def objective(a, model, loss, reg_rho=0.0):
     """
     if tuple(model.shape) != a.shape:
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")
-    if reg_rho < 0:
-        raise ValueError("reg_rho must be >= 0")
+    _check_finite_nonneg("reg_rho", reg_rho, loss)
     if loss is Loss.KL:
         if not _nonnegative(model.delta, *model.factors):
             raise ValueError("KL objective requires a nonnegative model")
@@ -241,7 +245,7 @@ def objective(a, model, loss, reg_rho=0.0):
     a_arr = a.as_array()
     x = reconstruct(model).as_array()[None]
     factors = [f[None] for f in model.factors]
-    return _loss(a_arr, x, a_arr - x, factors, loss, reg_rho)[0]
+    return _loss(a_arr, loss, reg_rho)(x, a_arr - x, factors)[0]
 
 
 def coercivity_bound(a_e, residual_e):
@@ -252,12 +256,14 @@ def coercivity_bound(a_e, residual_e):
     return cap + 1e-9 * (1.0 + cap)
 
 
-def _trace_quantities(resid, factors, nonneg):
-    """Per-seed residual_E, delta_l1 and max_component_F arrays."""
+def _trace_quantities(resid, factors, nonneg, colsums=None):
+    """Per-seed residual_E, delta_l1 and max_component_F arrays; ``colsums``
+    are the factors' column sums if the caller has them, else falsy."""
     residual_e = _per_seed_sum(np.abs(resid))
     comp_f = functools.reduce(np.multiply, [np.linalg.norm(f, axis=1) for f in factors])
     if nonneg:
-        delta_hat = functools.reduce(np.multiply, [np.sum(f, axis=1) for f in factors])
+        colsums = colsums or [np.sum(f, axis=1) for f in factors]
+        delta_hat = functools.reduce(np.multiply, colsums)
     else:
         delta_hat = comp_f
     return residual_e, np.sum(delta_hat, axis=1), np.max(comp_f, axis=1)
@@ -268,11 +274,12 @@ def _iterate(a, cfg, seeds):
 
     ``cfg.nonneg`` picks the solver: a start ``init(a, cfg)`` that returns
     one seed's starting factors, and a per-mode update
-    ``update(factors, n, xhat, note, fail)`` that returns the new mode-n
-    factor stack.  ``xhat`` is the reconstruction stack of ``factors``, or
-    None once an earlier mode of the sweep has changed; ``note(j, message)``
-    records an event on the trace of stack entry j at the current iteration,
-    and ``fail(j, exc)`` ends that entry's fit with ``exc``.  Returns, in seed
+    ``update(factors, stats, n, xhat, note, fail)`` that returns the new mode-n
+    factor stack.  ``stats`` caches each factor's Gram, or column sums for KL;
+    ``xhat`` is the reconstruction stack of ``factors``, or None once an
+    earlier mode of the sweep has changed; ``note(j, message)`` records an
+    event on the trace of stack entry j at the current iteration, and
+    ``fail(j, exc)`` ends that entry's fit with ``exc``.  Returns, in seed
     order, each seed's FitResult or the exception its fit raised.
     """
     a_arr = a.as_array()
@@ -282,6 +289,7 @@ def _iterate(a, cfg, seeds):
         init, update = _init_nonneg, _mu_update(a_arr, cfg)
     else:
         init, update = _init_signed, _als_update(a_arr, cfg)
+    kl, loss = cfg.loss is Loss.KL, _loss(a_arr, cfg.loss, cfg.reg_rho)
     out = [None] * len(seeds)
     live, starts = [], []  # live[j]: the seed index of stack entry j
     for i, seed in enumerate(seeds):
@@ -293,6 +301,7 @@ def _iterate(a, cfg, seeds):
     if not live:
         return out
     factors = [np.stack(stack) for stack in zip(*starts)]
+    stats = [_factor_stat(f, kl) for f in factors]
     traces = [FitTrace() for _ in seeds]
     objectives = [[] for _ in seeds]
     ended = {}  # stack entry -> its FitResult or exception
@@ -304,6 +313,7 @@ def _iterate(a, cfg, seeds):
         keep = [j for j in range(len(live)) if j not in ended]
         live[:] = [live[j] for j in keep]
         factors[:] = [f[keep] for f in factors]
+        stats[:] = [st[keep] for st in stats]
         ended.clear()
         return keep
 
@@ -313,15 +323,15 @@ def _iterate(a, cfg, seeds):
     for it in range(cfg.max_iters + 1):
         if it > 0:
             for n in range(len(factors)):
-                factors[n] = update(factors, n, xhat, note, ended.__setitem__)
-                xhat = None
+                factors[n] = update(factors, stats, n, xhat, note, ended.__setitem__)
+                stats[n], xhat = _factor_stat(factors[n], kl), None
                 if ended:
                     retire()
                     if not live:
                         return out
         xhat = _reconstruct(factors)
         resid = a_arr - xhat
-        objs = _loss(a_arr, xhat, resid, factors, cfg.loss, cfg.reg_rho)
+        objs = loss(xhat, resid, factors)
         last = it == cfg.max_iters
         traced = last or it % cfg.trace_every == 0
         rows = None
@@ -337,7 +347,7 @@ def _iterate(a, cfg, seeds):
             if not (traced or stop):
                 continue
             if rows is None:
-                quantities = _trace_quantities(resid, factors, cfg.nonneg)
+                quantities = _trace_quantities(resid, factors, cfg.nonneg, kl and stats)
                 rows = list(zip(*(q.tolist() for q in quantities)))
             res_e, dl1, cmax = rows[j]
             try:
@@ -394,19 +404,19 @@ def _mu_update(a_arr, cfg):
     rho = cfg.reg_rho
     support = a_arr > 0
 
-    def frobenius(factors, n, xhat, note, fail):
+    def frobenius(factors, stats, n, xhat, note, fail):
         num = _mttkrp(a_arr[None], factors, n)
-        den = factors[n] @ _gram_others(factors, n)
+        den = factors[n] @ _product_of_others(stats, n)
         if rho > 0:
             den = den + rho * factors[n]
         return factors[n] * (num / np.maximum(den, DEN_FLOOR))
 
-    def kl(factors, n, xhat, note, fail):
+    def kl(factors, stats, n, xhat, note, fail):
         if xhat is None:
             xhat = _reconstruct(factors)
         ratio = np.where(support, a_arr / np.maximum(xhat, KL_SOLVER_FLOOR), 0.0)
         num = _mttkrp(ratio, factors, n)
-        den = _colsum_prod_others(factors, n)[:, None, :]
+        den = _product_of_others(stats, n)[:, None, :]
         return factors[n] * (num / np.maximum(den, DEN_FLOOR))
 
     return kl if cfg.loss is Loss.KL else frobenius
@@ -416,8 +426,8 @@ def _als_update(a_arr, cfg):
     rho = cfg.reg_rho
     eye = np.eye(cfg.rank)
 
-    def als(factors, n, xhat, note, fail):
-        gram = _gram_others(factors, n)
+    def als(factors, stats, n, xhat, note, fail):
+        gram = _product_of_others(stats, n)
         if rho > 0:
             gram = gram + rho * eye
         rhs = _mttkrp(a_arr[None], factors, n).transpose(0, 2, 1)

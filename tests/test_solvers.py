@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nncp import solvers
-from nncp.divergence import DivergenceKind, distance
+from nncp.divergence import KL_SOLVER_FLOOR, DivergenceKind, distance, generalized_kl
 from nncp.kruskal import KruskalModel, random_model, reconstruct
 from nncp.pathologies import bclr_limit, w_sequence
 from nncp.solvers import (
@@ -148,6 +149,55 @@ def test_objective_shape_mismatch():
     m = random_model((2, 2), 1, seed=1, nonneg=True)
     with pytest.raises(ValueError):
         objective(DenseTensor.zeros([3, 3]), m, Loss.FROBENIUS)
+
+
+@pytest.mark.parametrize(
+    "loss, reg_rho",
+    [
+        (Loss.FROBENIUS, math.nan),
+        (Loss.FROBENIUS, math.inf),
+        (Loss.KL, 0.5),
+        (Loss.FROBENIUS, -1.0),
+    ],
+)
+def test_objective_rejects_the_reg_rho_fitconfig_rejects(loss, reg_rho):
+    m = random_model((3, 2, 4), 2, seed=4, nonneg=True, e_norm=1.0)
+    a = reconstruct(m)
+    with pytest.raises(ValueError) as rejected:
+        FitConfig(rank=2, loss=loss, reg_rho=reg_rho)
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        objective(a, m, loss, reg_rho=reg_rho)
+
+
+def _kl_case(rng, shape, stack=3, zeros=0.0):
+    a = rng.uniform(size=shape)
+    a[rng.uniform(size=shape) < zeros] = 0.0
+    return a, rng.uniform(size=(stack, *shape))
+
+
+def _kl_cases():
+    rng = np.random.default_rng(8)
+    tiny_a, tiny_x = _kl_case(rng, (3, 4, 5))
+    tiny_x[0].flat[:4] = [0.0, 5e-324, 1e-310, 1e-301]
+    tiny_x[2] *= 1e-305
+    return {
+        "stack-of-3": _kl_case(rng, (3, 4, 5)),
+        "stack-of-3-large": _kl_case(rng, (6, 6, 6)),
+        "zero-entries": _kl_case(rng, (3, 4, 5), zeros=0.4),
+        "zero-tensor": (np.zeros((2, 3, 2)), rng.uniform(size=(3, 2, 3, 2))),
+        "below-1e-300": (tiny_a, tiny_x),
+        "order-1": _kl_case(rng, (7,)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_kl_cases()))
+def test_solver_kl_loss_is_generalized_kl_bit_for_bit(case):
+    a_arr, xhat = _kl_cases()[case]
+    got = solvers._loss(a_arr, Loss.KL, 0.0)(xhat, a_arr - xhat, None)
+    want = [
+        generalized_kl(a_arr.reshape(-1), x.reshape(-1), floor=KL_SOLVER_FLOOR) for x in xhat
+    ]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 # --- fit_nncp -----------------------------------------------------------------
@@ -367,6 +417,30 @@ def test_reconstructions_per_fit(monkeypatch, fit, loss, nonneg, shape, per_swee
     iters = 7
     fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
     assert len(calls) == per_sweep * iters + 1
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])
+@pytest.mark.parametrize(
+    "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
+    ids=["mu", "kl", "als"],
+)
+def test_factor_statistics_per_fit(monkeypatch, loss, nonneg, shape):
+    # Each factor's Gram (column sums for KL) is computed once at the start
+    # and once after each of its updates: N per sweep, where recomputing the
+    # other factors' statistics in every mode update would take N(N-1).
+    calls = []
+    stat = solvers._factor_stat
+
+    def counting(f, kl):
+        calls.append(kl)
+        return stat(f, kl)
+
+    monkeypatch.setattr(solvers, "_factor_stat", counting)
+    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
+    iters, n = 7, len(shape)
+    fit = fit_nncp if nonneg else fit_cp_unconstrained
+    fit(a, FitConfig(rank=1, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
+    assert calls == [loss is Loss.KL] * (n + n * iters)
 
 
 # --- seed batches ---------------------------------------------------------------
