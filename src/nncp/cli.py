@@ -195,14 +195,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # anything else is a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ iterate respected the coercivity cap that nonnegative fits must obey
 """
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,16 +109,6 @@ class ContrastSummary:
             if row.family == family:
                 counts[row.verdict] = counts.get(row.verdict, 0) + 1
         return counts
-
-    def residual_stats(self, family):
-        vals = [
-            r.final_residual_E
-            for r in self.rows
-            if r.family == family and not r.error
-        ]
-        if not vals:
-            return None
-        return min(vals), statistics.median(vals), max(vals)
 
     def to_csv(self):
         lines = [SUMMARY_HEADER]

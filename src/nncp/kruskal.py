@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _json_array, norm
+from .tensor import DenseTensor, _frozen, _json_array, norm
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
@@ -47,21 +47,15 @@ class KruskalModel:
             raise ValueError(
                 f"expected {len(shape)} factor matrices, got {len(factors)}"
             )
-        delta = np.asarray(delta, dtype=np.float64).reshape(-1).copy()
-        if not np.all(np.isfinite(delta)):
-            raise ValueError("delta contains NaN or Inf")
+        delta = _frozen(delta, "delta").reshape(-1)
         r = delta.size
         mats = []
         for i, (f, d) in enumerate(zip(factors, shape)):
-            m = np.asarray(f, dtype=np.float64)
+            m = _frozen(f, f"factor {i}")
             if m.ndim != 2 or m.shape != (d, r):
                 raise ValueError(
                     f"factor {i} must have shape ({d}, {r}), got {m.shape}"
                 )
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"factor {i} contains NaN or Inf")
-            m = m.copy()
-            m.flags.writeable = False
             mats.append(m)
         if nonneg and not _nonnegative(delta, *mats):
             raise ValueError("nonneg model must have no negative entries")
@@ -73,7 +67,6 @@ class KruskalModel:
                     raise ValueError(
                         f"normalized model requires unit l1 columns in factor {i}"
                     )
-        delta.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "factors", tuple(mats))
@@ -159,11 +152,10 @@ def normalize(model):
     """
     if not _nonnegative(model.delta, *model.factors):
         raise ValueError("normalize requires a nonnegative model")
-    # Row sums of the transpose add each column in the same order as
-    # np.sum(m[:, p]); np.sum(m, axis=0) rounds differently once d >= 8.
+    # Per-column sums: np.sum(m, axis=0) rounds differently once d >= 8.
     return _rescale_columns(
         model,
-        lambda m: np.sum(np.ascontiguousarray(m.T), axis=1),
+        lambda m: np.array([np.sum(c) for c in m.T]),
         nonneg=True,
         normalized=True,
     )
@@ -197,47 +189,32 @@ class NaiveBayesModel:
     """Prior over a hidden class plus per-variable conditional distributions.
 
     ``conditionals[i]`` is a column-stochastic (d_i, r) matrix: column theta
-    is the distribution of variable i given the hidden class theta.
+    is the distribution of variable i given the hidden class theta.  Stored
+    as a normalized nonnegative KruskalModel whose weights, the prior, sum to 1.
     """
 
-    __slots__ = ("prior", "conditionals")
+    __slots__ = ("_model",)
 
     def __init__(self, prior, conditionals):
-        prior = np.asarray(prior, dtype=np.float64).reshape(-1).copy()
-        if prior.size < 1:
+        # d_i is the row count; a scalar gets 0, which the model rejects.
+        shape = [np.shape(c)[0] if np.ndim(c) else 0 for c in conditionals]
+        model = KruskalModel(shape, prior, conditionals, nonneg=True, normalized=True)
+        if model.r < 1:
             raise ValueError("prior must be nonempty")
-        if not _nonnegative(prior):
-            raise ValueError("prior must be nonnegative")
-        if not _unit_l1_columns(prior[:, None]):
+        if not _unit_l1_columns(model.delta[:, None]):
             raise ValueError("prior must sum to 1 within 1e-12")
-        mats = []
-        for i, c in enumerate(conditionals):
-            m = np.asarray(c, dtype=np.float64)
-            if m.ndim != 2 or m.shape[1] != prior.size:
-                raise ValueError(f"conditional {i} must have {prior.size} columns")
-            if not _nonnegative(m):
-                raise ValueError(f"conditional {i} has negative entries")
-            if not _unit_l1_columns(m):
-                raise ValueError(f"conditional {i} columns must sum to 1 within 1e-12")
-            m = m.copy()
-            m.flags.writeable = False
-            mats.append(m)
-        prior.flags.writeable = False
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "conditionals", tuple(mats))
+        object.__setattr__(self, "_model", model)
 
     def __setattr__(self, name, value):
         raise AttributeError("NaiveBayesModel is immutable")
 
-    @property
-    def r(self):
-        return self.prior.size
+    prior = property(lambda self: self._model.delta)
+    conditionals = property(lambda self: self._model.factors)
+    r = property(lambda self: self._model.r)
 
     def joint(self):
         """Joint distribution tensor sum_theta prior(theta) * prod_i q_i(.|theta)."""
-        shape = tuple(m.shape[0] for m in self.conditionals)
-        model = KruskalModel(shape, self.prior, list(self.conditionals))
-        return reconstruct(model)
+        return reconstruct(self._model)
 
 
 def to_naive_bayes(model):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kruskal import KruskalModel
-from .tensor import DenseTensor, outer_product
+from .tensor import DenseTensor, _frozen, outer_product
 
 # The BCLR coefficient matrices, eps entries symbolic:  U has a padding 4th
 # row of zeros; W carries the 1/eps factors.  Column j of (U, V, W) gives the
@@ -71,7 +71,7 @@ def _substitute(value, eps):
 
 
 def _standard_basis(n):
-    return [np.eye(n)[:, i].copy() for i in range(4)]
+    return [np.eye(n)[:, i] for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class BclrInstance:
             basis = _standard_basis(self.n)
         vecs = []
         for i, v in enumerate(basis):
-            a = np.asarray(v, dtype=np.float64).reshape(-1)
+            a = _frozen(v, f"basis vector {i}").reshape(-1)
             if a.size != self.n:
                 raise ValueError(f"basis vector {i} must have length {self.n}")
             vecs.append(a)
@@ -155,20 +155,6 @@ def bclr_limit(n=4, basis=None):
     return DenseTensor.from_array(total)
 
 
-def _w_entries(n):
-    inv = 1.0 / n
-    inv2 = 1.0 / (n * n)
-    arr = np.zeros((2, 2, 2))
-    arr[0, 1, 0] = 1.0
-    arr[1, 0, 0] = 1.0
-    arr[0, 0, 1] = 1.0
-    arr[1, 1, 0] = inv
-    arr[0, 1, 1] = inv
-    arr[1, 0, 1] = inv
-    arr[1, 1, 1] = inv2
-    return arr
-
-
 def w_sequence(n_values):
     """The 2x2x2 sequence A_n = A + B/n + C/n^2 and its pieces.
 
@@ -187,7 +173,7 @@ def w_sequence(n_values):
         n = int(n)
         if n < 1:
             raise ValueError("sequence indices must be >= 1")
-        seq.append(DenseTensor.from_array(_w_entries(n)))
+        seq.append(DenseTensor.from_array(a + b * (1.0 / n) + c * (1.0 / (n * n))))
     return (
         seq,
         DenseTensor.from_array(a),

@@ -15,7 +15,7 @@ Two entry points share one fit driver and one trace format:
 
 :func:`fit_seeds` runs either solver from many random starts at once.
 :class:`FitConfig` rejects every invalid configuration; each entry point
-checks its tensor and hands the config to the driver :func:`_iterate`, which
+hands the config to the driver :func:`fit_seeds`, which checks the tensor,
 picks the solver from ``cfg.nonneg`` and owns the sweeps, the stop rule, the
 trace rows, the coercivity check and the packaging.  The driver reconstructs
 X once per sweep; the objective, the trace row and the next sweep's first KL
@@ -269,19 +269,26 @@ def _trace_quantities(resid, factors, nonneg, colsums=None):
     return residual_e, np.sum(delta_hat, axis=1), np.max(comp_f, axis=1)
 
 
-def _iterate(a, cfg, seeds):
-    """The fit loop of both solvers, over a batch of seeds.
+def fit_seeds(a, cfg, seeds):
+    """Fit one configuration from several random starts as one batch.
 
-    ``cfg.nonneg`` picks the solver: a start ``init(a, cfg)`` that returns
-    one seed's starting factors, and a per-mode update
-    ``update(factors, stats, n, xhat, note, fail)`` that returns the new mode-n
-    factor stack.  ``stats`` caches each factor's Gram, or column sums for KL;
-    ``xhat`` is the reconstruction stack of ``factors``, or None once an
-    earlier mode of the sweep has changed; ``note(j, message)`` records an
-    event on the trace of stack entry j at the current iteration, and
-    ``fail(j, exc)`` ends that entry's fit with ``exc``.  Returns, in seed
-    order, each seed's FitResult or the exception its fit raised.
+    ``cfg.nonneg`` picks the solver: the multiplicative updates of
+    :func:`fit_nncp` or the alternating least squares of
+    :func:`fit_cp_unconstrained`, with the same input checks.  Each is a
+    start ``init(a, cfg)`` that returns one seed's starting factors, and a
+    per-mode update ``update(factors, stats, n, xhat, note, fail)`` that
+    returns the new mode-n factor stack.  ``stats`` caches each factor's
+    Gram, or column sums for KL; ``xhat`` is the reconstruction stack of
+    ``factors``, or None once an earlier mode of the sweep has changed;
+    ``note(j, message)`` records an event on the trace of stack entry j at
+    the current iteration, and ``fail(j, exc)`` ends that entry's fit with
+    ``exc``.  ``cfg.seed`` is ignored; ``seeds`` lists the starts.  Returns
+    one entry per seed, in order: the FitResult that ``cfg`` with that seed
+    gives alone, or the exception that fit raises (a seed that FitConfig
+    rejects fails alone).
     """
+    if cfg.nonneg and np.any(a.data < 0):
+        raise ValueError("fit_nncp requires a nonnegative tensor")
     a_arr = a.as_array()
     a_e = norm(a, "E")
     # Module globals looked up per call, so that tests can substitute them.
@@ -460,21 +467,6 @@ def _solve_normal_equations(gram, rhs, eye):
         return np.linalg.solve(gram, rhs), False
     except np.linalg.LinAlgError:
         return np.linalg.solve(gram + RIDGE_JITTER * eye, rhs), True
-
-
-def fit_seeds(a, cfg, seeds):
-    """Fit one configuration from several random starts as one batch.
-
-    ``cfg.nonneg`` picks the solver: the multiplicative updates of
-    :func:`fit_nncp` or the alternating least squares of
-    :func:`fit_cp_unconstrained`, with the same input checks.  ``cfg.seed``
-    is ignored; ``seeds`` lists the starts.  Returns one entry per seed, in
-    order: the FitResult that ``cfg`` with that seed gives alone, or the
-    exception that fit raises (a seed that FitConfig rejects fails alone).
-    """
-    if cfg.nonneg and np.any(a.data < 0):
-        raise ValueError("fit_nncp requires a nonnegative tensor")
-    return _iterate(a, cfg, seeds)
 
 
 def _fit_one(a, cfg):

@@ -8,16 +8,20 @@ lean on.
 """
 
 import json
+import math
 
 import numpy as np
 
 NORM_KINDS = ("E", "F", "G")
 
 
-def _as_float_array(values, what):
-    arr = np.asarray(values, dtype=np.float64)
+def _frozen(values, what):
+    """Read-only float64 copy of ``values`` in C order; rejects NaN/Inf.  C
+    order makes reshapes views and pins the rounding of strided reductions."""
+    arr = np.array(values, dtype=np.float64, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains NaN or Inf")
+    arr.flags.writeable = False
     return arr
 
 
@@ -37,16 +41,14 @@ class DenseTensor:
             raise ValueError("tensor order must be >= 1")
         if any(d < 1 for d in shape):
             raise ValueError(f"all dimensions must be positive, got {shape}")
-        arr = _as_float_array(data, "tensor data").reshape(-1)
-        expected = int(np.prod(shape))
+        arr = _frozen(data, "tensor data")
+        expected = math.prod(shape)
         if arr.size != expected:
             raise ValueError(
                 f"data length {arr.size} does not match shape {shape} "
                 f"(expected {expected})"
             )
-        arr = np.ascontiguousarray(arr.reshape(shape))
-        arr.flags.writeable = False
-        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "_array", arr.reshape(shape))
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
@@ -54,13 +56,12 @@ class DenseTensor:
     @classmethod
     def from_array(cls, array):
         """Build from any array-like; copies into an immutable buffer."""
-        arr = np.asarray(array, dtype=np.float64)
-        return cls(arr.shape, arr.reshape(-1))
+        return cls(np.shape(array), array)
 
     @classmethod
     def zeros(cls, shape):
         shape = tuple(int(d) for d in shape)
-        return cls(shape, np.zeros(int(np.prod(shape))))
+        return cls(shape, np.zeros(math.prod(shape)))
 
     @property
     def shape(self):
@@ -116,7 +117,7 @@ def outer_product(vectors):
         raise ValueError("outer_product needs at least one vector")
     arrs = []
     for i, v in enumerate(vectors):
-        a = _as_float_array(v, f"vector {i}").reshape(-1)
+        a = _frozen(v, f"vector {i}").reshape(-1)
         if a.size == 0:
             raise ValueError(f"vector {i} is empty")
         arrs.append(a)

@@ -252,6 +252,39 @@ def test_naive_bayes_validation():
         NaiveBayesModel([1.0], [np.array([[0.7], [0.7]])])
     with pytest.raises(ValueError):
         NaiveBayesModel([1.0], [np.array([[1.5], [-0.5]])])
+    half = np.full((2, 2), 0.5)
+    for prior, conditionals in [
+        ([1.5, -0.5], [half]),  # signed sum 1, off the simplex
+        ([], [np.zeros((2, 0))]),
+        ([np.nan, 1.0], [half]),
+        ([1.0], [[0.5, 0.5]]),  # a vector, not a (d, r) matrix
+        ([1.0], [0.5]),
+        ([1.0], []),
+    ]:
+        with pytest.raises(ValueError):
+            NaiveBayesModel(prior, conditionals)
+
+
+def test_naive_bayes_owns_its_arrays():
+    prior = np.array([0.25, 0.75])
+    cond = np.array([[0.5, 0.1], [0.5, 0.9]])
+    nb = NaiveBayesModel(prior, [cond, np.full((4, 2), 0.25)])
+    prior[0] = cond[0, 0] = np.nan
+    assert nb.prior.tolist() == [0.25, 0.75]
+    assert nb.conditionals[0].tolist() == [[0.5, 0.1], [0.5, 0.9]]
+    assert nb.r == 2
+    assert not any(a.flags.writeable for a in (nb.prior, *nb.conditionals))
+    with pytest.raises(AttributeError):
+        nb.prior = [1.0]
+
+
+def test_naive_bayes_joint_is_the_normalized_reconstruction():
+    for seed in range(4):
+        m = random_model((3, 9, 4), 3, seed=seed, nonneg=True)
+        nb = to_naive_bayes(m)
+        unit = KruskalModel(m.shape, nb.prior, list(nb.conditionals),
+                            nonneg=True, normalized=True)
+        assert nb.joint().data.tobytes() == reconstruct(unit).data.tobytes()
 
 
 def test_random_model_determinism_and_seeds():

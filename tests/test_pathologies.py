@@ -29,6 +29,17 @@ def test_instance_validation():
         BclrInstance(epsilon=1.0, n=5, basis=dependent)
     with pytest.raises(ValueError):
         BclrInstance(epsilon=1.0, n=4, basis=[np.ones(3)] * 4)
+    nan_basis = [np.eye(4)[:, i] for i in range(4)]
+    nan_basis[2] = np.array([0.0, np.nan, 1.0, 0.0])
+    with pytest.raises(ValueError, match="NaN or Inf"):  # not an SVD failure
+        BclrInstance(epsilon=1.0, basis=nan_basis)
+    # The instance owns its basis: overwriting the caller's vectors after
+    # validation cannot make it dependent.
+    basis = [np.eye(4)[:, i].copy() for i in range(4)]
+    inst = BclrInstance(epsilon=1.0, basis=basis)
+    basis[3][:] = basis[0]
+    assert np.column_stack(inst.basis).tolist() == np.eye(4).tolist()
+    assert not any(v.flags.writeable for v in inst.basis)
 
 
 def test_dual_construction_agreement():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nncp.kruskal import model_from_json
+from nncp.kruskal import KruskalModel, model_from_json
 from nncp.tensor import (
     DenseTensor,
     add_scaled,
@@ -47,6 +47,25 @@ def test_immutability():
         t.shape = (3,)
     with pytest.raises(ValueError):
         t.as_array()[0] = 5.0
+    # The tensor owns a copy: writing to the caller's array changes nothing.
+    src = np.arange(6.0)
+    t = DenseTensor([2, 3], src)
+    x = np.arange(6.0).reshape(2, 3)
+    u = DenseTensor.from_array(x)
+    before = hash(u)
+    src[0] = x[0, 0] = np.nan
+    assert t.data.tolist() == u.data.tolist() == list(range(6))
+    assert hash(u) == before
+    # F-ordered input still gives read-only C-ordered storage.
+    f = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    for t in (DenseTensor((4, 3), f), DenseTensor.from_array(f)):
+        arr = t.as_array()
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert not t.data.flags.writeable
+        assert arr.tolist() == f.tolist()
+    m = KruskalModel((4, 3, 3), f[0], [f, f[:3].T, f[:3]])
+    for arr in (m.delta, *m.factors):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
 
 
 def test_getitem_bounds():
@@ -223,6 +242,13 @@ def test_json_malformed_inputs():
         tensor_from_json('{"shape": [2]}')
     with pytest.raises(ValueError):
         tensor_from_json('{"shape": [2], "data": [1, 2, 3]}')
+    # Shapes whose size overflows int64 are compared exactly.
+    for doc in (
+        '{"shape": [9223372036854775807, 2], "data": [1.0]}',
+        '{"shape": [4294967296, 4294967296], "data": []}',
+    ):
+        with pytest.raises(ValueError, match="does not match shape"):
+            tensor_from_json(doc)
 
 
 _MODEL = {"shape": [2], "delta": [1.0], "factors": [[[0.5], [0.5]]]}
