@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _frozen, _json_array, norm
+from .tensor import DenseTensor, _frozen, _json_array, _shape, norm
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
@@ -40,9 +40,7 @@ class KruskalModel:
     __slots__ = ("shape", "delta", "factors", "nonneg", "normalized")
 
     def __init__(self, shape, delta, factors, nonneg=False, normalized=False):
-        shape = tuple(int(d) for d in shape)
-        if len(shape) < 1:
-            raise ValueError("model order must be >= 1")
+        shape = _shape(shape, "model")
         if len(factors) != len(shape):
             raise ValueError(
                 f"expected {len(shape)} factor matrices, got {len(factors)}"

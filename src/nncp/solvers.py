@@ -31,6 +31,18 @@ stack and its batch-mates carry on.  A seed's arithmetic never mixes with
 its batch-mates', so it gets the same trace, notes, model or exception, byte
 for byte, in any batch.
 
+On the per-iteration path every reduction is a direct ufunc call
+(np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
+np.linalg.norm, whose Python wrappers cost more than the arithmetic on these
+tiny tensors; np.linalg.norm(f, axis=1) is exactly
+np.sqrt(np.add.reduce(f * f, axis=1)).  Each factor stack is reduced in its
+own memory layout, because the layout fixes the rounding: numpy sums a
+contiguous axis pairwise in blocks of 8 and a strided one in order, and ALS
+leaves its stacks transposed.  So one np.add.reduceat over the concatenated
+factors, a stack of factors padded with -0.0, or a Gram's diagonal (a
+matmul) is not bit-equal to the per-factor norms and sums, and would change
+the traces.
+
 Multiplicative updates are the standard majorization rules extended to k
 modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
 X_(n) = W^(n) K^T (K the Khatri-Rao product of the other factors):
@@ -132,7 +144,7 @@ class FitTrace:
     def append(self, row):
         if self.rows and row.iter <= self.rows[-1].iter:
             raise ValueError("trace iterations must be strictly increasing")
-        if not np.isfinite(row.objective):
+        if not math.isfinite(row.objective):
             raise ValueError("trace objective must be finite")
         self.rows.append(row)
 
@@ -186,7 +198,7 @@ def _mttkrp(arr, factors, n):
 
 
 def _factor_stat(f, kl):
-    return f.sum(axis=1) if kl else f.transpose(0, 2, 1) @ f
+    return np.add.reduce(f, axis=1) if kl else f.transpose(0, 2, 1) @ f
 
 
 def _product_of_others(stats, n):
@@ -198,7 +210,7 @@ def _per_seed_sum(x):
     # A reduction over every axis but the first sums each seed's entries in
     # memory order, as np.sum does for one array; reshape(S, -1) would copy
     # a transposed stack into another order.
-    return np.sum(x, axis=tuple(range(1, x.ndim)))
+    return np.add.reduce(x, axis=tuple(range(1, x.ndim)))
 
 
 def _loss(a_arr, loss, rho):
@@ -207,15 +219,15 @@ def _loss(a_arr, loss, rho):
     if loss is Loss.KL:
         pos = np.flatnonzero(a_arr > 0.0)
         av = a_arr.take(pos)
-        a_sum, log_a = np.sum(av), np.log(av)
+        a_sum, log_a = np.add.reduce(av), np.log(av)
 
     def per_seed(xhat, resid, factors):
         if loss is Loss.KL:
             # take() keeps each row contiguous, so it sums as a flat array does;
             # the last add is on Python floats, as in generalized_kl.
             b = np.maximum(xhat.reshape(len(xhat), -1), KL_SOLVER_FLOOR)
-            terms = (av * (log_a - np.log(b.take(pos, axis=1)))).sum(axis=1).tolist()
-            return [m + t for m, t in zip((b.sum(axis=1) - a_sum).tolist(), terms)]
+            terms = np.add.reduce(av * (log_a - np.log(b.take(pos, axis=1))), axis=1).tolist()
+            return [m + t for m, t in zip((np.add.reduce(b, axis=1) - a_sum).tolist(), terms)]
         val = _per_seed_sum(resid * resid)
         if rho > 0:
             val = val + rho * sum(_per_seed_sum(f * f) for f in factors)
@@ -260,13 +272,14 @@ def _trace_quantities(resid, factors, nonneg, colsums=None):
     """Per-seed residual_E, delta_l1 and max_component_F arrays; ``colsums``
     are the factors' column sums if the caller has them, else falsy."""
     residual_e = _per_seed_sum(np.abs(resid))
-    comp_f = functools.reduce(np.multiply, [np.linalg.norm(f, axis=1) for f in factors])
+    norms = [np.sqrt(np.add.reduce(f * f, axis=1)) for f in factors]
+    comp_f = functools.reduce(np.multiply, norms)
     if nonneg:
-        colsums = colsums or [np.sum(f, axis=1) for f in factors]
+        colsums = colsums or [np.add.reduce(f, axis=1) for f in factors]
         delta_hat = functools.reduce(np.multiply, colsums)
     else:
         delta_hat = comp_f
-    return residual_e, np.sum(delta_hat, axis=1), np.max(comp_f, axis=1)
+    return residual_e, np.add.reduce(delta_hat, axis=1), np.maximum.reduce(comp_f, axis=1)
 
 
 def fit_seeds(a, cfg, seeds):
@@ -358,7 +371,9 @@ def fit_seeds(a, cfg, seeds):
                 rows = list(zip(*(q.tolist() for q in quantities)))
             res_e, dl1, cmax = rows[j]
             try:
-                traces[i].append(TraceRow(it, obj, dl1, cmax, res_e))
+                if not math.isfinite(obj):
+                    raise ValueError("trace objective must be finite")
+                traces[i].rows.append(TraceRow(it, obj, dl1, cmax, res_e))
                 if cfg.nonneg and dl1 > coercivity_bound(a_e, res_e):
                     raise RuntimeError(
                         f"coercivity bound violated at iteration {it}: {dl1} > {a_e + res_e}"
@@ -391,13 +406,8 @@ def sort_by_weight(model):
 
 
 def _init_nonneg(a, cfg):
-    target = norm(a, "E")
-    if target <= 0:
-        target = 1.0
-    m = random_model(a.shape, cfg.rank, cfg.seed, nonneg=True, e_norm=target)
-    k = len(a.shape)
-    w = [f * m.delta ** (1.0 / k) for f in m.factors]
-    return w
+    m = random_model(a.shape, cfg.rank, cfg.seed, nonneg=True, e_norm=norm(a, "E") or 1.0)
+    return [f * m.delta ** (1.0 / len(a.shape)) for f in m.factors]
 
 
 def _init_signed(a, cfg):
@@ -409,7 +419,8 @@ def _init_signed(a, cfg):
 
 def _mu_update(a_arr, cfg):
     rho = cfg.reg_rho
-    support = a_arr > 0
+    # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support.
+    a_pos = a_arr + 0.0
 
     def frobenius(factors, stats, n, xhat, note, fail):
         num = _mttkrp(a_arr[None], factors, n)
@@ -421,7 +432,7 @@ def _mu_update(a_arr, cfg):
     def kl(factors, stats, n, xhat, note, fail):
         if xhat is None:
             xhat = _reconstruct(factors)
-        ratio = np.where(support, a_arr / np.maximum(xhat, KL_SOLVER_FLOOR), 0.0)
+        ratio = a_pos / np.maximum(xhat, KL_SOLVER_FLOOR)
         num = _mttkrp(ratio, factors, n)
         den = _product_of_others(stats, n)[:, None, :]
         return factors[n] * (num / np.maximum(den, DEN_FLOOR))

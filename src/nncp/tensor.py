@@ -25,6 +25,16 @@ def _frozen(values, what):
     return arr
 
 
+def _shape(shape, what):
+    """``shape`` as a tuple of ints, of order >= 1 with every dimension >= 1."""
+    shape = tuple(int(d) for d in shape)
+    if len(shape) < 1:
+        raise ValueError(f"{what} order must be >= 1")
+    if any(d < 1 for d in shape):
+        raise ValueError(f"all dimensions must be positive, got {shape}")
+    return shape
+
+
 class DenseTensor:
     """Immutable dense tensor of shape d_1 x ... x d_k, row-major storage.
 
@@ -36,11 +46,7 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, shape, data):
-        shape = tuple(int(d) for d in shape)
-        if len(shape) < 1:
-            raise ValueError("tensor order must be >= 1")
-        if any(d < 1 for d in shape):
-            raise ValueError(f"all dimensions must be positive, got {shape}")
+        shape = _shape(shape, "tensor")
         arr = _frozen(data, "tensor data")
         expected = math.prod(shape)
         if arr.size != expected:
@@ -139,15 +145,24 @@ def add_scaled(a, b, lam, mu):
 
 
 def norm(a, kind):
-    """Entrywise norm: E = sum|.|, F = sqrt(sum .^2), G = max|.|."""
+    """Entrywise norm: E = sum|.|, F = sqrt(sum .^2), G = max|.|.  When the
+    plain sum of E or F overflows, the entries are scaled by 1/G first, so
+    the result is inf only if the norm itself exceeds the double range."""
     flat = a.data
-    if kind == "E":
-        return float(np.sum(np.abs(flat)))
-    if kind == "F":
-        return float(np.sqrt(np.sum(flat * flat)))
     if kind == "G":
         return float(np.max(np.abs(flat)))
-    raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    if kind not in NORM_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    with np.errstate(over="ignore"):
+        value = _plain_norm(flat, kind)
+        if math.isinf(value):
+            g = norm(a, "G")
+            value = g * _plain_norm(flat / g, kind)
+    return value
+
+
+def _plain_norm(flat, kind):
+    return float(np.sum(np.abs(flat)) if kind == "E" else np.sqrt(np.sum(flat * flat)))
 
 
 def inner(a, b):

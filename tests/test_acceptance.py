@@ -5,6 +5,7 @@ lines.  Fit-based criteria are seed-pinned regression checks: the pinned
 seed lists are deterministic, so reruns must reproduce them byte for byte.
 """
 
+import hashlib
 import math
 import time
 
@@ -27,6 +28,17 @@ CONTRAST_SEEDS = range(56, 76)
 # Pinned (data seed, solver seed) pairs for the generative-recovery checks.
 RANK1_SEEDS = [(200 + i, i) for i in range(10)]
 KL_SEEDS = [(100 + i, i) for i in range(10)]
+
+# sha256 of the contrast summary CSV and of each fit fixture's trace CSVs,
+# concatenated in fixture order.  A change to any of them is deliberate and
+# recorded with its reason.
+PINNED_DIGESTS = {
+    "contrast": "872df8b5f56ca0da767e506a2453feb6fc36a56b1d8cb623ec3815adccade476",
+    "rank1_runs": "76b08f3e3cd5a374d6b5770fb38b36d61666863cca4a112b1b943427e0fef329",
+    "kl_runs": "a360b055b82a85ba67322c91b9358749e5904910a9e1815917b9a1352a4a144d",
+    "extra_fits": "3dca3948611e2c6020654411e4de400053c7eb3f52cd416060497ed8c1a314a4",
+    "unconstrained_fits": "0b5927c0b90c92d2a7be47121eb57b5289d021199eeb57ccd45ae7f084d4c0c5",
+}
 
 
 def _ok(num, message):
@@ -323,3 +335,19 @@ def test_criterion_12_determinism(bclr, contrast, rank1_runs, kl_runs):
         assert again.trace.to_csv() == result.trace.to_csv()
     _ok(12, "contrast summary CSV and all 20 recovery traces byte-identical "
             "on rerun")
+
+
+def test_pinned_digests(contrast, rank1_runs, kl_runs, extra_fits, unconstrained_fits):
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    fixtures = {
+        "rank1_runs": rank1_runs,
+        "kl_runs": kl_runs,
+        "extra_fits": extra_fits,
+        "unconstrained_fits": unconstrained_fits,
+    }
+    digests = {"contrast": sha256(contrast[0].to_csv())}
+    for name, runs in fixtures.items():
+        digests[name] = sha256("".join(result.trace.to_csv() for _, _, result in runs))
+    assert digests == PINNED_DIGESTS

@@ -36,6 +36,8 @@ def test_model_validation():
         KruskalModel((2,), [1.0], [np.array([[-1.0], [0.0]])], nonneg=True)
     with pytest.raises(ValueError):
         KruskalModel((2,), [1.0], [np.array([[0.7], [0.7]])], normalized=True)
+    with pytest.raises(ValueError, match=r"all dimensions must be positive, got \(0, 2\)"):
+        KruskalModel((0, 2), [1.0], [np.zeros((0, 1)), np.ones((2, 1))])
     m = small_model()
     with pytest.raises(AttributeError):
         m.delta = np.zeros(1)

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import math
 import re
 
@@ -441,6 +443,93 @@ def test_factor_statistics_per_fit(monkeypatch, loss, nonneg, shape):
     fit = fit_nncp if nonneg else fit_cp_unconstrained
     fit(a, FitConfig(rank=1, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
     assert calls == [loss is Loss.KL] * (n + n * iters)
+
+
+def _wrapper_trace_quantities(resid, factors, nonneg, colsums=None):
+    """The trace quantities through numpy's wrappers: the reference that
+    solvers._trace_quantities must match bit for bit."""
+    residual_e = np.sum(np.abs(resid), axis=tuple(range(1, resid.ndim)))
+    comp_f = functools.reduce(np.multiply, [np.linalg.norm(f, axis=1) for f in factors])
+    if nonneg:
+        colsums = colsums or [np.sum(f, axis=1) for f in factors]
+        delta_hat = functools.reduce(np.multiply, colsums)
+    else:
+        delta_hat = comp_f
+    return residual_e, np.sum(delta_hat, axis=1), np.max(comp_f, axis=1)
+
+
+_TRACE_DIMS = (1, 3, 4, 8, 9, 17, 20)
+
+
+@pytest.mark.parametrize("stack", [1, 5])
+@pytest.mark.parametrize("layout", ["C", "als"])
+@pytest.mark.parametrize("nonneg, with_colsums", [(True, False), (True, True), (False, False)])
+def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, nonneg, with_colsums):
+    # Pairwise summation blocks a contiguous reduction by 8, so the layout and
+    # the lengths around 8 and 16 decide the rounding; ALS solves leave each
+    # factor stack transposed in memory.  Concatenating the factors for one
+    # np.add.reduceat, or padding them into one stack, rounds differently.
+    rng = np.random.default_rng(11)
+    factors = []
+    for d in _TRACE_DIMS:
+        f = rng.random((stack, d, 4)) * 10.0 ** rng.integers(-3, 4, (stack, d, 4))
+        if not nonneg:
+            f = f - 0.5
+        f[rng.random(f.shape) < 0.2] = -0.0
+        if layout == "als":
+            f = np.ascontiguousarray(f.transpose(0, 2, 1)).transpose(0, 2, 1)
+        factors.append(f)
+    resid = rng.standard_normal((stack, 9, 17, 3))
+    resid[rng.random(resid.shape) < 0.2] = -0.0
+    colsums = [f.sum(axis=1) for f in factors] if with_colsums else None
+    got = solvers._trace_quantities(resid, factors, nonneg, colsums)
+    want = _wrapper_trace_quantities(resid, factors, nonneg, colsums)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (stack,)
+        assert g.tobytes() == w.tobytes()
+
+
+# np.linalg.norm, np.sum and np.where calls of one fit with tol=0, by solver
+# and order: all of them set up the fit or package its model, none runs per
+# iteration.
+_WRAPPER_CALLS = {
+    ("mu", "o1"): {"sum": 9},
+    ("mu", "o3"): {"sum": 21},
+    ("mu", "o4"): {"sum": 27},
+    ("kl", "o1"): {"sum": 9},
+    ("kl", "o3"): {"sum": 21},
+    ("kl", "o4"): {"sum": 27},
+    ("als", "o1"): {"norm": 2, "sum": 1},
+    ("als", "o3"): {"norm": 6, "sum": 1},
+    ("als", "o4"): {"norm": 8, "sum": 1},
+}
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])
+@pytest.mark.parametrize(
+    "solver, loss, nonneg",
+    [("mu", Loss.FROBENIUS, True), ("kl", Loss.KL, True), ("als", Loss.FROBENIUS, False)],
+    ids=["mu", "kl", "als"],
+)
+def test_numpy_wrapper_calls_per_fit(monkeypatch, solver, loss, nonneg, shape):
+    calls = collections.Counter()
+    for module, name in [(np.linalg, "norm"), (np, "sum"), (np, "where")]:
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
+    fit = fit_nncp if nonneg else fit_cp_unconstrained
+    per_fit = []
+    for iters in (3, 30):
+        calls.clear()
+        fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
+        per_fit.append(dict(calls))
+    order = f"o{len(shape)}"
+    assert per_fit[0] == per_fit[1] == _WRAPPER_CALLS[solver, order]
 
 
 # --- seed batches ---------------------------------------------------------------

@@ -171,6 +171,15 @@ def test_norm_zero_iff_zero():
     assert norm(t, "F") > 0.0
 
 
+def test_norms_near_the_top_of_the_double_range():
+    # Warnings are errors in this suite, so neither call may warn on overflow.
+    # The plain sum of squares overflows, but the F-norm itself is finite.
+    assert norm(DenseTensor([2], [1e200, 1e200]), "F") == math.sqrt(2.0) * 1e200
+    assert norm(DenseTensor([2], [-1e308, 1e308]), "F") == math.sqrt(2.0) * 1e308
+    # The E-norm 2e308 exceeds the double range.
+    assert norm(DenseTensor([2], [1e308, 1e308]), "E") == math.inf
+
+
 def test_inner_examples():
     ones = DenseTensor([2, 2], [1] * 4)
     eye = DenseTensor([2, 2], [1, 0, 0, 1])
