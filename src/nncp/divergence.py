@@ -20,11 +20,6 @@ import numpy as np
 
 from .tensor import add_scaled, inner, norm
 
-# Floor applied to the second argument inside solver-internal KL evaluations,
-# keeping objective traces finite while iterates touch the boundary.  The
-# user-facing distance() is exact (floor 0 => genuine +inf).
-KL_SOLVER_FLOOR = 1e-300
-
 
 class DivergenceKind(enum.Enum):
     E_NORM = "e"
@@ -33,23 +28,21 @@ class DivergenceKind(enum.Enum):
     KL = "kl"
 
 
-def generalized_kl(a, b, floor=0.0):
-    """KL divergence of two nonnegative arrays, with optional floor on b.
+def generalized_kl(a, b):
+    """KL divergence of two nonnegative arrays.
 
     Entries where a = 0 contribute b (the 0 log 0 convention); entries where
-    a > 0 and b = 0 make the result +inf unless a positive floor is given.
+    a > 0 and b = 0 make the result +inf.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if floor > 0.0:
-        b = np.maximum(b, floor)
     pos = a > 0.0
     if np.any(b[pos] == 0.0):
         return math.inf
     total = float(np.sum(b) - np.sum(a[pos]))
     av = a[pos]
-    # log a - log b rather than log(a/b): the ratio can overflow when b sits
-    # on the floor.
+    # log a - log b rather than log(a/b): the ratio can overflow when b is
+    # tiny.
     total += float(np.sum(av * (np.log(av) - np.log(b[pos]))))
     return total
 

@@ -27,9 +27,11 @@ one matrix per seed, so one einsum, matmul or LAPACK call serves all S seeds,
 and a single fit is a batch of one.  Per-seed events stay per seed.  The stop
 rule, the finiteness of the trace, the coercivity check, a ridge note and a
 failed solve each concern one seed; a seed that stops or raises leaves the
-stack and its batch-mates carry on.  A seed's arithmetic never mixes with
-its batch-mates', so it gets the same trace, notes, model or exception, byte
-for byte, in any batch.
+stack and its batch-mates carry on.  So every per-seed list is indexed by
+stack entry and sliced with the stacks, and every trace row enters through
+FitTrace.append.  A seed's arithmetic never mixes with its batch-mates', so
+it gets the same trace, notes, model or exception, byte for byte, in any
+batch.
 
 On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
@@ -56,6 +58,7 @@ Both denominators are floored at 1e-12; each mode update majorizes its block
 subproblem, so full sweeps decrease the loss (to floor-level slack).
 """
 
+import collections
 import enum
 import functools
 import math
@@ -64,13 +67,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import KL_SOLVER_FLOOR
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _einsum_spec, _nonnegative
 from .tensor import norm
 
+# Absolute floors: on the MU denominators, the ALS ridge, and the
+# reconstruction inside the solver's KL loss and KL update, where it keeps the
+# objective finite while iterates touch the boundary.
 DEN_FLOOR = 1e-12
 RIDGE_JITTER = 1e-12
+KL_SOLVER_FLOOR = 1e-300
 STOP_WINDOW = 5
 
 
@@ -121,7 +127,7 @@ def _check_finite_nonneg(name, value, loss=Loss.FROBENIUS):
         raise ValueError(f"{name} > 0 requires the Frobenius loss")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     iter: int
     objective: float
@@ -215,7 +221,7 @@ def _per_seed_sum(x):
 
 def _loss(a_arr, loss, rho):
     """The loss against ``a_arr`` as ``f(xhat, resid, factors)``, one float per
-    seed; KL is generalized_kl(a, x, KL_SOLVER_FLOOR) with a's terms fixed."""
+    seed; KL is generalized_kl(a, max(x, KL_SOLVER_FLOOR)) with a's terms fixed."""
     if loss is Loss.KL:
         pos = np.flatnonzero(a_arr > 0.0)
         av = a_arr.take(pos)
@@ -295,10 +301,12 @@ def fit_seeds(a, cfg, seeds):
     ``factors``, or None once an earlier mode of the sweep has changed;
     ``note(j, message)`` records an event on the trace of stack entry j at
     the current iteration, and ``fail(j, exc)`` ends that entry's fit with
-    ``exc``.  ``cfg.seed`` is ignored; ``seeds`` lists the starts.  Returns
-    one entry per seed, in order: the FitResult that ``cfg`` with that seed
-    gives alone, or the exception that fit raises (a seed that FitConfig
-    rejects fails alone).
+    ``exc``.  Every per-seed list (output slot, trace, objective window) is
+    indexed by stack entry, like the stacks, and is sliced with them when
+    entries end.  ``cfg.seed`` is ignored; ``seeds`` lists the starts.
+    Returns one entry per seed, in order: the FitResult that ``cfg`` with
+    that seed gives alone, or the exception that fit raises (a seed that
+    FitConfig rejects fails alone).
     """
     if cfg.nonneg and np.any(a.data < 0):
         raise ValueError("fit_nncp requires a nonnegative tensor")
@@ -306,64 +314,64 @@ def fit_seeds(a, cfg, seeds):
     a_e = norm(a, "E")
     # Module globals looked up per call, so that tests can substitute them.
     if cfg.nonneg:
-        init, update = _init_nonneg, _mu_update(a_arr, cfg)
+        init, update, rescale = _init_nonneg, _mu_update(a_arr, cfg), normalize
     else:
-        init, update = _init_signed, _als_update(a_arr, cfg)
+        init, update, rescale = _init_signed, _als_update(a_arr, cfg), l2_normalize
     kl, loss = cfg.loss is Loss.KL, _loss(a_arr, cfg.loss, cfg.reg_rho)
     out = [None] * len(seeds)
-    live, starts = [], []  # live[j]: the seed index of stack entry j
+    slots, starts = [], []  # slots[j]: the output index of stack entry j
     for i, seed in enumerate(seeds):
         try:
             starts.append(init(a, replace(cfg, seed=seed)))
-            live.append(i)
+            slots.append(i)
         except Exception as exc:
             out[i] = exc
-    if not live:
+    if not slots:
         return out
     factors = [np.stack(stack) for stack in zip(*starts)]
     stats = [_factor_stat(f, kl) for f in factors]
-    traces = [FitTrace() for _ in seeds]
-    objectives = [[] for _ in seeds]
+    traces = [FitTrace() for _ in slots]
+    # The objectives of each entry's last STOP_WINDOW iterations.
+    windows = [collections.deque(maxlen=STOP_WINDOW) for _ in slots]
     ended = {}  # stack entry -> its FitResult or exception
 
     def retire():
-        """Record the ended entries and drop them from the stack."""
+        """Record the ended entries, drop them from the stacks and the
+        per-entry lists, and return the kept entries."""
         for j, res in ended.items():
-            out[live[j]] = res
-        keep = [j for j in range(len(live)) if j not in ended]
-        live[:] = [live[j] for j in keep]
+            out[slots[j]] = res
+        keep = [j for j in range(len(slots)) if j not in ended]
+        for entries in (slots, traces, windows):
+            entries[:] = [entries[j] for j in keep]
         factors[:] = [f[keep] for f in factors]
         stats[:] = [st[keep] for st in stats]
         ended.clear()
         return keep
 
     def note(j, message):
-        traces[live[j]].note(it, message)
+        traces[j].note(it, message)
 
     for it in range(cfg.max_iters + 1):
         if it > 0:
             for n in range(len(factors)):
                 factors[n] = update(factors, stats, n, xhat, note, ended.__setitem__)
                 stats[n], xhat = _factor_stat(factors[n], kl), None
-                if ended:
-                    retire()
-                    if not live:
-                        return out
+                if ended and not retire():
+                    return out
         xhat = _reconstruct(factors)
         resid = a_arr - xhat
         objs = loss(xhat, resid, factors)
         last = it == cfg.max_iters
         traced = last or it % cfg.trace_every == 0
         rows = None
-        for j, i in enumerate(live):
-            obj = objs[j]
-            # Relative decrease over the trailing window; objectives[i] holds
-            # the values for iterations 0 .. it-1 at this point.
+        for j, (obj, window) in enumerate(zip(objs, windows)):
+            # Relative decrease over the trailing window; a full window
+            # starts with the objective of iteration it - STOP_WINDOW.
             stop = False
-            if cfg.tol > 0 and it >= STOP_WINDOW:
-                ref = objectives[i][it - STOP_WINDOW]
+            if cfg.tol > 0 and len(window) == STOP_WINDOW:
+                ref = window[0]
                 stop = (ref - obj) / max(abs(ref), 1e-300) < cfg.tol
-            objectives[i].append(obj)
+            window.append(obj)
             if not (traced or stop):
                 continue
             if rows is None:
@@ -371,29 +379,26 @@ def fit_seeds(a, cfg, seeds):
                 rows = list(zip(*(q.tolist() for q in quantities)))
             res_e, dl1, cmax = rows[j]
             try:
-                if not math.isfinite(obj):
-                    raise ValueError("trace objective must be finite")
-                traces[i].rows.append(TraceRow(it, obj, dl1, cmax, res_e))
+                traces[j].append(TraceRow(it, obj, dl1, cmax, res_e))
                 if cfg.nonneg and dl1 > coercivity_bound(a_e, res_e):
                     raise RuntimeError(
                         f"coercivity bound violated at iteration {it}: {dl1} > {a_e + res_e}"
                     )
                 if stop or last:
                     raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
-                    model = normalize(raw) if cfg.nonneg else l2_normalize(raw)
-                    ended[j] = FitResult(
-                        sort_by_weight(model), traces[i], converged=stop, final_objective=obj
-                    )
+                    model = _sort_by_weight(rescale(raw))
+                    ended[j] = FitResult(model, traces[j], converged=stop, final_objective=obj)
             except Exception as exc:
                 ended[j] = exc
         if ended:
-            xhat = xhat[retire()]
-            if not live:
+            keep = retire()
+            if not keep:
                 return out
+            xhat = xhat[keep]
     return out
 
 
-def sort_by_weight(model):
+def _sort_by_weight(model):
     """Components reordered by descending |weight| (stable)."""
     order = np.argsort(-np.abs(model.delta), kind="stable")
     return KruskalModel(
@@ -458,26 +463,20 @@ def _als_update(a_arr, cfg):
         # the (S, r, d) layout that the batched solve returns.
         sol = np.zeros(rhs.shape)
         for j in range(len(gram)):
+            # A Gram that fails the Cholesky probe, or whose solve fails, gets
+            # the ridge RIDGE_JITTER * I; if that solve fails too, so does the seed.
             try:
-                sol[j], ridged = _solve_normal_equations(gram[j], rhs[j], eye)
-            except np.linalg.LinAlgError as exc:
-                fail(j, exc)
-                continue
-            if ridged:
-                note(j, f"ridge jitter on mode {n}")
+                np.linalg.cholesky(gram[j])
+                sol[j] = np.linalg.solve(gram[j], rhs[j])
+            except np.linalg.LinAlgError:
+                try:
+                    sol[j] = np.linalg.solve(gram[j] + RIDGE_JITTER * eye, rhs[j])
+                    note(j, f"ridge jitter on mode {n}")
+                except np.linalg.LinAlgError as exc:
+                    fail(j, exc)
         return sol.transpose(0, 2, 1)
 
     return als
-
-
-def _solve_normal_equations(gram, rhs, eye):
-    """Solution for one seed, and whether it needed the ridge: a Gram that
-    fails the Cholesky probe, or whose solve fails, gets RIDGE_JITTER * I."""
-    try:
-        np.linalg.cholesky(gram)
-        return np.linalg.solve(gram, rhs), False
-    except np.linalg.LinAlgError:
-        return np.linalg.solve(gram + RIDGE_JITTER * eye, rhs), True
 
 
 def _fit_one(a, cfg):

@@ -141,7 +141,11 @@ def add_scaled(a, b, lam, mu):
     mu = float(mu)
     if not (np.isfinite(lam) and np.isfinite(mu)):
         raise ValueError("scalars must be finite")
-    return DenseTensor.from_array(lam * a.as_array() + mu * b.as_array())
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = lam * a.as_array() + mu * b.as_array()
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the combination lam*a + mu*b is not finite")
+    return DenseTensor.from_array(out)
 
 
 def norm(a, kind):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from nncp import solvers
-from nncp.divergence import KL_SOLVER_FLOOR, DivergenceKind, distance, generalized_kl
+from nncp.divergence import DivergenceKind, distance, generalized_kl
 from nncp.kruskal import KruskalModel, random_model, reconstruct
 from nncp.pathologies import bclr_limit, w_sequence
 from nncp.solvers import (
+    KL_SOLVER_FLOOR,
     TRACE_HEADER,
     FitConfig,
     FitTrace,
@@ -197,7 +198,7 @@ def test_solver_kl_loss_is_generalized_kl_bit_for_bit(case):
     a_arr, xhat = _kl_cases()[case]
     got = solvers._loss(a_arr, Loss.KL, 0.0)(xhat, a_arr - xhat, None)
     want = [
-        generalized_kl(a_arr.reshape(-1), x.reshape(-1), floor=KL_SOLVER_FLOOR) for x in xhat
+        generalized_kl(a_arr.reshape(-1), np.maximum(x.reshape(-1), KL_SOLVER_FLOOR)) for x in xhat
     ]
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -663,3 +664,53 @@ def test_batch_nonfinite_seed_fails_alone(monkeypatch, nonneg):
     assert _fingerprint(batch[1]) == _fingerprint(alone)
     for j in (0, 2):
         assert _fingerprint(batch[j]) == _fingerprint(clean[j])
+
+
+def test_batch_seed_whose_ridged_solve_fails_ends_alone(monkeypatch):
+    # Seed 1 starts with two identical columns, scaled by 1e10, in modes 1
+    # and 2, so mode 0's Gram stays singular after the 1e-12 ridge: its
+    # ridged solve raises in the first mode update, and fitting seed 1 alone
+    # ends every stack entry there.
+    real = solvers._init_signed
+
+    def twin_columns(a, cfg):
+        w = real(a, cfg)
+        if cfg.seed == 1:
+            for m in (1, 2):
+                w[m][:, :] = w[m][:, :1] * 1e10
+        return w
+
+    monkeypatch.setattr(solvers, "_init_signed", twin_columns)
+    cfg = FitConfig(rank=2, nonneg=False, max_iters=5, tol=0.0)
+    batch = assert_batch_matches_solo(_NB, cfg, [0, 1, 2])
+    assert [type(r) for r in batch] == [solvers.FitResult, np.linalg.LinAlgError, solvers.FitResult]
+    assert str(batch[1]) == "Singular matrix"
+
+
+@pytest.mark.parametrize("trace_every", [1, 7])
+@pytest.mark.parametrize(
+    "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
+    ids=["mu", "kl", "als"],
+)
+def test_every_trace_row_enters_through_append(monkeypatch, loss, nonneg, trace_every):
+    # One FitTrace.append call per row, so its checks see every row, in a
+    # fixed-length batch and in one whose seeds stop by tol, each on its own.
+    calls = collections.Counter()
+    real = FitTrace.append
+
+    def counting(self, row):
+        calls[id(self)] += 1
+        return real(self, row)
+
+    monkeypatch.setattr(FitTrace, "append", counting)
+    cfg = FitConfig(
+        rank=2, loss=loss, nonneg=nonneg, max_iters=30, tol=0.0, trace_every=trace_every
+    )
+    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
+    stopped = dataclasses.replace(cfg, max_iters=3000, tol=1e-6)
+    for a, c in [(_NB, cfg), (noise, stopped)]:
+        calls.clear()
+        batch = solvers.fit_seeds(a, c, [0, 1, 2, 3])
+        assert {id(r.trace): len(r.trace) for r in batch} == dict(calls)
+    assert all(r.converged for r in batch)
+    assert len({r.trace.rows[-1].iter for r in batch}) > 1

@@ -281,3 +281,10 @@ _MODEL = {"shape": [2], "delta": [1.0], "factors": [[[0.5], [0.5]]]}
 def test_json_readers_reject_non_numbers(reader, doc):
     with pytest.raises(ValueError):
         reader(json.dumps(doc))
+
+
+@pytest.mark.parametrize("lam, mu", [(1, 1), (2.0, -3.0)], ids=["inf", "inf-minus-inf"])
+def test_add_scaled_rejects_a_nonfinite_combination_without_a_warning(lam, mu):
+    a = DenseTensor([2], [1e308, 1e308])
+    with pytest.raises(ValueError, match="not finite"):
+        add_scaled(a, a, lam, mu)
