@@ -10,6 +10,7 @@ iterate respected the coercivity cap that nonnegative fits must obey
 (BOUNDED), or declines to call it (INCONCLUSIVE).
 """
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
 from .solvers import FitConfig, coercivity_bound, fit_seeds
-from .tensor import norm
+from .tensor import _real, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
 # wraps these module attributes.
@@ -34,6 +35,11 @@ class DegeneracyThresholds:
 
     blowup_ratio: float = 10.0
     residual_factor: float = 2.0
+
+    def __post_init__(self):
+        for name in ("blowup_ratio", "residual_factor"):
+            if not _real(getattr(self, name), name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -104,11 +110,7 @@ class ContrastSummary:
     reports: dict = field(default_factory=dict)  # (seed, family) -> report
 
     def verdict_counts(self, family):
-        counts = {}
-        for row in self.rows:
-            if row.family == family:
-                counts[row.verdict] = counts.get(row.verdict, 0) + 1
-        return counts
+        return collections.Counter(r.verdict for r in self.rows if r.family == family)
 
     def to_csv(self):
         lines = [SUMMARY_HEADER]

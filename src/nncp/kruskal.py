@@ -14,7 +14,8 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _frozen, _json_array, _shape, norm
+from .tensor import DenseTensor, _frozen, _integer, _json_array, _json_document
+from .tensor import _real, _shape, norm
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
@@ -237,12 +238,11 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
     and delta rescaled so the reconstruction has E-norm ``e_norm``.  Signed:
     standard normal weights and factors (no normalization).
     """
-    shape = tuple(int(d) for d in shape)
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    shape = _shape(shape, "model")
+    r = _integer(r, "r", least=1)
     rng = np.random.default_rng(seed)
     if nonneg:
-        if e_norm < 0:
+        if _real(e_norm, "e_norm") < 0:
             raise ValueError("e_norm must be >= 0")
         factors = []
         for d in shape:
@@ -273,23 +273,12 @@ def model_to_json(model):
 
 
 def model_from_json(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed model JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("model JSON must be an object")
-    for field in ("shape", "delta", "factors"):
-        if field not in doc:
-            raise ValueError(f"model JSON missing field {field!r}")
-    shape = _json_array(doc["shape"], "model shape", integral=True)
-    delta = _json_array(doc["delta"], "model delta")
-    if type(doc["factors"]) is not list:
+    shape, delta, factors = _json_document(text, "model", ("shape", "delta", "factors"))
+    shape = _json_array(shape, "model shape", integral=True)
+    delta = _json_array(delta, "model delta")
+    if type(factors) is not list:
         raise ValueError("model factors must be a list")
-    factors = [
-        _json_array(f, f"model factor {i}", ndim=2)
-        for i, f in enumerate(doc["factors"])
-    ]
+    factors = [_json_array(f, f"model factor {i}", ndim=2) for i, f in enumerate(factors)]
     nonneg = _nonnegative(delta, *factors)
     normalized = _nonnegative(delta) and all(_unit_l1_columns(m) for m in factors)
     return KruskalModel(shape, delta, factors, nonneg=nonneg, normalized=normalized)

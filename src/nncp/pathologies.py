@@ -19,55 +19,45 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kruskal import KruskalModel
-from .tensor import DenseTensor, _frozen, outer_product
-
-# The BCLR coefficient matrices, eps entries symbolic:  U has a padding 4th
-# row of zeros; W carries the 1/eps factors.  Column j of (U, V, W) gives the
-# three coefficient vectors (over the basis x_1..x_4) of the j-th rank-1 term.
-_U_ROWS = [
-    [1, 0, 1, 0, 1],
-    [0, 0, 0, "e", "e"],
-    [1, 1, 0, 1, 0],
-    [0, 0, 0, 0, 0],
-]
-_V_ROWS = [
-    ["e", 0, 0, "-e", 0],
-    [0, -1, 0, 1, 0],
-    [0, 0, 0, 0, "e"],
-    [1, -1, 1, 0, 1],
-]
-_W_ROWS = [
-    ["ie", "ie", "-ie", "ie", 0],
-    [0, 0, 0, 1, 0],
-    [0, 0, "-ie", 0, "ie"],
-    [1, 0, 0, 0, -1],
-]
-
-# The same five terms transcribed from the expanded form, kept as an
-# independent literal so tests can cross-check the two routes.  Each entry is
-# (coeffs over x_1..x_4) per mode.
-_EXPANDED_TERMS = [
-    ([1, 0, 1, 0], ["e", 0, 0, 1], ["ie", 0, 0, 1]),
-    ([0, 0, 1, 0], [0, -1, 0, -1], ["ie", 0, 0, 0]),
-    ([1, 0, 0, 0], [0, 0, 0, 1], ["-ie", 0, "-ie", 0]),
-    ([0, "e", 1, 0], ["-e", 1, 0, 0], ["ie", 1, 0, 0]),
-    ([1, "e", 0, 0], [0, 0, "e", 1], [0, 0, "ie", -1]),
-]
+from .tensor import DenseTensor, _frozen, _integer, _real, outer_product
 
 # Basis-vector index triples (1-based) of the six unit terms of the limit.
 _LIMIT_TERMS = [(1, 1, 1), (1, 3, 3), (2, 2, 1), (2, 4, 3), (3, 2, 2), (3, 4, 4)]
 
 
-def _substitute(value, eps):
-    if value == "e":
-        return eps
-    if value == "-e":
-        return -eps
-    if value == "ie":
-        return 1.0 / eps
-    if value == "-ie":
-        return -1.0 / eps
-    return float(value)
+def _bclr_tables(eps):
+    """The BCLR coefficient matrices (U, V, W) at ``eps``, and the same five
+    rank-1 terms transcribed independently from the expanded form, as
+    (coeffs over x_1..x_4) per mode, so tests can cross-check the two routes.
+    Column j of (U, V, W) gives the j-th term's three coefficient vectors; U
+    has a padding 4th row of zeros and W carries the 1/eps factors."""
+    e, ie = eps, 1.0 / eps
+    u = [
+        [1, 0, 1, 0, 1],
+        [0, 0, 0, e, e],
+        [1, 1, 0, 1, 0],
+        [0, 0, 0, 0, 0],
+    ]
+    v = [
+        [e, 0, 0, -e, 0],
+        [0, -1, 0, 1, 0],
+        [0, 0, 0, 0, e],
+        [1, -1, 1, 0, 1],
+    ]
+    w = [
+        [ie, ie, -ie, ie, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, -ie, 0, ie],
+        [1, 0, 0, 0, -1],
+    ]
+    terms = [
+        ([1, 0, 1, 0], [e, 0, 0, 1], [ie, 0, 0, 1]),
+        ([0, 0, 1, 0], [0, -1, 0, -1], [ie, 0, 0, 0]),
+        ([1, 0, 0, 0], [0, 0, 0, 1], [-ie, 0, -ie, 0]),
+        ([0, e, 1, 0], [-e, 1, 0, 0], [ie, 1, 0, 0]),
+        ([1, e, 0, 0], [0, 0, e, 1], [0, 0, ie, -1]),
+    ]
+    return [np.array(m, dtype=np.float64) for m in (u, v, w)], terms
 
 
 def _standard_basis(n):
@@ -84,10 +74,10 @@ class BclrInstance:
     basis: tuple = field(default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.n < 4:
-            raise ValueError("n must be >= 4")
+        object.__setattr__(self, "n", _integer(self.n, "n", least=4))
         basis = self.basis
         if basis is None:
             basis = _standard_basis(self.n)
@@ -104,12 +94,6 @@ class BclrInstance:
         object.__setattr__(self, "basis", tuple(v for v in vecs))
 
 
-def _matrix(rows, eps):
-    return np.array(
-        [[_substitute(v, eps) for v in row] for row in rows], dtype=np.float64
-    )
-
-
 def bclr_a_eps(inst):
     """The rank-<=5 member A_eps, built twice.
 
@@ -119,9 +103,8 @@ def bclr_a_eps(inst):
     reconstructing the model must reproduce the tensor; tests use this as the
     construction's self-oracle.
     """
-    eps = float(inst.epsilon)
     basis = np.column_stack(inst.basis)  # n x 4
-    u, v, w = (_matrix(rows, eps) for rows in (_U_ROWS, _V_ROWS, _W_ROWS))
+    (u, v, w), terms = _bclr_tables(inst.epsilon)
 
     total = np.zeros((inst.n,) * 3)
     for j in range(5):
@@ -130,9 +113,9 @@ def bclr_a_eps(inst):
     tensor = DenseTensor.from_array(total)
 
     cols = [[], [], []]
-    for term in _EXPANDED_TERMS:
+    for term in terms:
         for mode in range(3):
-            coeffs = np.array([_substitute(c, eps) for c in term[mode]])
+            coeffs = np.array(term[mode], dtype=np.float64)
             cols[mode].append(basis @ coeffs)
     factors = [np.column_stack(c) for c in cols]
     components = KruskalModel((inst.n,) * 3, np.ones(5), factors)
@@ -145,10 +128,8 @@ def bclr_limit(n=4, basis=None):
     With the standard basis this is a 0/1 tensor with exactly six unit
     entries and E-norm 6; its rank exceeds 5, so rank-5 fits cannot reach it.
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
     inst = BclrInstance(epsilon=1.0, n=n, basis=basis)
-    total = np.zeros((n,) * 3)
+    total = np.zeros((inst.n,) * 3)
     for i, j, k in _LIMIT_TERMS:
         vecs = [inst.basis[i - 1], inst.basis[j - 1], inst.basis[k - 1]]
         total = total + outer_product(vecs).as_array()
@@ -170,9 +151,7 @@ def w_sequence(n_values):
     c[1, 1, 1] = 1.0
     seq = []
     for n in n_values:
-        n = int(n)
-        if n < 1:
-            raise ValueError("sequence indices must be >= 1")
+        n = _integer(n, "sequence index", least=1)
         seq.append(DenseTensor.from_array(a + b * (1.0 / n) + c * (1.0 / (n * n))))
     return (
         seq,
@@ -189,9 +168,7 @@ def kl_counterexample(n):
     nonnegative orthant; D_KL(A, X_n) -> 0 but no strictly positive rank-1
     tensor achieves 0.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", least=1)
     a = np.zeros((2, 2, 2))
     a[0, 0, 0] = 1.0
     x = outer_product([[1.0, 1.0 / n]] * 3)

@@ -62,14 +62,13 @@ import collections
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _einsum_spec, _nonnegative
-from .tensor import norm
+from .tensor import _integer, _real, norm
 
 # Absolute floors: on the MU denominators, the ALS ridge, and the
 # reconstruction inside the solver's KL loss and KL update, where it keeps the
@@ -102,15 +101,11 @@ class FitConfig:
 
     def __post_init__(self):
         for name, least in (("rank", 1), ("max_iters", 1), ("trace_every", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
+            _integer(getattr(self, name), name, least)
+        if not isinstance(self.loss, Loss):
+            raise ValueError(f"loss must be a Loss, got {self.loss!r}")
+        if not isinstance(self.nonneg, (bool, np.bool_)):
+            raise ValueError(f"nonneg must be a bool, got {self.nonneg!r}")
         _check_finite_nonneg("tol", self.tol)
         _check_finite_nonneg("reg_rho", self.reg_rho, self.loss)
         if self.loss is Loss.KL and not self.nonneg:
@@ -119,9 +114,7 @@ class FitConfig:
 
 def _check_finite_nonneg(name, value, loss=Loss.FROBENIUS):
     """tol and reg_rho: finite, >= 0, and > 0 only with the Frobenius loss."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
-    if value < 0:
+    if _real(value, name) < 0:
         raise ValueError(f"{name} must be >= 0")
     if value > 0 and loss is not Loss.FROBENIUS:
         raise ValueError(f"{name} > 0 requires the Frobenius loss")

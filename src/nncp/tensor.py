@@ -9,6 +9,8 @@ lean on.
 
 import json
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -25,9 +27,32 @@ def _frozen(values, what):
     return arr
 
 
+def _integer(value, what, least=None):
+    """``value`` as an int that is >= ``least`` if given; 2.7 and True fail."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
+
+
+def _real(value, what):
+    """``value`` as a float: a real number, not a bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite")
+    return value
+
+
 def _shape(shape, what):
     """``shape`` as a tuple of ints, of order >= 1 with every dimension >= 1."""
-    shape = tuple(int(d) for d in shape)
+    shape = tuple(_integer(d, f"{what} dimension") for d in shape)
     if len(shape) < 1:
         raise ValueError(f"{what} order must be >= 1")
     if any(d < 1 for d in shape):
@@ -66,7 +91,7 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, shape):
-        shape = tuple(int(d) for d in shape)
+        shape = _shape(shape, "tensor")
         return cls(shape, np.zeros(math.prod(shape)))
 
     @property
@@ -98,10 +123,11 @@ class DenseTensor:
             raise ValueError(
                 f"index length {len(idx)} does not match tensor order {self.order}"
             )
+        idx = tuple(_integer(j, f"mode {i} index") for i, j in enumerate(idx))
         for i, (j, d) in enumerate(zip(idx, self.shape)):
-            if not 0 <= int(j) < d:
+            if not 0 <= j < d:
                 raise ValueError(f"index {j} out of bounds for mode {i} (size {d})")
-        return float(self._array[tuple(int(j) for j in idx)])
+        return float(self._array[idx])
 
     def __eq__(self, other):
         if not isinstance(other, DenseTensor):
@@ -111,7 +137,8 @@ class DenseTensor:
         )
 
     def __hash__(self):
-        return hash((self.shape, self._array.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, so tensors that compare equal hash equal.
+        return hash((self.shape, (self._array + 0.0).tobytes()))
 
     def __repr__(self):
         return f"DenseTensor(shape={self.shape})"
@@ -137,10 +164,7 @@ def add_scaled(a, b, lam, mu):
     """Entrywise lam*a + mu*b of two same-shape tensors."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    lam = float(lam)
-    mu = float(mu)
-    if not (np.isfinite(lam) and np.isfinite(mu)):
-        raise ValueError("scalars must be finite")
+    lam, mu = _real(lam, "lam"), _real(mu, "mu")
     with np.errstate(over="ignore", invalid="ignore"):
         out = lam * a.as_array() + mu * b.as_array()
     if not np.all(np.isfinite(out)):
@@ -201,20 +225,29 @@ def _json_array(value, what, ndim=1, integral=False):
         raise ValueError(f"{what}: {exc}") from exc
 
 
+def _json_document(text, what, fields):
+    """The values of ``fields``, each required, in the JSON object ``text``."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for name in fields:
+        if name not in doc:
+            raise ValueError(f"{what} JSON missing field {name!r}")
+    return [doc[name] for name in fields]
+
+
 def tensor_to_json(a):
     return json.dumps({"shape": list(a.shape), "data": a.data.tolist()})
 
 
 def tensor_from_json(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed tensor JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "shape" not in doc or "data" not in doc:
-        raise ValueError("tensor JSON must have 'shape' and 'data' fields")
+    shape, data = _json_document(text, "tensor", ("shape", "data"))
     return DenseTensor(
-        _json_array(doc["shape"], "tensor shape", integral=True),
-        _json_array(doc["data"], "tensor data"),
+        _json_array(shape, "tensor shape", integral=True),
+        _json_array(data, "tensor data"),
     )
 
 

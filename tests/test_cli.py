@@ -6,6 +6,7 @@ import pytest
 import nncp.solvers
 from nncp.cli import main
 from nncp.kruskal import read_model
+from nncp.pathologies import w_sequence
 from nncp.tensor import read_tensor, write_tensor, DenseTensor
 
 
@@ -36,10 +37,14 @@ def test_pathology_bclr_with_components(tmp_path):
 def test_pathology_w_seq_and_kl_example(tmp_path):
     an = tmp_path / "an.json"
     lim = tmp_path / "lim.json"
+    b_path = tmp_path / "b.json"
+    c_path = tmp_path / "c.json"
     assert run(["pathology", "w-seq", "--n", 10, "--out", an,
-                "--limit-out", lim]) == 0
+                "--limit-out", lim, "--b-out", b_path, "--c-out", c_path]) == 0
     assert read_tensor(an)[1, 1, 1] == pytest.approx(0.01)
     assert read_tensor(lim)[0, 1, 0] == 1.0
+    _, _, b, c = w_sequence([10])
+    assert read_tensor(b_path) == b and read_tensor(c_path) == c
 
     a_path = tmp_path / "ka.json"
     x_path = tmp_path / "kx.json"

@@ -103,6 +103,24 @@ def test_detect_custom_thresholds():
     assert loose.verdict == "DEGENERATE"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"blowup_ratio": math.nan},
+        {"blowup_ratio": math.inf},
+        {"residual_factor": -2.0},
+        {"residual_factor": 0.0},
+    ],
+)
+def test_thresholds_reject_nonfinite_or_nonpositive_fields(bad):
+    # DEGENERATE under the defaults; the bad knob must not turn it into
+    # another verdict or a ZeroDivisionError.
+    trace = synthetic_trace([(0, 16.0, 1.0, 1.0, 4.0), (1, 1.0, 50.0, 50.0, 1.0)])
+    assert detect_degeneracy(trace, (1.0, 1.0)).verdict == "DEGENERATE"
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        detect_degeneracy(trace, (1.0, 1.0), DegeneracyThresholds(**bad))
+
+
 def test_detect_on_real_fits():
     a = bclr_limit(4)
     norms = (norm(a, "E"), norm(a, "F"))

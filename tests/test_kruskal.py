@@ -36,6 +36,8 @@ def test_model_validation():
         KruskalModel((2,), [1.0], [np.array([[-1.0], [0.0]])], nonneg=True)
     with pytest.raises(ValueError):
         KruskalModel((2,), [1.0], [np.array([[0.7], [0.7]])], normalized=True)
+    with pytest.raises(ValueError, match="normalized model requires delta >= 0"):
+        KruskalModel((2,), [-1.0], [np.array([[0.5], [0.5]])], normalized=True)
     with pytest.raises(ValueError, match=r"all dimensions must be positive, got \(0, 2\)"):
         KruskalModel((0, 2), [1.0], [np.zeros((0, 1)), np.ones((2, 1))])
     m = small_model()
@@ -313,6 +315,8 @@ def test_random_model_nonneg_is_normalized():
 def test_random_model_rejects_bad_rank():
     with pytest.raises(ValueError):
         random_model((2, 2), 0, seed=0)
+    with pytest.raises(ValueError, match="e_norm must be >= 0"):
+        random_model((2, 2), 1, seed=0, e_norm=-1.0)
 
 
 def test_model_json_round_trip():
@@ -331,6 +335,8 @@ def test_model_json_round_trip():
 
 
 def test_model_json_malformed():
+    with pytest.raises(ValueError, match="malformed model JSON"):
+        model_from_json("not json")
     with pytest.raises(ValueError):
         model_from_json("[]")
     with pytest.raises(ValueError):

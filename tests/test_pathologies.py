@@ -29,6 +29,8 @@ def test_instance_validation():
         BclrInstance(epsilon=1.0, n=5, basis=dependent)
     with pytest.raises(ValueError):
         BclrInstance(epsilon=1.0, n=4, basis=[np.ones(3)] * 4)
+    with pytest.raises(ValueError, match="exactly 4 basis vectors"):
+        BclrInstance(epsilon=1.0, basis=[np.eye(4)[:, i] for i in range(3)])
     nan_basis = [np.eye(4)[:, i] for i in range(4)]
     nan_basis[2] = np.array([0.0, np.nan, 1.0, 0.0])
     with pytest.raises(ValueError, match="NaN or Inf"):  # not an SVD failure

@@ -79,11 +79,14 @@ def test_config_validation():
         {"tol": math.inf},
         {"reg_rho": math.nan},
         {"reg_rho": math.inf},
+        {"loss": "kl"},
+        {"nonneg": "no"},
     ):
         with pytest.raises(ValueError):
             FitConfig(**{"rank": 1, **bad})
     FitConfig(rank=1, tol=0.0)  # tol = 0 turns the convergence stop off
     FitConfig(rank=np.int64(2), max_iters=np.int32(3), trace_every=np.uint8(1), seed=np.int64(4))
+    FitConfig(rank=1, nonneg=np.True_)
 
 
 def test_trace_invariants():
@@ -146,6 +149,12 @@ def test_objective_kl_rejects_signed_model():
     a = reconstruct(random_model((2, 2), 1, seed=2, nonneg=True, e_norm=1.0))
     with pytest.raises(ValueError):
         objective(a, m, Loss.KL)
+    nonneg = random_model((2, 2), 1, seed=2, nonneg=True)
+    signed_a = DenseTensor.from_array(-a.as_array())
+    with pytest.raises(ValueError, match="KL objective requires a nonnegative tensor"):
+        objective(signed_a, nonneg, Loss.KL)
+    with pytest.raises(ValueError, match="unknown loss 'kl'"):
+        objective(a, nonneg, "kl")
 
 
 def test_objective_shape_mismatch():

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from nncp.kruskal import KruskalModel, model_from_json
+from nncp.kruskal import KruskalModel, model_from_json, random_model
+from nncp.pathologies import BclrInstance, bclr_limit, kl_counterexample, w_sequence
+from nncp.solvers import FitConfig
 from nncp.tensor import (
     DenseTensor,
     add_scaled,
@@ -66,6 +68,14 @@ def test_immutability():
     m = KruskalModel((4, 3, 3), f[0], [f, f[:3].T, f[:3]])
     for arr in (m.delta, *m.factors):
         assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+def test_equal_tensors_hash_equal():
+    pos, neg = DenseTensor([2], [0.0, 1.0]), DenseTensor([2], [-0.0, 1.0])
+    assert pos == neg and hash(pos) == hash(neg)
+    assert len({pos, neg}) == 1
+    assert math.copysign(1.0, neg[0]) == -1.0  # the stored data keeps its sign
+    assert pos != DenseTensor([2, 1], [0.0, 1.0])
 
 
 def test_getitem_bounds():
@@ -247,6 +257,9 @@ def test_json_round_trip_bit_exact():
 def test_json_malformed_inputs():
     with pytest.raises(ValueError):
         tensor_from_json("not json")
+    for reader in (tensor_from_json, model_from_json):
+        with pytest.raises(ValueError, match="malformed .* JSON: maximum recursion depth"):
+            reader("[" * 100_000)
     with pytest.raises(ValueError):
         tensor_from_json('{"shape": [2]}')
     with pytest.raises(ValueError):
@@ -288,3 +301,34 @@ def test_add_scaled_rejects_a_nonfinite_combination_without_a_warning(lam, mu):
     a = DenseTensor([2], [1e308, 1e308])
     with pytest.raises(ValueError, match="not finite"):
         add_scaled(a, a, lam, mu)
+
+
+_T2 = DenseTensor([2], [1.0, 2.0])
+
+# Inputs that were truncated, accepted, or failed inside numpy; each must
+# raise a ValueError that names the argument.  id -> (call, message).
+_REJECTED = {
+    "shape-2.7": (lambda: DenseTensor((2.7,), [1, 2]), "tensor dimension .* got 2.7"),
+    "shape-True": (lambda: DenseTensor((True, 2), [1, 2]), "tensor dimension .* got True"),
+    "zeros-2.5": (lambda: DenseTensor.zeros((2.5,)), "tensor dimension must be an integer"),
+    "index-1.9": (lambda: _T2[1.9], "mode 0 index must be an integer"),
+    "index-True": (lambda: _T2[True], "mode 0 index must be an integer"),
+    "random_model-shape": (lambda: random_model((3.5, 4), 2, 0), "model dimension must be"),
+    "random_model-r": (lambda: random_model((3, 4), 2.5, 0), "r must be an integer"),
+    "random_model-e_norm": (lambda: random_model((3, 4), 2, 0, e_norm=math.nan), "e_norm must be"),
+    "w_sequence": (lambda: w_sequence([2.5]), "sequence index must be an integer"),
+    "kl_counterexample": (lambda: kl_counterexample(2.5), "n must be an integer"),
+    "BclrInstance-n": (lambda: BclrInstance(epsilon=1.0, n=4.5), "n must be an integer"),
+    "bclr_limit": (lambda: bclr_limit(4.5), "n must be an integer"),
+    "BclrInstance-epsilon": (lambda: BclrInstance(epsilon=math.inf), "epsilon must be finite"),
+    "FitConfig-tol-str": (lambda: FitConfig(rank=1, tol="1e-9"), "tol must be a real number"),
+    "FitConfig-tol-True": (lambda: FitConfig(rank=1, tol=True), "tol must be a real number"),
+    "FitConfig-reg_rho": (lambda: FitConfig(rank=1, reg_rho=True), "reg_rho must be a real"),
+    "add_scaled-lam": (lambda: add_scaled(_T2, _T2, "2", 1), "lam must be a real number"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_non_integer_bool_and_nonfinite_arguments_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
