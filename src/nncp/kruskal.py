@@ -33,14 +33,15 @@ def _unit_l1_columns(m):
 class KruskalModel:
     """Weights ``delta`` (length r) and k factor matrices of shape (d_i, r).
 
-    ``nonneg`` asserts all weights and factor entries are >= 0; ``normalized``
-    additionally asserts every factor column has unit l1-norm (within 1e-12).
+    ``nonneg`` and ``normalized`` are read from the entries: ``nonneg`` holds
+    when no weight or factor entry is negative, ``normalized`` when the model
+    is ``nonneg`` and every factor column has unit l1-norm (within 1e-12).
     Instances are immutable value objects.
     """
 
-    __slots__ = ("shape", "delta", "factors", "nonneg", "normalized")
+    __slots__ = ("shape", "delta", "factors")
 
-    def __init__(self, shape, delta, factors, nonneg=False, normalized=False):
+    def __init__(self, shape, delta, factors):
         shape = _shape(shape, "model")
         if len(factors) != len(shape):
             raise ValueError(
@@ -56,21 +57,9 @@ class KruskalModel:
                     f"factor {i} must have shape ({d}, {r}), got {m.shape}"
                 )
             mats.append(m)
-        if nonneg and not _nonnegative(delta, *mats):
-            raise ValueError("nonneg model must have no negative entries")
-        if normalized:
-            if not _nonnegative(delta):
-                raise ValueError("normalized model requires delta >= 0")
-            for i, m in enumerate(mats):
-                if not _unit_l1_columns(m):
-                    raise ValueError(
-                        f"normalized model requires unit l1 columns in factor {i}"
-                    )
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "factors", tuple(mats))
-        object.__setattr__(self, "nonneg", bool(nonneg))
-        object.__setattr__(self, "normalized", bool(normalized))
 
     def __setattr__(self, name, value):
         raise AttributeError("KruskalModel is immutable")
@@ -82,6 +71,14 @@ class KruskalModel:
     @property
     def order(self):
         return len(self.shape)
+
+    @property
+    def nonneg(self):
+        return _nonnegative(self.delta, *self.factors)
+
+    @property
+    def normalized(self):
+        return self.nonneg and all(_unit_l1_columns(m) for m in self.factors)
 
     def __repr__(self):
         return (
@@ -125,7 +122,7 @@ def reconstruct(model):
     return DenseTensor.from_array(out)
 
 
-def _rescale_columns(model, column_scales, **flags):
+def _rescale_columns(model, column_scales):
     """Divide each factor m by its column scales ``column_scales(m)`` and
     multiply them into delta, dropping components with a zero weight or a
     zero scale."""
@@ -138,7 +135,7 @@ def _rescale_columns(model, column_scales, **flags):
     for m, s in zip(model.factors, scales):
         factors.append(m[:, keep] / s[keep])
         delta = delta * s[keep]
-    return KruskalModel(model.shape, delta, factors, **flags)
+    return KruskalModel(model.shape, delta, factors)
 
 
 def normalize(model):
@@ -149,15 +146,10 @@ def normalize(model):
     column contribute nothing and are dropped, so r may shrink.  The
     reconstruction is preserved exactly.
     """
-    if not _nonnegative(model.delta, *model.factors):
+    if not model.nonneg:
         raise ValueError("normalize requires a nonnegative model")
     # Per-column sums: np.sum(m, axis=0) rounds differently once d >= 8.
-    return _rescale_columns(
-        model,
-        lambda m: np.array([np.sum(c) for c in m.T]),
-        nonneg=True,
-        normalized=True,
-    )
+    return _rescale_columns(model, lambda m: np.array([np.sum(c) for c in m.T]))
 
 
 def l2_normalize(model):
@@ -179,7 +171,7 @@ def delta_l1_equals_e_norm_check(model):
     the E-norm of a nonnegative rank-1 term with unit-l1 factors is exactly
     its weight, and nonnegativity makes the E-norm additive over components.
     """
-    if not (model.nonneg and model.normalized):
+    if not model.normalized:
         raise ValueError("check requires a normalized nonnegative model")
     return float(np.sum(model.delta)), norm(reconstruct(model), "E")
 
@@ -197,11 +189,11 @@ class NaiveBayesModel:
     def __init__(self, prior, conditionals):
         # d_i is the row count; a scalar gets 0, which the model rejects.
         shape = [np.shape(c)[0] if np.ndim(c) else 0 for c in conditionals]
-        model = KruskalModel(shape, prior, conditionals, nonneg=True, normalized=True)
+        model = KruskalModel(shape, prior, conditionals)
         if model.r < 1:
             raise ValueError("prior must be nonempty")
-        if not _unit_l1_columns(model.delta[:, None]):
-            raise ValueError("prior must sum to 1 within 1e-12")
+        if not (model.normalized and _unit_l1_columns(model.delta[:, None])):
+            raise ValueError("prior and conditionals must be distributions within 1e-12")
         object.__setattr__(self, "_model", model)
 
     def __setattr__(self, name, value):
@@ -223,12 +215,18 @@ def to_naive_bayes(model):
     conditional distributions.  Scaling the naive-Bayes joint back by
     ||delta||_1 recovers the model's reconstruction.
     """
-    if not (model.nonneg and model.normalized):
+    if not model.normalized:
         raise ValueError("to_naive_bayes requires a normalized nonnegative model")
-    total = float(np.sum(model.delta))
+    delta = model.delta
+    with np.errstate(over="ignore"):
+        total = float(np.sum(delta))
+    if not np.isfinite(total):
+        # ||delta||_1 overflows; the weights scaled by the largest one do not.
+        delta = delta / np.max(delta)
+        total = float(np.sum(delta))
     if total <= 0.0:
         raise ValueError("model with ||delta||_1 = 0 carries no distribution")
-    return NaiveBayesModel(model.delta / total, list(model.factors))
+    return NaiveBayesModel(delta / total, list(model.factors))
 
 
 def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
@@ -250,7 +248,7 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
             factors.append(m / np.sum(m, axis=0))
         delta = rng.uniform(0.1, 1.0, size=r)
         delta = delta * (e_norm / np.sum(delta))
-        return KruskalModel(shape, delta, factors, nonneg=True, normalized=True)
+        return KruskalModel(shape, delta, factors)
     delta = rng.standard_normal(r)
     factors = [rng.standard_normal((d, r)) for d in shape]
     return KruskalModel(shape, delta, factors)
@@ -259,7 +257,7 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
 # --- model file format --------------------------------------------------------
 #
 # JSON document {"shape": [...], "delta": [...], "factors": [[[...]]]} with each
-# factor matrix row-major.  The nonneg/normalized flags are recomputed on read.
+# factor matrix row-major.
 
 
 def model_to_json(model):
@@ -279,9 +277,7 @@ def model_from_json(text):
     if type(factors) is not list:
         raise ValueError("model factors must be a list")
     factors = [_json_array(f, f"model factor {i}", ndim=2) for i, f in enumerate(factors)]
-    nonneg = _nonnegative(delta, *factors)
-    normalized = _nonnegative(delta) and all(_unit_l1_columns(m) for m in factors)
-    return KruskalModel(shape, delta, factors, nonneg=nonneg, normalized=normalized)
+    return KruskalModel(shape, delta, factors)
 
 
 def write_model(model, path):

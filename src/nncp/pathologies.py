@@ -152,7 +152,10 @@ def w_sequence(n_values):
     seq = []
     for n in n_values:
         n = _integer(n, "sequence index", least=1)
-        seq.append(DenseTensor.from_array(a + b * (1.0 / n) + c * (1.0 / (n * n))))
+        try:
+            seq.append(DenseTensor.from_array(a + b * (1.0 / n) + c * (1.0 / (n * n))))
+        except OverflowError:
+            raise ValueError("sequence index too large for a float") from None
     return (
         seq,
         DenseTensor.from_array(a),
@@ -169,7 +172,10 @@ def kl_counterexample(n):
     tensor achieves 0.
     """
     n = _integer(n, "n", least=1)
+    try:
+        x = outer_product([[1.0, 1.0 / n]] * 3)
+    except OverflowError:
+        raise ValueError("n too large for a float") from None
     a = np.zeros((2, 2, 2))
     a[0, 0, 0] = 1.0
-    x = outer_product([[1.0, 1.0 / n]] * 3)
     return DenseTensor.from_array(a), x

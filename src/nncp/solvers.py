@@ -247,7 +247,7 @@ def objective(a, model, loss, reg_rho=0.0):
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")
     _check_finite_nonneg("reg_rho", reg_rho, loss)
     if loss is Loss.KL:
-        if not _nonnegative(model.delta, *model.factors):
+        if not model.nonneg:
             raise ValueError("KL objective requires a nonnegative model")
         if not _nonnegative(a.data):
             raise ValueError("KL objective requires a nonnegative tensor")
@@ -394,13 +394,7 @@ def fit_seeds(a, cfg, seeds):
 def _sort_by_weight(model):
     """Components reordered by descending |weight| (stable)."""
     order = np.argsort(-np.abs(model.delta), kind="stable")
-    return KruskalModel(
-        model.shape,
-        model.delta[order],
-        [f[:, order] for f in model.factors],
-        nonneg=model.nonneg,
-        normalized=model.normalized,
-    )
+    return KruskalModel(model.shape, model.delta[order], [f[:, order] for f in model.factors])
 
 
 def _init_nonneg(a, cfg):

@@ -161,7 +161,7 @@ def test_criterion_03_simplex_normalization():
         r = int(rng.integers(1, 6))
         delta = rng.uniform(0.0, 2.0, r)
         factors = [rng.uniform(0.0, 1.5, (d, r)) for d in shape]
-        raw = KruskalModel(shape, delta, factors, nonneg=True)
+        raw = KruskalModel(shape, delta, factors)
         normed = normalize(raw)
         t_raw = reconstruct(raw)
         t_norm = reconstruct(normed)

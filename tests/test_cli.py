@@ -54,6 +54,14 @@ def test_pathology_w_seq_and_kl_example(tmp_path):
     assert read_tensor(x_path)[1, 1, 1] == pytest.approx(1e-3)
 
 
+def test_pathology_index_too_large_for_a_float(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    assert run(["pathology", "w-seq", "--n", huge, "--out", tmp_path / "an.json"]) == 1
+    assert "error: sequence index too large" in capsys.readouterr().err
+    assert run(["pathology", "kl-example", "--n", huge]) == 1
+    assert "error: n too large" in capsys.readouterr().err
+
+
 def test_divergence_identity(tmp_path, capsys):
     out = tmp_path / "a.json"
     run(["pathology", "bclr-limit", "--out", out])

@@ -23,7 +23,6 @@ def small_model():
         (2, 2, 2),
         [1.0],
         [np.array([[2.0], [0.0]]), np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]])],
-        nonneg=True,
     )
 
 
@@ -32,12 +31,22 @@ def test_model_validation():
         KruskalModel((2, 2), [1.0], [np.ones((2, 1))])  # missing factor
     with pytest.raises(ValueError):
         KruskalModel((2, 2), [1.0], [np.ones((2, 2)), np.ones((2, 1))])
-    with pytest.raises(ValueError):
-        KruskalModel((2,), [1.0], [np.array([[-1.0], [0.0]])], nonneg=True)
-    with pytest.raises(ValueError):
-        KruskalModel((2,), [1.0], [np.array([[0.7], [0.7]])], normalized=True)
-    with pytest.raises(ValueError, match="normalized model requires delta >= 0"):
-        KruskalModel((2,), [-1.0], [np.array([[0.5], [0.5]])], normalized=True)
+    # the flags are read from the entries, by the constructor and the reader alike
+    for delta, factor, nonneg, normalized in [
+        ([1.0], [[-1.0], [0.0]], False, False),
+        ([1.0], [[0.7], [0.7]], True, False),
+        ([-1.0], [[0.5], [0.5]], False, False),
+        ([1.0], [[0.5], [-0.5]], False, False),
+        ([2.0], [[0.25], [-0.0]], True, False),
+        ([2.0], [[1.0], [-0.0]], True, True),
+    ]:
+        m = KruskalModel((2,), delta, [factor])
+        assert (m.nonneg, m.normalized) == (nonneg, normalized)
+        back = model_from_json(model_to_json(m))
+        assert (back.nonneg, back.normalized) == (nonneg, normalized)
+    for flag in ("nonneg", "normalized"):
+        with pytest.raises(TypeError):
+            KruskalModel((2,), [1.0], [[[0.5], [0.5]]], **{flag: True})
     with pytest.raises(ValueError, match=r"all dimensions must be positive, got \(0, 2\)"):
         KruskalModel((0, 2), [1.0], [np.zeros((0, 1)), np.ones((2, 1))])
     m = small_model()
@@ -93,14 +102,13 @@ def test_normalize_drops_zero_components():
         (2, 2),
         [0.0, 2.0],
         [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 0.0]])],
-        nonneg=True,
     )
     out = normalize(m)
     assert out.r == 1
     diff = reconstruct(out).as_array() - reconstruct(m).as_array()
     assert np.max(np.abs(diff)) <= 1e-12
 
-    zeroed = KruskalModel((2, 2), [0.0], [np.ones((2, 1)), np.ones((2, 1))], nonneg=True)
+    zeroed = KruskalModel((2, 2), [0.0], [np.ones((2, 1)), np.ones((2, 1))])
     out = normalize(zeroed)
     assert out.r == 0
     assert norm(reconstruct(out), "E") == 0.0
@@ -111,7 +119,6 @@ def test_normalize_zero_column_drop():
         (2, 2),
         [3.0],
         [np.array([[0.0], [0.0]]), np.array([[1.0], [1.0]])],
-        nonneg=True,
     )
     out = normalize(m)
     assert out.r == 0
@@ -128,7 +135,7 @@ def test_normalize_preserves_reconstruction_randomly():
         m = random_model((3, 4, 5), 4, seed=seed, nonneg=True, e_norm=3.0)
         # scramble scale so normalize has work to do
         factors = [f * (1.5 + i) for i, f in enumerate(m.factors)]
-        scrambled = KruskalModel(m.shape, m.delta, factors, nonneg=True)
+        scrambled = KruskalModel(m.shape, m.delta, factors)
         t0 = reconstruct(scrambled)
         t1 = reconstruct(normalize(scrambled))
         g = norm(t0, "G")
@@ -142,10 +149,7 @@ def test_delta_l1_identity_worked_example():
 
 
 def test_delta_l1_identity_rank_zero():
-    m = KruskalModel(
-        (2, 2), [], [np.zeros((2, 0)), np.zeros((2, 0))],
-        nonneg=True, normalized=True,
-    )
+    m = KruskalModel((2, 2), [], [np.zeros((2, 0)), np.zeros((2, 0))])
     assert delta_l1_equals_e_norm_check(m) == (0.0, 0.0)
 
 
@@ -182,7 +186,7 @@ def test_normalize_quotients_the_scale_gauge():
     factors = [f.copy() for f in m.factors]
     factors[0][:, 1] *= 4.0
     factors[2][:, 1] /= 4.0
-    rescaled = KruskalModel(m.shape, m.delta, factors, nonneg=True)
+    rescaled = KruskalModel(m.shape, m.delta, factors)
     n0 = normalize(m)
     n1 = normalize(rescaled)
     assert np.max(np.abs(n0.delta - n1.delta)) <= 1e-12
@@ -207,20 +211,33 @@ def test_l2_normalize_weights_are_component_f_norms():
 
 def test_to_naive_bayes_uniform():
     half = np.array([[0.5], [0.5]])
-    m = KruskalModel((2, 2, 2), [1.0], [half, half, half],
-                     nonneg=True, normalized=True)
+    m = KruskalModel((2, 2, 2), [1.0], [half, half, half])
     nb = to_naive_bayes(m)
     assert nb.prior.tolist() == [1.0]
     joint = nb.joint()
     assert np.max(np.abs(joint.as_array() - 0.125)) <= 1e-15
 
 
+def test_to_naive_bayes_reads_an_unflagged_model():
+    m = KruskalModel((2, 2), [2.0], [[[0.25], [0.75]], [[0.5], [0.5]]])
+    assert to_naive_bayes(m).prior.tolist() == [1.0]
+    assert delta_l1_equals_e_norm_check(m) == (2.0, 2.0)
+
+
 def test_to_naive_bayes_prior_normalization():
     half = np.array([[0.5, 0.5], [0.5, 0.5]])
-    m = KruskalModel((2, 2), [2.0, 2.0], [half, half],
-                     nonneg=True, normalized=True)
+    m = KruskalModel((2, 2), [2.0, 2.0], [half, half])
     nb = to_naive_bayes(m)
     assert nb.prior.tolist() == [0.5, 0.5]
+
+
+def test_to_naive_bayes_prior_when_delta_l1_overflows():
+    m = model_from_json(
+        '{"shape": [2, 2], "delta": [1e308, 1e308], '
+        '"factors": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]}'
+    )
+    assert np.all(np.isfinite(reconstruct(m).as_array()))
+    assert to_naive_bayes(m).prior.tolist() == [0.5, 0.5]
 
 
 def test_to_naive_bayes_worked_example():
@@ -239,10 +256,7 @@ def test_to_naive_bayes_worked_example():
 
 
 def test_to_naive_bayes_errors():
-    m = KruskalModel(
-        (2, 2), [], [np.zeros((2, 0)), np.zeros((2, 0))],
-        nonneg=True, normalized=True,
-    )
+    m = KruskalModel((2, 2), [], [np.zeros((2, 0)), np.zeros((2, 0))])
     with pytest.raises(ValueError):
         to_naive_bayes(m)
     with pytest.raises(ValueError):
@@ -286,8 +300,7 @@ def test_naive_bayes_joint_is_the_normalized_reconstruction():
     for seed in range(4):
         m = random_model((3, 9, 4), 3, seed=seed, nonneg=True)
         nb = to_naive_bayes(m)
-        unit = KruskalModel(m.shape, nb.prior, list(nb.conditionals),
-                            nonneg=True, normalized=True)
+        unit = KruskalModel(m.shape, nb.prior, list(nb.conditionals))
         assert nb.joint().data.tobytes() == reconstruct(unit).data.tobytes()
 
 

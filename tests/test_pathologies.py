@@ -150,6 +150,10 @@ def test_w_sequence_identity_exact():
 def test_w_sequence_rejects_bad_index():
     with pytest.raises(ValueError):
         w_sequence([0])
+    # n * n = 2**1022 is a float; 2**1024 is not
+    assert w_sequence([2**511])[0][0][1, 1, 1] == 2.0**-1022
+    with pytest.raises(ValueError, match="sequence index too large for a float"):
+        w_sequence([2**512])
 
 
 def test_kl_counterexample_shapes_and_boundary():
@@ -167,3 +171,6 @@ def test_kl_counterexample_shapes_and_boundary():
     assert values[2] < 0.04
     with pytest.raises(ValueError):
         kl_counterexample(0)
+    assert kl_counterexample(2**1023)[1][0, 0, 1] == 2.0**-1023
+    with pytest.raises(ValueError, match="n too large for a float"):
+        kl_counterexample(2**1024)
