@@ -11,6 +11,11 @@ symmetric metrics; D_KL is asymmetric, satisfies no triangle inequality, and
 is +inf when A puts mass where B has none.  That boundary case is encoded as
 the value math.inf rather than an exception, because the interesting
 experiments walk straight toward it.
+
+One private evaluator, built once per target, computes D_KL for a stack of
+arrays.  It has three users: generalized_kl (and so distance) as its one-row
+case, and solvers.objective and the MU fits (fit_nncp, fit_seeds) as the KL
+loss on the reconstruction floored at solvers.KL_SOLVER_FLOOR.
 """
 
 import enum
@@ -36,15 +41,27 @@ def generalized_kl(a, b):
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    pos = a > 0.0
-    if np.any(b[pos] == 0.0):
+    if np.any(b[a > 0.0] == 0.0):
         return math.inf
-    total = float(np.sum(b) - np.sum(a[pos]))
-    av = a[pos]
-    # log a - log b rather than log(a/b): the ratio can overflow when b is
-    # tiny.
-    total += float(np.sum(av * (np.log(av) - np.log(b[pos]))))
-    return total
+    return _kl_rows(a)(b.reshape(1, -1))[0]
+
+
+def _kl_rows(a):
+    """D_KL(a, b) for each row b of a C-ordered (S, a.size) stack, one Python
+    float per row, with a's support, sum and logs fixed once.  Every b must be
+    > 0 on the support of a."""
+    pos = np.flatnonzero(a > 0.0)
+    av = a.take(pos)
+    a_sum, log_a = np.add.reduce(av), np.log(av)
+
+    def rows(b):
+        # take() keeps each row contiguous, so it sums as a flat array does.
+        # log a - log b rather than log(a/b): the ratio can overflow when b is
+        # tiny.  The last add is on Python floats.
+        terms = np.add.reduce(av * (log_a - np.log(b.take(pos, axis=1))), axis=1).tolist()
+        return [m + t for m, t in zip((np.add.reduce(b, axis=1) - a_sum).tolist(), terms)]
+
+    return rows
 
 
 def distance(a, b, kind):

@@ -125,16 +125,22 @@ def reconstruct(model):
 def _rescale_columns(model, column_scales):
     """Divide each factor m by its column scales ``column_scales(m)`` and
     multiply them into delta, dropping components with a zero weight or a
-    zero scale."""
-    scales = [column_scales(m) for m in model.factors]
-    keep = model.delta != 0.0
-    for s in scales:
-        keep &= s != 0.0
-    delta = model.delta[keep]
-    factors = []
-    for m, s in zip(model.factors, scales):
-        factors.append(m[:, keep] / s[keep])
-        delta = delta * s[keep]
+    zero scale.  A scale or weight beyond the double range leaves no finite
+    normal form to return: ValueError, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = [column_scales(m) for m in model.factors]
+        keep = model.delta != 0.0
+        for s in scales:
+            keep &= s != 0.0
+        delta = model.delta[keep]
+        factors = []
+        for m, s in zip(model.factors, scales):
+            factors.append(m[:, keep] / s[keep])
+            delta = delta * s[keep]
+    if not np.isfinite(delta).all():
+        raise ValueError(
+            "no finite normal form: a column scale or rescaled weight exceeds the double range"
+        )
     return KruskalModel(model.shape, delta, factors)
 
 

@@ -66,6 +66,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _einsum_spec, _nonnegative
 from .tensor import _integer, _real, norm
@@ -214,19 +215,13 @@ def _per_seed_sum(x):
 
 def _loss(a_arr, loss, rho):
     """The loss against ``a_arr`` as ``f(xhat, resid, factors)``, one float per
-    seed; KL is generalized_kl(a, max(x, KL_SOLVER_FLOOR)) with a's terms fixed."""
+    seed; KL is D_KL(a, max(x, KL_SOLVER_FLOOR)) with a's terms fixed."""
     if loss is Loss.KL:
-        pos = np.flatnonzero(a_arr > 0.0)
-        av = a_arr.take(pos)
-        a_sum, log_a = np.add.reduce(av), np.log(av)
+        kl_rows = _kl_rows(a_arr)
 
     def per_seed(xhat, resid, factors):
         if loss is Loss.KL:
-            # take() keeps each row contiguous, so it sums as a flat array does;
-            # the last add is on Python floats, as in generalized_kl.
-            b = np.maximum(xhat.reshape(len(xhat), -1), KL_SOLVER_FLOOR)
-            terms = np.add.reduce(av * (log_a - np.log(b.take(pos, axis=1))), axis=1).tolist()
-            return [m + t for m, t in zip((np.add.reduce(b, axis=1) - a_sum).tolist(), terms)]
+            return kl_rows(np.maximum(xhat.reshape(len(xhat), -1), KL_SOLVER_FLOOR))
         val = _per_seed_sum(resid * resid)
         if rho > 0:
             val = val + rho * sum(_per_seed_sum(f * f) for f in factors)
@@ -240,8 +235,9 @@ def objective(a, model, loss, reg_rho=0.0):
 
     Frobenius: ||A - X||_F^2 + rho * sum of squared l2-norms of every stored
     factor column (the penalty reads the representation as given, so it is
-    deliberately not gauge-invariant).  KL: D_KL(A, X) with the reconstruction
-    floored at 1e-300 inside the logs.
+    deliberately not gauge-invariant).  KL: D_KL(A, max(X, 1e-300)), the
+    reconstruction floored entrywise, so the floor enters both the logs and
+    the sum of X.
     """
     if tuple(model.shape) != a.shape:
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")

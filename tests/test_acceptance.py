@@ -244,12 +244,20 @@ def test_criterion_07_coercivity(bclr, contrast, rank1_runs, kl_runs, extra_fits
     # ||delta||_1 <= ||A||_E + residual_E, which (residual_E <= sqrt(N) *
     # residual_F) implies the sqrt(N)-weakened Frobenius cap; for Frobenius
     # runs the cap is also checked directly from the traced objective.
+    # KL fits also keep the mass: every KL multiplicative update makes
+    # sum X = ||A||_E, so ||delta||_1 = ||X||_E = ||A||_E after iteration 0.
     violations = 0
     rows = 0
+    mass_rows = 0
     for a, cfg, result in [*rank1_runs, *kl_runs, *extra_fits]:
         v, n = _check_coercivity(a, cfg, result)
         violations += v
         rows += n
+    for a, _, result in kl_runs:
+        a_e = norm(a, "E")
+        for row in result.trace.rows[1:]:
+            assert abs(row.delta_l1 - a_e) <= 1e-12 * a_e, row.iter
+            mass_rows += 1
     summary, _ = contrast
     a_e = norm(bclr, "E")
     for (seed, family), report in summary.reports.items():
@@ -261,7 +269,8 @@ def test_criterion_07_coercivity(bclr, contrast, rank1_runs, kl_runs, extra_fits
             if max(delta_l1, max_comp) > cap + 1e-9 * (1.0 + cap):
                 violations += 1
     assert violations == 0
-    _ok(7, f"coercivity bound held at all {rows} traced iterates, 0 violations")
+    _ok(7, f"coercivity bound held at all {rows} traced iterates, 0 violations; "
+           f"KL mass identity held at {mass_rows}")
 
 
 def test_criterion_08_contrast_regression(bclr, contrast):

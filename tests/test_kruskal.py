@@ -130,6 +130,19 @@ def test_normalize_rejects_negative():
         normalize(m)
 
 
+@pytest.mark.parametrize(
+    "delta, factor",
+    [([1e300], [[1e10], [0.0]]), ([1.0], [[1e308], [1e308]])],
+    ids=["weight-overflows", "column-sum-overflows"],
+)
+@pytest.mark.parametrize("rescale", [normalize, l2_normalize])
+def test_rescale_without_a_finite_normal_form_raises_without_warning(delta, factor, rescale):
+    # The suite turns warnings into errors, so a numpy overflow warning fails.
+    m = KruskalModel((2, 2), delta, [factor, factor])
+    with pytest.raises(ValueError, match="no finite normal form"):
+        rescale(m)
+
+
 def test_normalize_preserves_reconstruction_randomly():
     for seed in range(20):
         m = random_model((3, 4, 5), 4, seed=seed, nonneg=True, e_norm=3.0)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import hashlib
 import math
 import re
 
@@ -10,7 +11,7 @@ import pytest
 from nncp import solvers
 from nncp.divergence import DivergenceKind, distance, generalized_kl
 from nncp.kruskal import KruskalModel, random_model, reconstruct
-from nncp.pathologies import bclr_limit, w_sequence
+from nncp.pathologies import bclr_limit, kl_counterexample, w_sequence
 from nncp.solvers import (
     KL_SOLVER_FLOOR,
     TRACE_HEADER,
@@ -23,6 +24,7 @@ from nncp.solvers import (
     objective,
 )
 from nncp.tensor import DenseTensor, norm
+from oracles import brute_kl
 
 
 def rank1_target(seed, shape=(4, 5, 3), e_norm=5.0):
@@ -203,13 +205,69 @@ def _kl_cases():
 
 
 @pytest.mark.parametrize("case", list(_kl_cases()))
-def test_solver_kl_loss_is_generalized_kl_bit_for_bit(case):
+def test_kl_rows_match_the_termwise_oracle(case):
     a_arr, xhat = _kl_cases()[case]
+    a = DenseTensor.from_array(a_arr)
+    floored = np.maximum(xhat, KL_SOLVER_FLOOR)
     got = solvers._loss(a_arr, Loss.KL, 0.0)(xhat, a_arr - xhat, None)
-    want = [
-        generalized_kl(a_arr.reshape(-1), np.maximum(x.reshape(-1), KL_SOLVER_FLOOR)) for x in xhat
+    want = [brute_kl(a, DenseTensor.from_array(x)) for x in floored]
+    assert got == pytest.approx(want, rel=1e-12)
+    got = [generalized_kl(a_arr, x) for x in xhat]
+    want = [brute_kl(a, DenseTensor.from_array(x)) for x in xhat]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_kl_rows_keep_their_bits():
+    # sha256 over the .hex() of every _kl_cases row's D_KL, joined by
+    # newlines: floored as the solver computes it, and unfloored by
+    # generalized_kl (inf included).
+    floored, unfloored = [], []
+    for a_arr, xhat in _kl_cases().values():
+        floored += solvers._loss(a_arr, Loss.KL, 0.0)(xhat, a_arr - xhat, None)
+        unfloored += [generalized_kl(a_arr, x) for x in xhat]
+    digests = [
+        hashlib.sha256("\n".join(v.hex() for v in values).encode()).hexdigest()
+        for values in (floored, unfloored)
     ]
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert digests == [
+        "3f01ee456f6ebb21bfbceebaed50bbc1c0d0a70b116ed715ff89ca599d57bbdd",
+        "657c09e05343c85f6ec8521e9794b4f812a6209d456241b634b0262d70c6390a",
+    ]
+
+
+def _kl_mass_gap(a, trace):
+    """Largest |delta_l1 - ||A||_E| / ||A||_E over the rows after iteration 0:
+    every KL multiplicative update keeps sum X = ||A||_E."""
+    a_e = norm(a, "E")
+    return max(abs(r.delta_l1 - a_e) / a_e for r in trace.rows[1:])
+
+
+@pytest.mark.parametrize("rank", [1, 3, 6])
+def test_kl_updates_keep_the_mass_of_a_target_with_zeros(rank):
+    rng = np.random.default_rng(5)
+    arr = rng.uniform(size=(3, 4, 5))
+    arr[rng.uniform(size=arr.shape) < 0.3] = 0.0
+    a = DenseTensor.from_array(arr)
+    res = fit_nncp(a, FitConfig(rank=rank, loss=Loss.KL, max_iters=300, tol=0.0))
+    assert _kl_mass_gap(a, res.trace) <= 1e-12
+
+
+def test_kl_fit_attains_the_boundary_infimum():
+    # The indicator of kl_counterexample is a nonnegative rank-1 tensor with
+    # zeros: no strictly positive X_n reaches D_KL = 0, but one sweep of MU
+    # lands on A itself, on the boundary of the orthant.
+    a, _ = kl_counterexample(1)
+    for seed in range(5):
+        res = fit_nncp(a, FitConfig(rank=1, loss=Loss.KL, seed=seed))
+        rows = res.trace.rows
+        assert rows[0].objective > 0.0
+        assert rows[1].objective == 0.0
+        assert res.converged and res.final_objective == 0.0
+        assert res.model.delta.tolist() == [1.0]
+        assert [f.tolist() for f in res.model.factors] == [[[1.0], [0.0]]] * 3
+        assert _kl_mass_gap(a, res.trace) <= 1e-12
+    for n in (1, 10, 10**6):
+        assert distance(*kl_counterexample(n), DivergenceKind.KL) > 0.0
 
 
 # --- fit_nncp -----------------------------------------------------------------
@@ -540,6 +598,24 @@ def test_numpy_wrapper_calls_per_fit(monkeypatch, solver, loss, nonneg, shape):
         per_fit.append(dict(calls))
     order = f"o{len(shape)}"
     assert per_fit[0] == per_fit[1] == _WRAPPER_CALLS[solver, order]
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])
+def test_np_log_calls_per_kl_fit(monkeypatch, shape):
+    # log a once per fit, then one log of the reconstruction per iteration.
+    calls = []
+    real = np.log
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log", counting)
+    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
+    for iters in (3, 30):
+        calls.clear()
+        fit_nncp(a, FitConfig(rank=2, loss=Loss.KL, max_iters=iters, tol=0.0))
+        assert len(calls) == 1 + (iters + 1)
 
 
 # --- seed batches ---------------------------------------------------------------
