@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tensor import add_scaled, inner, norm
+from .tensor import DenseTensor, _exponent, add_scaled, inner, norm
 
 
 class DivergenceKind(enum.Enum):
@@ -68,27 +68,23 @@ def distance(a, b, kind):
     """Proximity of A to B under the given kind; >= 0, and 0 iff A == B.
 
     KL requires A >= 0 and B >= 0; it returns math.inf when some entry has
-    a > 0 but b = 0.
+    a > 0 but b = 0.  The norm kinds scale A and B by one power of two, so
+    they are math.inf only when the norm exceeds the double range.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if kind is DivergenceKind.E_NORM:
-        return norm(_diff(a, b), "E")
-    if kind is DivergenceKind.F_NORM:
-        return norm(_diff(a, b), "F")
-    if kind is DivergenceKind.G_NORM:
-        return norm(_diff(a, b), "G")
     if kind is DivergenceKind.KL:
         if np.any(a.data < 0):
             raise ValueError("KL requires the first argument to be nonnegative")
         if np.any(b.data < 0):
             raise ValueError("KL requires the second argument to be nonnegative")
         return generalized_kl(a.data, b.data)
-    raise ValueError(f"unknown divergence kind {kind!r}")
-
-
-def _diff(a, b):
-    return add_scaled(a, b, 1.0, -1.0)
+    if not isinstance(kind, DivergenceKind):
+        raise ValueError(f"unknown divergence kind {kind!r}")
+    e = _exponent((a.data, b.data))
+    diff = DenseTensor(a.shape, np.ldexp(a.data, -e) - np.ldexp(b.data, -e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(norm(diff, kind.value.upper()), e))
 
 
 def kl_phi(a):
@@ -113,4 +109,4 @@ def bregman_from_phi(a, b, phi_a, phi_b, grad_phi_b):
         raise ValueError(
             f"gradient shape {grad_phi_b.shape} does not match {b.shape}"
         )
-    return float(phi_a) - float(phi_b) - inner(grad_phi_b, _diff(a, b))
+    return float(phi_a) - float(phi_b) - inner(grad_phi_b, add_scaled(a, b, 1.0, -1.0))

@@ -14,8 +14,8 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _frozen, _integer, _json_array, _json_document
-from .tensor import _real, _shape, norm
+from .tensor import DenseTensor, _exponent, _frozen, _integer, _json_array
+from .tensor import _json_document, _real, _shape, norm
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
@@ -27,7 +27,10 @@ def _nonnegative(*arrays):
 
 def _unit_l1_columns(m):
     """True when every column of the matrix m has l1-norm 1 within 1e-12."""
-    return bool(np.all(np.abs(np.sum(np.abs(m), axis=0) - 1.0) <= 1e-12))
+    e = _exponent(m, axis=0)
+    with np.errstate(over="ignore"):
+        sums = np.ldexp(np.sum(np.abs(np.ldexp(m, -e)), axis=0), e)
+    return bool(np.all(np.abs(sums - 1.0) <= 1e-12))
 
 
 class KruskalModel:
@@ -125,22 +128,22 @@ def reconstruct(model):
 def _rescale_columns(model, column_scales):
     """Divide each factor m by its column scales ``column_scales(m)`` and
     multiply them into delta, dropping components with a zero weight or a
-    zero scale.  A scale or weight beyond the double range leaves no finite
-    normal form to return: ValueError, with no numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scales = [column_scales(m) for m in model.factors]
-        keep = model.delta != 0.0
-        for s in scales:
-            keep &= s != 0.0
-        delta = model.delta[keep]
-        factors = []
-        for m, s in zip(model.factors, scales):
-            factors.append(m[:, keep] / s[keep])
-            delta = delta * s[keep]
+    zero scale.  Columns and weights are scaled by powers of two (see
+    tensor._exponent) until one last np.ldexp, so only a weight beyond the
+    double range has no finite normal form: ValueError, no numpy warning."""
+    delta, e = np.frexp(model.delta)
+    exps = [_exponent(m, axis=0) for m in model.factors]
+    mats = [np.ldexp(m, -em) for m, em in zip(model.factors, exps)]
+    scales = [column_scales(m) for m in mats]
+    keep = np.logical_and.reduce([delta != 0.0] + [s != 0.0 for s in scales])
+    delta, factors = delta[keep], []
+    for m, s in zip(mats, scales):
+        factors.append(m[:, keep] / s[keep])
+        delta = delta * s[keep]
+    with np.errstate(over="ignore"):
+        delta = np.ldexp(delta, (e + sum(exps))[keep])
     if not np.isfinite(delta).all():
-        raise ValueError(
-            "no finite normal form: a column scale or rescaled weight exceeds the double range"
-        )
+        raise ValueError("no finite normal form: a weight exceeds the double range")
     return KruskalModel(model.shape, delta, factors)
 
 
@@ -179,7 +182,9 @@ def delta_l1_equals_e_norm_check(model):
     """
     if not model.normalized:
         raise ValueError("check requires a normalized nonnegative model")
-    return float(np.sum(model.delta)), norm(reconstruct(model), "E")
+    e = _exponent(model.delta)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sum(np.ldexp(model.delta, -e)), e)), norm(reconstruct(model), "E")
 
 
 class NaiveBayesModel:
@@ -223,13 +228,9 @@ def to_naive_bayes(model):
     """
     if not model.normalized:
         raise ValueError("to_naive_bayes requires a normalized nonnegative model")
-    delta = model.delta
-    with np.errstate(over="ignore"):
-        total = float(np.sum(delta))
-    if not np.isfinite(total):
-        # ||delta||_1 overflows; the weights scaled by the largest one do not.
-        delta = delta / np.max(delta)
-        total = float(np.sum(delta))
+    # A power-of-two scale keeps the prior's bits and ||delta||_1 finite.
+    delta = np.ldexp(model.delta, -_exponent(model.delta))
+    total = float(np.sum(delta))
     if total <= 0.0:
         raise ValueError("model with ||delta||_1 = 0 carries no distribution")
     return NaiveBayesModel(delta / total, list(model.factors))

@@ -172,25 +172,27 @@ def add_scaled(a, b, lam, mu):
     return DenseTensor.from_array(out)
 
 
+def _exponent(x, axis=None):
+    """Binary exponent e of max|x| (reduced over ``axis`` if given; 0 for a
+    zero or empty x), so that np.ldexp(x, -e) has max|.| in [0.5, 1).  A reduction of
+    that, scaled back by np.ldexp(., e), is the plain one, bit for bit, unless
+    either over- or underflows, and is inf only beyond the double range."""
+    return np.frexp(np.maximum.reduce(np.abs(x), axis=axis, initial=0.0))[1]
+
+
 def norm(a, kind):
-    """Entrywise norm: E = sum|.|, F = sqrt(sum .^2), G = max|.|.  When the
-    plain sum of E or F overflows, the entries are scaled by 1/G first, so
-    the result is inf only if the norm itself exceeds the double range."""
-    flat = a.data
-    if kind == "G":
-        return float(np.max(np.abs(flat)))
+    """Entrywise norm: E = sum|.|, F = sqrt(sum .^2), G = max|.|, by the
+    exact scaling of :func:`_exponent`; inf only beyond the double range."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    e = _exponent(a.data)
+    x = np.abs(np.ldexp(a.data, -e))
+    if kind == "G":
+        value = np.maximum.reduce(x)
+    else:
+        value = np.add.reduce(x) if kind == "E" else np.sqrt(np.add.reduce(x * x))
     with np.errstate(over="ignore"):
-        value = _plain_norm(flat, kind)
-        if math.isinf(value):
-            g = norm(a, "G")
-            value = g * _plain_norm(flat / g, kind)
-    return value
-
-
-def _plain_norm(flat, kind):
-    return float(np.sum(np.abs(flat)) if kind == "E" else np.sqrt(np.sum(flat * flat)))
+        return float(np.ldexp(value, e))
 
 
 def inner(a, b):

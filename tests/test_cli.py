@@ -78,6 +78,16 @@ def test_divergence_inf(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "inf"
 
 
+def test_divergence_beyond_the_double_range(tmp_path, capsys):
+    # Both files are valid; their difference 2e308 is not a finite double.
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    write_tensor(DenseTensor([2], [1e308, 0.0]), a)
+    write_tensor(DenseTensor([2], [-1e308, 0.0]), b)
+    assert run(["divergence", "--a", a, "--b", b, "--kind", "f"]) == 0
+    assert capsys.readouterr().out.strip() == "inf"
+
+
 def test_decompose_writes_model_and_trace(tmp_path, capsys):
     t_path = tmp_path / "a.json"
     run(["pathology", "bclr-limit", "--out", t_path])

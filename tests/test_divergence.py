@@ -59,6 +59,13 @@ def test_distance_norm_kinds_symmetric_kl_not():
     for kind in (DivergenceKind.E_NORM, DivergenceKind.F_NORM, DivergenceKind.G_NORM):
         assert distance(a, b, kind) == distance(b, a, kind)
     assert distance(a, b, KL) != distance(b, a, KL)
+    # The differences 2e308 and 1.5e308 of finite tensors: the first exceeds
+    # the double range, the second does not.
+    top = DenseTensor([2], [1e308, 0.0])
+    for kind in (DivergenceKind.E_NORM, DivergenceKind.F_NORM, DivergenceKind.G_NORM):
+        for other, value in [([-1e308, 0.0], math.inf), ([-5e307, 0.0], 1.5e308)]:
+            assert distance(top, DenseTensor([2], other), kind) == value
+            assert distance(DenseTensor([2], other), top, kind) == value
 
 
 def test_distance_infinite_on_unmatched_support():

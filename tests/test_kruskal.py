@@ -39,6 +39,7 @@ def test_model_validation():
         ([1.0], [[0.5], [-0.5]], False, False),
         ([2.0], [[0.25], [-0.0]], True, False),
         ([2.0], [[1.0], [-0.0]], True, True),
+        ([1.0], [[1e308], [1e308]], True, False),  # the column sum overflows
     ]:
         m = KruskalModel((2,), delta, [factor])
         assert (m.nonneg, m.normalized) == (nonneg, normalized)
@@ -141,6 +142,24 @@ def test_rescale_without_a_finite_normal_form_raises_without_warning(delta, fact
     m = KruskalModel((2, 2), delta, [factor, factor])
     with pytest.raises(ValueError, match="no finite normal form"):
         rescale(m)
+
+
+@pytest.mark.parametrize(
+    "rescale, delta, factors, weight, columns",
+    [
+        (normalize, [1e-300], [[[1e-300], [0.0]], [[1e308], [1e308]]], 2e-292,
+         [[1.0, 0.0], [0.5, 0.5]]),
+        (l2_normalize, [1.0], [[[1e-200], [0.0]]], 1e-200, [[1.0, 0.0]]),
+    ],
+    ids=["column-sum-overflows", "column-norm-underflows"],
+)
+def test_rescale_reaches_a_finite_normal_form(rescale, delta, factors, weight, columns):
+    # The plain column sum 2e308 overflows and the plain squared norm 1e-400
+    # underflows, but both normal forms are finite and nonzero.
+    out = rescale(KruskalModel([len(f) for f in factors], delta, factors))
+    assert out.r == 1
+    assert out.delta[0] == pytest.approx(weight, rel=1e-15)
+    assert [f[:, 0].tolist() for f in out.factors] == columns
 
 
 def test_normalize_preserves_reconstruction_randomly():
@@ -251,6 +270,8 @@ def test_to_naive_bayes_prior_when_delta_l1_overflows():
     )
     assert np.all(np.isfinite(reconstruct(m).as_array()))
     assert to_naive_bayes(m).prior.tolist() == [0.5, 0.5]
+    # ||delta||_1 and the E-norm are both 2e308, beyond the double range.
+    assert delta_l1_equals_e_norm_check(m) == (np.inf, np.inf)
 
 
 def test_to_naive_bayes_worked_example():

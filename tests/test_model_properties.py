@@ -1,18 +1,35 @@
 """Property tests for the model layer: the flags, the model file round trip,
-the simplex normal form and the naive-Bayes reading, over drawn models."""
+the two normal forms against exact rational arithmetic and the naive-Bayes
+reading, over drawn models with entries anywhere in the finite double range."""
+
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nncp.kruskal import KruskalModel, model_from_json, model_to_json, normalize, to_naive_bayes
+from nncp.kruskal import (
+    KruskalModel,
+    l2_normalize,
+    model_from_json,
+    model_to_json,
+    normalize,
+    to_naive_bayes,
+)
 
-# Entries stay in [-8, 8]: a column sum or a rescaled weight of a model with
-# entries near the float maximum is not a finite double, so its normal form
-# does not exist.  Zeros of either sign are drawn often, subnormals may be.
-_NONNEG = st.one_of(st.just(-0.0), st.just(0.0), st.floats(0.0, 8.0))
-_SIGNED = st.one_of(st.just(-0.0), st.floats(-8.0, 8.0))
+# Zeros of either sign are drawn often.  _WIDE spreads magnitudes evenly over
+# the binary exponents, subnormals included, so that column sums overflow and
+# squares underflow in many draws.
+_WIDE = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1024))
+_NONNEG = st.one_of(st.just(-0.0), st.just(0.0), st.floats(0.0, allow_infinity=False), _WIDE)
+_SIGNED = st.one_of(
+    st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False), _WIDE, _WIDE.map(lambda x: -x)
+)
+_DBL_MAX = Fraction(sys.float_info.max)
+_TINY = Fraction(2) ** -1074
 
 
 @st.composite
@@ -23,9 +40,10 @@ def _column(draw, d, kinds):
     entry = _SIGNED if kind == "signed" else _NONNEG
     col = np.array(draw(st.lists(entry, min_size=d, max_size=d)))
     if kind == "unit":
-        total = np.sum(col)
-        if total > 0:
-            col = col / total
+        if np.any(col > 0):
+            # Divided by its largest entry first, the column sum cannot overflow.
+            col = col / np.max(col)
+            col = col / np.sum(col)
         else:
             col[draw(st.integers(0, d - 1))] = 1.0
     return col
@@ -43,6 +61,39 @@ def models(draw):
     if r:
         factors = [np.column_stack([draw(_column(d, kinds)) for _ in range(r)]) for d in shape]
     return KruskalModel(shape, delta, factors)
+
+
+def _check_normal_form(m, rescale, power):
+    """``rescale(m)`` against exact arithmetic.  Component p survives when its
+    weight and all its columns are nonzero; then |weight|**power is exactly
+    |delta_p|**power times, per mode, the sum of |c|**power over its column
+    c (power 1 for normalize, 2 for l2_normalize).  A weight above the float
+    maximum has no finite normal form; a draw within 1e-12 relative of that
+    boundary is too close to call."""
+    exact = []
+    for p, w in enumerate(m.delta.tolist()):
+        cols = [f[:, p].tolist() for f in m.factors]
+        if w != 0 and all(any(col) for col in cols):
+            x = Fraction(abs(w)) ** power
+            for col in cols:
+                x *= sum(Fraction(abs(c)) ** power for c in col)
+            exact.append(x)
+    limit = _DBL_MAX**power
+    if any(abs(x / limit - 1) <= power * Fraction(1e-12) for x in exact):
+        return None
+    if any(x > limit for x in exact):
+        with pytest.raises(ValueError, match="no finite normal form"):
+            rescale(m)
+        return None
+    out = rescale(m)
+    assert out.r == len(exact)
+    # |w - W| <= 1e-12 W + 2**-1074 for the exact weight W = x**(1 / power).
+    rel = Fraction(1e-12)
+    for w, x in zip(out.delta.tolist(), exact):
+        w = Fraction(abs(w))
+        assert (1 - rel) ** power * x <= (w + _TINY) ** power
+        assert max(w - _TINY, 0) ** power <= (1 + rel) ** power * x
+    return out
 
 
 @settings(database=None, deadline=None, max_examples=150)
@@ -67,12 +118,15 @@ def test_model_layer_properties(m):
     assert model_to_json(back) == text
     assert (back.nonneg, back.normalized) == (m.nonneg, m.normalized)
 
-    # Every nonnegative model has a simplex normal form.
+    # Every nonnegative model whose weights stay finite has a simplex normal
+    # form, and every model whose weights stay finite a unit-l2 one.
     if m.nonneg:
-        assert normalize(m).normalized
+        out = _check_normal_form(m, normalize, 1)
+        assert out is None or out.normalized
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             normalize(m)
+    _check_normal_form(m, l2_normalize, 2)
 
     # The naive-Bayes reading exists exactly for normalized models with mass.
     readable = m.normalized and sum(m.delta.tolist()) > 0

@@ -561,15 +561,15 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
 # and order: all of them set up the fit or package its model, none runs per
 # iteration.
 _WRAPPER_CALLS = {
-    ("mu", "o1"): {"sum": 6},
-    ("mu", "o3"): {"sum": 12},
-    ("mu", "o4"): {"sum": 15},
-    ("kl", "o1"): {"sum": 6},
-    ("kl", "o3"): {"sum": 12},
-    ("kl", "o4"): {"sum": 15},
-    ("als", "o1"): {"norm": 2, "sum": 1},
-    ("als", "o3"): {"norm": 6, "sum": 1},
-    ("als", "o4"): {"norm": 8, "sum": 1},
+    ("mu", "o1"): {"sum": 4},
+    ("mu", "o3"): {"sum": 10},
+    ("mu", "o4"): {"sum": 13},
+    ("kl", "o1"): {"sum": 4},
+    ("kl", "o3"): {"sum": 10},
+    ("kl", "o4"): {"sum": 13},
+    ("als", "o1"): {"norm": 2},
+    ("als", "o3"): {"norm": 6},
+    ("als", "o4"): {"norm": 8},
 }
 
 
