@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tensor import DenseTensor, _exponent, add_scaled, inner, norm
+from .tensor import add_scaled, inner, norm
 
 
 class DivergenceKind(enum.Enum):
@@ -68,8 +68,8 @@ def distance(a, b, kind):
     """Proximity of A to B under the given kind; >= 0, and 0 iff A == B.
 
     KL requires A >= 0 and B >= 0; it returns math.inf when some entry has
-    a > 0 but b = 0.  The norm kinds scale A and B by one power of two, so
-    they are math.inf only when the norm exceeds the double range.
+    a > 0 but b = 0.  The norm kinds are math.inf, not an error, when the
+    norm of A - B exceeds the double range.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -81,10 +81,11 @@ def distance(a, b, kind):
         return generalized_kl(a.data, b.data)
     if not isinstance(kind, DivergenceKind):
         raise ValueError(f"unknown divergence kind {kind!r}")
-    e = _exponent((a.data, b.data))
-    diff = DenseTensor(a.shape, np.ldexp(a.data, -e) - np.ldexp(b.data, -e))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(norm(diff, kind.value.upper()), e))
+    try:
+        diff = add_scaled(a, b, 1.0, -1.0)
+    except ValueError:  # a - b overflows, so every norm of it does
+        return math.inf
+    return norm(diff, kind.value.upper())
 
 
 def kl_phi(a):

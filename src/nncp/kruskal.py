@@ -14,8 +14,8 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _exponent, _frozen, _integer, _json_array
-from .tensor import _json_document, _real, _shape, norm
+from .tensor import DenseTensor, _divided, _frozen, _integer, _json_array
+from .tensor import _json_document, _real, _scaled, _shape, _unscaled, norm
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
@@ -27,9 +27,7 @@ def _nonnegative(*arrays):
 
 def _unit_l1_columns(m):
     """True when every column of the matrix m has l1-norm 1 within 1e-12."""
-    e = _exponent(m, axis=0)
-    with np.errstate(over="ignore"):
-        sums = np.ldexp(np.sum(np.abs(np.ldexp(m, -e)), axis=0), e)
+    sums = _unscaled(*_scaled(m, lambda x: np.sum(np.abs(x), axis=0), axis=0))
     return bool(np.all(np.abs(sums - 1.0) <= 1e-12))
 
 
@@ -128,20 +126,16 @@ def reconstruct(model):
 def _rescale_columns(model, column_scales):
     """Divide each factor m by its column scales ``column_scales(m)`` and
     multiply them into delta, dropping components with a zero weight or a
-    zero scale.  Columns and weights are scaled by powers of two (see
-    tensor._exponent) until one last np.ldexp, so only a weight beyond the
-    double range has no finite normal form: ValueError, no numpy warning."""
+    zero scale.  Weights stay mantissas and exponents (tensor._scaled) up to one
+    last np.ldexp: only a weight beyond the double range raises ValueError."""
     delta, e = np.frexp(model.delta)
-    exps = [_exponent(m, axis=0) for m in model.factors]
-    mats = [np.ldexp(m, -em) for m, em in zip(model.factors, exps)]
-    scales = [column_scales(m) for m in mats]
-    keep = np.logical_and.reduce([delta != 0.0] + [s != 0.0 for s in scales])
-    delta, factors = delta[keep], []
-    for m, s in zip(mats, scales):
-        factors.append(m[:, keep] / s[keep])
-        delta = delta * s[keep]
-    with np.errstate(over="ignore"):
-        delta = np.ldexp(delta, (e + sum(exps))[keep])
+    parts = [_scaled(m, column_scales, axis=0) for m in model.factors]
+    keep = np.logical_and.reduce([delta != 0.0] + [s != 0.0 for s, _ in parts])
+    delta, e, factors = delta[keep], e[keep], []
+    for m, (s, em) in zip(model.factors, parts):
+        factors.append(_divided(m[:, keep], s[keep], em[keep]))
+        delta, e = delta * s[keep], e + em[keep]
+    delta = _unscaled(delta, e)
     if not np.isfinite(delta).all():
         raise ValueError("no finite normal form: a weight exceeds the double range")
     return KruskalModel(model.shape, delta, factors)
@@ -182,9 +176,7 @@ def delta_l1_equals_e_norm_check(model):
     """
     if not model.normalized:
         raise ValueError("check requires a normalized nonnegative model")
-    e = _exponent(model.delta)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.sum(np.ldexp(model.delta, -e)), e)), norm(reconstruct(model), "E")
+    return float(_unscaled(*_scaled(model.delta, np.sum))), norm(reconstruct(model), "E")
 
 
 class NaiveBayesModel:
@@ -228,12 +220,10 @@ def to_naive_bayes(model):
     """
     if not model.normalized:
         raise ValueError("to_naive_bayes requires a normalized nonnegative model")
-    # A power-of-two scale keeps the prior's bits and ||delta||_1 finite.
-    delta = np.ldexp(model.delta, -_exponent(model.delta))
-    total = float(np.sum(delta))
+    total, e = _scaled(model.delta, np.sum)
     if total <= 0.0:
         raise ValueError("model with ||delta||_1 = 0 carries no distribution")
-    return NaiveBayesModel(delta / total, list(model.factors))
+    return NaiveBayesModel(_divided(model.delta, total, e), list(model.factors))
 
 
 def random_model(shape, r, seed, nonneg=True, e_norm=1.0):

@@ -172,27 +172,39 @@ def add_scaled(a, b, lam, mu):
     return DenseTensor.from_array(out)
 
 
-def _exponent(x, axis=None):
-    """Binary exponent e of max|x| (reduced over ``axis`` if given; 0 for a
-    zero or empty x), so that np.ldexp(x, -e) has max|.| in [0.5, 1).  A reduction of
-    that, scaled back by np.ldexp(., e), is the plain one, bit for bit, unless
-    either over- or underflows, and is inf only beyond the double range."""
-    return np.frexp(np.maximum.reduce(np.abs(x), axis=axis, initial=0.0))[1]
+def _scaled(x, reduction, axis=None):
+    """(s, e): e is the binary exponent of max|x| (per ``axis``; 0 for a zero
+    or empty x) and s = reduction(np.ldexp(x, -e)).  The package's one range
+    rule: _unscaled(s, e) is the plain reduction, bit for bit unless that over-
+    or underflows, and inf only beyond the double range."""
+    e = np.frexp(np.maximum.reduce(np.abs(x), axis=axis, initial=0.0))[1]
+    return reduction(np.ldexp(x, -e)), e
+
+
+def _unscaled(s, e):
+    """np.ldexp(s, e), inf with no numpy warning beyond the double range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(s, e)
+
+
+def _divided(x, s, e):
+    """x / _unscaled(s, e) for s > 0 and |x| <= that, rounded once: a power of
+    two moves from the divisor to x just far enough to keep it a normal double."""
+    k = e + np.frexp(s)[1]
+    k = k - np.clip(k, -1021, 1024)
+    return np.ldexp(x, -k) / np.ldexp(s, e - k)
+
+
+_NORMS = {"E": np.add.reduce, "G": np.maximum.reduce,
+          "F": lambda x: np.sqrt(np.add.reduce(x * x))}
 
 
 def norm(a, kind):
-    """Entrywise norm: E = sum|.|, F = sqrt(sum .^2), G = max|.|, by the
-    exact scaling of :func:`_exponent`; inf only beyond the double range."""
+    """Entrywise norm: E = sum|.|, F = sqrt(sum .^2), G = max|.|, scaled by
+    :func:`_scaled`: 0 only for the zero tensor, inf only beyond the range."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
-    e = _exponent(a.data)
-    x = np.abs(np.ldexp(a.data, -e))
-    if kind == "G":
-        value = np.maximum.reduce(x)
-    else:
-        value = np.add.reduce(x) if kind == "E" else np.sqrt(np.add.reduce(x * x))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(value, e))
+    return float(_unscaled(*_scaled(np.abs(a.data), _NORMS[kind])))
 
 
 def inner(a, b):

@@ -66,6 +66,9 @@ def test_distance_norm_kinds_symmetric_kl_not():
         for other, value in [([-1e308, 0.0], math.inf), ([-5e307, 0.0], 1.5e308)]:
             assert distance(top, DenseTensor([2], other), kind) == value
             assert distance(DenseTensor([2], other), top, kind) == value
+        # A difference far below the largest entry is kept: 0 only if A == B.
+        for x, tiny in [(1.0, 5e-324), (1e300, 1e-300)]:
+            assert distance(DenseTensor([2], [x, tiny]), DenseTensor([2], [x, 0.0]), kind) == tiny
 
 
 def test_distance_infinite_on_unmatched_support():

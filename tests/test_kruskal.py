@@ -150,12 +150,15 @@ def test_rescale_without_a_finite_normal_form_raises_without_warning(delta, fact
         (normalize, [1e-300], [[[1e-300], [0.0]], [[1e308], [1e308]]], 2e-292,
          [[1.0, 0.0], [0.5, 0.5]]),
         (l2_normalize, [1.0], [[[1e-200], [0.0]]], 1e-200, [[1.0, 0.0]]),
+        (normalize, [1.0], [[[1.0], [5e-324]]], 1.0, [[1.0, 5e-324]]),
+        (l2_normalize, [1.0], [[[1.0], [5e-324]]], 1.0, [[1.0, 5e-324]]),
     ],
-    ids=["column-sum-overflows", "column-norm-underflows"],
+    ids=["column-sum-overflows", "column-norm-underflows", "l1-tiny-entry", "l2-tiny-entry"],
 )
 def test_rescale_reaches_a_finite_normal_form(rescale, delta, factors, weight, columns):
     # The plain column sum 2e308 overflows and the plain squared norm 1e-400
-    # underflows, but both normal forms are finite and nonzero.
+    # underflows, but both normal forms are finite and nonzero; an entry
+    # 1074 binades below its column's largest keeps its bits.
     out = rescale(KruskalModel([len(f) for f in factors], delta, factors))
     assert out.r == 1
     assert out.delta[0] == pytest.approx(weight, rel=1e-15)
@@ -261,6 +264,9 @@ def test_to_naive_bayes_prior_normalization():
     m = KruskalModel((2, 2), [2.0, 2.0], [half, half])
     nb = to_naive_bayes(m)
     assert nb.prior.tolist() == [0.5, 0.5]
+    # A weight 1074 binades below the largest keeps its bits in the prior.
+    m = KruskalModel((1,), [1.0, 5e-324], [[[1.0, 1.0]]])
+    assert to_naive_bayes(m).prior.tolist() == [1.0, 5e-324]
 
 
 def test_to_naive_bayes_prior_when_delta_l1_overflows():

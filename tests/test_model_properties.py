@@ -29,7 +29,7 @@ _SIGNED = st.one_of(
     st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False), _WIDE, _WIDE.map(lambda x: -x)
 )
 _DBL_MAX = Fraction(sys.float_info.max)
-_TINY = Fraction(2) ** -1074
+_HALF_ULP = Fraction(2) ** -1075  # half the smallest subnormal
 
 
 @st.composite
@@ -63,20 +63,33 @@ def models(draw):
     return KruskalModel(shape, delta, factors)
 
 
+def _close(w, x, power):
+    """|w - W| <= 1e-12 W + 2**-1075 for the exact value W = x**(1 / power):
+    one rounding on top of a relative error, so w and W share their support
+    wherever W rounds to a nonzero double."""
+    rel, w = Fraction(1e-12), Fraction(abs(w))
+    return (1 - rel) ** power * x <= (w + _HALF_ULP) ** power and max(
+        w - _HALF_ULP, 0
+    ) ** power <= (1 + rel) ** power * x
+
+
 def _check_normal_form(m, rescale, power):
     """``rescale(m)`` against exact arithmetic.  Component p survives when its
     weight and all its columns are nonzero; then |weight|**power is exactly
-    |delta_p|**power times, per mode, the sum of |c|**power over its column
-    c (power 1 for normalize, 2 for l2_normalize).  A weight above the float
-    maximum has no finite normal form; a draw within 1e-12 relative of that
-    boundary is too close to call."""
-    exact = []
+    |delta_p|**power times, per mode, the sum s of |c|**power over its column
+    c (power 1 for normalize, 2 for l2_normalize), and each factor entry's
+    |.|**power is |c|**power / s.  A weight above the float maximum has no
+    finite normal form; a draw within 1e-12 relative of that boundary is too
+    close to call."""
+    exact, entries = [], []
     for p, w in enumerate(m.delta.tolist()):
         cols = [f[:, p].tolist() for f in m.factors]
         if w != 0 and all(any(col) for col in cols):
             x = Fraction(abs(w)) ** power
             for col in cols:
-                x *= sum(Fraction(abs(c)) ** power for c in col)
+                s = sum(Fraction(abs(c)) ** power for c in col)
+                x *= s
+                entries.append([Fraction(abs(c)) ** power / s for c in col])
             exact.append(x)
     limit = _DBL_MAX**power
     if any(abs(x / limit - 1) <= power * Fraction(1e-12) for x in exact):
@@ -87,12 +100,11 @@ def _check_normal_form(m, rescale, power):
         return None
     out = rescale(m)
     assert out.r == len(exact)
-    # |w - W| <= 1e-12 W + 2**-1074 for the exact weight W = x**(1 / power).
-    rel = Fraction(1e-12)
-    for w, x in zip(out.delta.tolist(), exact):
-        w = Fraction(abs(w))
-        assert (1 - rel) ** power * x <= (w + _TINY) ** power
-        assert max(w - _TINY, 0) ** power <= (1 + rel) ** power * x
+    assert all(_close(w, x, power) for w, x in zip(out.delta.tolist(), exact))
+    # The factors column by column, in the order ``entries`` was filled.
+    cols = [f[:, p].tolist() for p in range(out.r) for f in out.factors]
+    for col, xs in zip(cols, entries, strict=True):
+        assert all(_close(c, x, power) for c, x in zip(col, xs, strict=True))
     return out
 
 
