@@ -31,7 +31,6 @@ from .kruskal import (
     write_model,
 )
 from .pathologies import (
-    BclrInstance,
     bclr_a_eps,
     bclr_limit,
     kl_counterexample,
@@ -60,7 +59,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "BclrInstance",
     "ContrastSummary",
     "DegeneracyReport",
     "DegeneracyThresholds",

@@ -70,8 +70,7 @@ def _cmd_decompose(args):
 
 def _cmd_pathology(args):
     if args.generator == "bclr":
-        inst = pathologies.BclrInstance(epsilon=args.epsilon, n=args.n)
-        tensor, components = pathologies.bclr_a_eps(inst)
+        tensor, components = pathologies.bclr_a_eps(args.epsilon, args.n)
         write_tensor(tensor, args.out)
         if args.components:
             write_model(components, args.components)

@@ -13,9 +13,9 @@ the value math.inf rather than an exception, because the interesting
 experiments walk straight toward it.
 
 One private evaluator, built once per target, computes D_KL for a stack of
-arrays.  It has three users: generalized_kl (and so distance) as its one-row
-case, and solvers.objective and the MU fits (fit_nncp, fit_seeds) as the KL
-loss on the reconstruction floored at solvers.KL_SOLVER_FLOOR.
+arrays.  It has three users: distance as its one-row case, and
+solvers.objective and the MU fits (fit_nncp, fit_seeds) as the KL loss on the
+reconstruction floored at solvers.KL_SOLVER_FLOOR.
 """
 
 import enum
@@ -31,19 +31,6 @@ class DivergenceKind(enum.Enum):
     F_NORM = "f"
     G_NORM = "g"
     KL = "kl"
-
-
-def generalized_kl(a, b):
-    """KL divergence of two nonnegative arrays.
-
-    Entries where a = 0 contribute b (the 0 log 0 convention); entries where
-    a > 0 and b = 0 make the result +inf.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if np.any(b[a > 0.0] == 0.0):
-        return math.inf
-    return _kl_rows(a)(b.reshape(1, -1))[0]
 
 
 def _kl_rows(a):
@@ -78,7 +65,10 @@ def distance(a, b, kind):
             raise ValueError("KL requires the first argument to be nonnegative")
         if np.any(b.data < 0):
             raise ValueError("KL requires the second argument to be nonnegative")
-        return generalized_kl(a.data, b.data)
+        # 0 log 0 = 0 where a = 0; +inf where a > 0 and b = 0.
+        if np.any(b.data[a.data > 0.0] == 0.0):
+            return math.inf
+        return _kl_rows(a.data)(b.data[None])[0]
     if not isinstance(kind, DivergenceKind):
         raise ValueError(f"unknown divergence kind {kind!r}")
     try:
@@ -89,12 +79,14 @@ def distance(a, b, kind):
 
 
 def kl_phi(a):
-    """Generator of the KL divergence: sum of a log a, with 0 log 0 = 0."""
+    """Generator of the KL divergence: sum of a log a, with 0 log 0 = 0; inf
+    beyond the double range (every term is >= -1/e, so never -inf)."""
     flat = a.data
     if np.any(flat < 0):
         raise ValueError("kl_phi requires a nonnegative tensor")
     pos = flat[flat > 0.0]
-    return float(np.sum(pos * np.log(pos)))
+    with np.errstate(over="ignore"):
+        return float(np.sum(pos * np.log(pos)))
 
 
 def bregman_from_phi(a, b, phi_a, phi_b, grad_phi_b):

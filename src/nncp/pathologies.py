@@ -14,12 +14,10 @@ Three families, all tiny and exactly representable:
   tensor attains.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .kruskal import KruskalModel
-from .tensor import DenseTensor, _frozen, _integer, _real, outer_product
+from .tensor import DenseTensor, _integer, _real, outer_product
 
 # Basis-vector index triples (1-based) of the six unit terms of the limit.
 _LIMIT_TERMS = [(1, 1, 1), (1, 3, 3), (2, 2, 1), (2, 4, 3), (3, 2, 2), (3, 4, 4)]
@@ -60,42 +58,8 @@ def _bclr_tables(eps):
     return [np.array(m, dtype=np.float64) for m in (u, v, w)], terms
 
 
-def _standard_basis(n):
-    return [np.eye(n)[:, i] for i in range(4)]
-
-
-@dataclass(frozen=True)
-class BclrInstance:
-    """Parameters of the border-rank construction: scale eps, ambient
-    dimension n, and the four basis vectors (standard basis by default)."""
-
-    epsilon: float
-    n: int = 4
-    basis: tuple = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-        object.__setattr__(self, "n", _integer(self.n, "n", least=4))
-        basis = self.basis
-        if basis is None:
-            basis = _standard_basis(self.n)
-        vecs = []
-        for i, v in enumerate(basis):
-            a = _frozen(v, f"basis vector {i}").reshape(-1)
-            if a.size != self.n:
-                raise ValueError(f"basis vector {i} must have length {self.n}")
-            vecs.append(a)
-        if len(vecs) != 4:
-            raise ValueError("exactly 4 basis vectors required")
-        if np.linalg.matrix_rank(np.column_stack(vecs)) != 4:
-            raise ValueError("basis vectors must be linearly independent")
-        object.__setattr__(self, "basis", tuple(v for v in vecs))
-
-
-def bclr_a_eps(inst):
-    """The rank-<=5 member A_eps, built twice.
+def bclr_a_eps(epsilon, n=4):
+    """The rank-<=5 member A_eps in dimension n, built twice.
 
     Returns (tensor, components): the tensor summed column-by-column from the
     coefficient matrices, and a 5-component model transcribed from the
@@ -103,10 +67,16 @@ def bclr_a_eps(inst):
     reconstructing the model must reproduce the tensor; tests use this as the
     construction's self-oracle.
     """
-    basis = np.column_stack(inst.basis)  # n x 4
-    (u, v, w), terms = _bclr_tables(inst.epsilon)
+    epsilon = _real(epsilon, "epsilon")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be > 0")
+    if np.isinf(1.0 / epsilon):
+        raise ValueError("epsilon too small for a float reciprocal")
+    n = _integer(n, "n", least=4)
+    basis = np.eye(n)[:, :4]
+    (u, v, w), terms = _bclr_tables(epsilon)
 
-    total = np.zeros((inst.n,) * 3)
+    total = np.zeros((n,) * 3)
     for j in range(5):
         vecs = [basis @ u[:, j], basis @ v[:, j], basis @ w[:, j]]
         total = total + outer_product(vecs).as_array()
@@ -118,20 +88,18 @@ def bclr_a_eps(inst):
             coeffs = np.array(term[mode], dtype=np.float64)
             cols[mode].append(basis @ coeffs)
     factors = [np.column_stack(c) for c in cols]
-    components = KruskalModel((inst.n,) * 3, np.ones(5), factors)
+    components = KruskalModel((n,) * 3, np.ones(5), factors)
     return tensor, components
 
 
-def bclr_limit(n=4, basis=None):
-    """The eps -> 0 limit: six unit rank-1 terms over the basis vectors.
-
-    With the standard basis this is a 0/1 tensor with exactly six unit
-    entries and E-norm 6; its rank exceeds 5, so rank-5 fits cannot reach it.
-    """
-    inst = BclrInstance(epsilon=1.0, n=n, basis=basis)
-    total = np.zeros((inst.n,) * 3)
+def bclr_limit(n=4):
+    """The eps -> 0 limit in dimension n: a 0/1 tensor with six unit entries,
+    E-norm 6 and rank > 5, so rank-5 fits cannot reach it."""
+    n = _integer(n, "n", least=4)
+    basis = np.eye(n)[:, :4]
+    total = np.zeros((n,) * 3)
     for i, j, k in _LIMIT_TERMS:
-        vecs = [inst.basis[i - 1], inst.basis[j - 1], inst.basis[k - 1]]
+        vecs = [basis[:, i - 1], basis[:, j - 1], basis[:, k - 1]]
         total = total + outer_product(vecs).as_array()
     return DenseTensor.from_array(total)
 

@@ -155,8 +155,11 @@ def outer_product(vectors):
             raise ValueError(f"vector {i} is empty")
         arrs.append(a)
     out = arrs[0]
-    for a in arrs[1:]:
-        out = np.multiply.outer(out, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in arrs[1:]:
+            out = np.multiply.outer(out, a)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the outer product is not finite")
     return DenseTensor.from_array(out)
 
 
@@ -208,10 +211,16 @@ def norm(a, kind):
 
 
 def inner(a, b):
-    """Euclidean inner product; inner(A, A) == norm(A, 'F')**2."""
+    """Euclidean inner product; inner(A, A) == norm(A, 'F')**2.  A plain sum
+    that leaves the double range is redone on :func:`_scaled` operands: never NaN."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a.data * b.data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sum(a.data * b.data)
+    if np.isfinite(s):
+        return float(s)
+    (x, e), (y, f) = _scaled(a.data, np.positive), _scaled(b.data, np.positive)
+    return float(_unscaled(np.sum(x * y), e + f))
 
 
 # --- tensor file format -----------------------------------------------------

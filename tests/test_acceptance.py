@@ -15,7 +15,7 @@ import pytest
 from nncp.diagnostics import run_contrast_experiment
 from nncp.divergence import DivergenceKind, distance
 from nncp.kruskal import KruskalModel, normalize, random_model, reconstruct
-from nncp.pathologies import BclrInstance, bclr_a_eps, bclr_limit, kl_counterexample, w_sequence
+from nncp.pathologies import bclr_a_eps, bclr_limit, kl_counterexample, w_sequence
 from nncp.solvers import FitConfig, Loss, fit_cp_unconstrained, fit_nncp
 from nncp.tensor import add_scaled, inner, norm, outer_product
 
@@ -179,14 +179,14 @@ def test_criterion_03_simplex_normalization():
 def test_criterion_04_bclr_self_consistency(bclr):
     t0 = time.perf_counter()
     for eps in (1.0, 0.5, 0.1, 1e-2, 1e-3):
-        tensor, components = bclr_a_eps(BclrInstance(epsilon=eps))
+        tensor, components = bclr_a_eps(eps)
         recon = reconstruct(components)
         assert np.max(np.abs(tensor.as_array() - recon.as_array())) <= 1e-12
 
     eps_grid = (1e-1, 1e-2, 1e-3, 1e-4)
     gaps, summands = [], []
     for eps in eps_grid:
-        tensor, components = bclr_a_eps(BclrInstance(epsilon=eps))
+        tensor, components = bclr_a_eps(eps)
         gaps.append(distance(tensor, bclr, DivergenceKind.G_NORM))
         comp_f = [
             abs(components.delta[p])
@@ -206,7 +206,7 @@ def test_criterion_04_bclr_self_consistency(bclr):
 
 def test_criterion_05_rank5_witness():
     for eps in (1.0, 0.1, 0.01):
-        tensor, components = bclr_a_eps(BclrInstance(epsilon=eps))
+        tensor, components = bclr_a_eps(eps)
         assert components.r == 5
         recon = reconstruct(components)
         assert np.max(np.abs(tensor.as_array() - recon.as_array())) <= 1e-12

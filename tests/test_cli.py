@@ -60,6 +60,10 @@ def test_pathology_index_too_large_for_a_float(tmp_path, capsys):
     assert "error: sequence index too large" in capsys.readouterr().err
     assert run(["pathology", "kl-example", "--n", huge]) == 1
     assert "error: n too large" in capsys.readouterr().err
+    assert run(["pathology", "bclr", "--epsilon", 1e200, "--out", tmp_path / "a.json"]) == 1
+    assert capsys.readouterr().err == "error: the outer product is not finite\n"
+    assert run(["pathology", "bclr", "--epsilon", 1e-310, "--out", tmp_path / "a.json"]) == 1
+    assert "error: epsilon too small" in capsys.readouterr().err
 
 
 def test_divergence_identity(tmp_path, capsys):

@@ -119,6 +119,9 @@ def test_kl_phi_examples():
     uniform = DenseTensor([2, 2, 2], [0.125] * 8)
     assert kl_phi(uniform) == pytest.approx(-math.log(8), rel=1e-14)
 
+    # Each term 1e308 * log(1e308) exceeds the double range.
+    assert kl_phi(DenseTensor([2], [1e308, 1e308])) == math.inf
+
     with pytest.raises(ValueError):
         kl_phi(DenseTensor([2], [-1.0, 1.0]))
 

@@ -1,66 +1,66 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from nncp.divergence import DivergenceKind, distance
-from nncp.kruskal import l2_normalize, reconstruct
+from nncp.kruskal import l2_normalize, model_to_json, reconstruct
 from nncp.pathologies import (
-    BclrInstance,
     bclr_a_eps,
     bclr_limit,
     kl_counterexample,
     w_sequence,
 )
-from nncp.tensor import add_scaled, norm
+from nncp.tensor import add_scaled, norm, tensor_to_json
 
 EPS_GRID = (1.0, 0.5, 0.1, 1e-2, 1e-3)
 
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        BclrInstance(epsilon=0.0)
+        bclr_a_eps(0.0)
     with pytest.raises(ValueError):
-        BclrInstance(epsilon=-1.0)
+        bclr_a_eps(-1.0)
     with pytest.raises(ValueError):
-        BclrInstance(epsilon=1.0, n=3)
-    dependent = [np.eye(5)[:, 0], np.eye(5)[:, 1], np.eye(5)[:, 2], np.eye(5)[:, 0]]
+        bclr_a_eps(1.0, 3)
     with pytest.raises(ValueError):
-        BclrInstance(epsilon=1.0, n=5, basis=dependent)
-    with pytest.raises(ValueError):
-        BclrInstance(epsilon=1.0, n=4, basis=[np.ones(3)] * 4)
-    with pytest.raises(ValueError, match="exactly 4 basis vectors"):
-        BclrInstance(epsilon=1.0, basis=[np.eye(4)[:, i] for i in range(3)])
-    nan_basis = [np.eye(4)[:, i] for i in range(4)]
-    nan_basis[2] = np.array([0.0, np.nan, 1.0, 0.0])
-    with pytest.raises(ValueError, match="NaN or Inf"):  # not an SVD failure
-        BclrInstance(epsilon=1.0, basis=nan_basis)
-    # The instance owns its basis: overwriting the caller's vectors after
-    # validation cannot make it dependent.
-    basis = [np.eye(4)[:, i].copy() for i in range(4)]
-    inst = BclrInstance(epsilon=1.0, basis=basis)
-    basis[3][:] = basis[0]
-    assert np.column_stack(inst.basis).tolist() == np.eye(4).tolist()
-    assert not any(v.flags.writeable for v in inst.basis)
+        bclr_limit(3)
+    assert bclr_a_eps(2.0**-1023)[0].shape == (4, 4, 4)
+    with pytest.raises(ValueError, match="epsilon too small for a float reciprocal"):
+        bclr_a_eps(1e-310)
+
+
+def test_generators_keep_their_bits():
+    # sha256 over tensor_to_json + model_to_json of A_eps for every eps in
+    # EPS_GRID at n = 4 and 6, then tensor_to_json of the limit at n = 4 and 6.
+    h = hashlib.sha256()
+    for n in (4, 6):
+        for eps in EPS_GRID:
+            tensor, components = bclr_a_eps(eps, n)
+            h.update((tensor_to_json(tensor) + model_to_json(components)).encode())
+    for n in (4, 6):
+        h.update(tensor_to_json(bclr_limit(n)).encode())
+    assert h.hexdigest() == "e37d9807c20f6f19c14151035c4a65c4c626486a7af5e150b131de1c9acea999"
 
 
 def test_dual_construction_agreement():
     for eps in EPS_GRID:
-        tensor, components = bclr_a_eps(BclrInstance(epsilon=eps))
+        tensor, components = bclr_a_eps(eps)
         assert components.r == 5
         recon = reconstruct(components)
         assert np.max(np.abs(tensor.as_array() - recon.as_array())) <= 1e-12
 
 
 def test_dual_construction_agreement_padded_dimension():
-    tensor, components = bclr_a_eps(BclrInstance(epsilon=0.3, n=6))
+    tensor, components = bclr_a_eps(0.3, 6)
     assert tensor.shape == (6, 6, 6)
     recon = reconstruct(components)
     assert np.max(np.abs(tensor.as_array() - recon.as_array())) <= 1e-12
 
 
 def test_a_eps_has_negative_entries():
-    tensor, _ = bclr_a_eps(BclrInstance(epsilon=0.5))
+    tensor, _ = bclr_a_eps(0.5)
     assert float(np.min(tensor.as_array())) < 0.0
 
 
@@ -82,7 +82,7 @@ def test_a_eps_converges_to_limit():
     a = bclr_limit(4)
     g_prev = None
     for eps in (1e-1, 1e-2, 1e-3):
-        tensor, _ = bclr_a_eps(BclrInstance(epsilon=eps))
+        tensor, _ = bclr_a_eps(eps)
         g = distance(tensor, a, DivergenceKind.G_NORM)
         if g_prev is not None:
             assert g < g_prev
@@ -95,7 +95,7 @@ def test_convergence_rate_is_linear_in_eps():
     eps_values = (1e-1, 1e-2, 1e-3, 1e-4)
     gaps = []
     for eps in eps_values:
-        tensor, _ = bclr_a_eps(BclrInstance(epsilon=eps))
+        tensor, _ = bclr_a_eps(eps)
         gaps.append(distance(tensor, a, DivergenceKind.G_NORM))
     slope = np.polyfit(np.log(eps_values), np.log(gaps), 1)[0]
     assert 0.8 <= slope <= 1.2
@@ -105,7 +105,7 @@ def test_gap_bounded_by_slope_estimate():
     a = bclr_limit(4)
 
     def gap(eps):
-        tensor, _ = bclr_a_eps(BclrInstance(epsilon=eps))
+        tensor, _ = bclr_a_eps(eps)
         return distance(tensor, a, DivergenceKind.G_NORM)
 
     c = max(gap(1e-1) / 1e-1, gap(1e-2) / 1e-2) * 1.05
@@ -115,7 +115,7 @@ def test_gap_bounded_by_slope_estimate():
 def test_summand_blowup_rate():
     sizes = {}
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        _, components = bclr_a_eps(BclrInstance(epsilon=eps))
+        _, components = bclr_a_eps(eps)
         sizes[eps] = float(np.max(np.abs(l2_normalize(components).delta)))
     slope = np.polyfit(np.log(list(sizes)), np.log(list(sizes.values())), 1)[0]
     assert -1.2 <= slope <= -0.8

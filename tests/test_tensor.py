@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nncp.kruskal import KruskalModel, model_from_json, random_model
-from nncp.pathologies import BclrInstance, bclr_limit, kl_counterexample, w_sequence
+from nncp.pathologies import bclr_a_eps, bclr_limit, kl_counterexample, w_sequence
 from nncp.solvers import FitConfig
 from nncp.tensor import (
     DenseTensor,
@@ -116,6 +116,8 @@ def test_outer_product_errors():
         outer_product([])
     with pytest.raises(ValueError):
         outer_product([[1, 2], []])
+    with pytest.raises(ValueError, match="the outer product is not finite"):
+        outer_product([[1e200, 1.0], [1e200, 0.0]])
 
 
 def test_add_scaled_examples():
@@ -200,6 +202,12 @@ def test_inner_examples():
     left = DenseTensor([4], [1, 2, 0, 0])
     right = DenseTensor([4], [0, 0, 3, 4])
     assert inner(left, right) == 0.0
+
+    # Products beyond the double range: inf only when the sum is, never NaN.
+    big = DenseTensor([1], [1e200])
+    assert inner(big, big) == math.inf
+    assert inner(DenseTensor([2], [1e200, -1e200]), DenseTensor([2], [1e200, 1e200])) == 0.0
+    assert inner(DenseTensor([2], [1e308, 1e-300]), DenseTensor([2], [-1e308, 1e300])) == -math.inf
 
 
 def test_inner_matches_brute_force_and_symmetry():
@@ -316,9 +324,9 @@ _REJECTED = {
     "random_model-e_norm": (lambda: random_model((3, 4), 2, 0, e_norm=math.nan), "e_norm must be"),
     "w_sequence": (lambda: w_sequence([2.5]), "sequence index must be an integer"),
     "kl_counterexample": (lambda: kl_counterexample(2.5), "n must be an integer"),
-    "BclrInstance-n": (lambda: BclrInstance(epsilon=1.0, n=4.5), "n must be an integer"),
+    "bclr_a_eps-n": (lambda: bclr_a_eps(1.0, 4.5), "n must be an integer"),
     "bclr_limit": (lambda: bclr_limit(4.5), "n must be an integer"),
-    "BclrInstance-epsilon": (lambda: BclrInstance(epsilon=math.inf), "epsilon must be finite"),
+    "bclr_a_eps-epsilon": (lambda: bclr_a_eps(math.inf), "epsilon must be finite"),
     "FitConfig-tol-str": (lambda: FitConfig(rank=1, tol="1e-9"), "tol must be a real number"),
     "FitConfig-tol-True": (lambda: FitConfig(rank=1, tol=True), "tol must be a real number"),
     "FitConfig-reg_rho": (lambda: FitConfig(rank=1, reg_rho=True), "reg_rho must be a real"),
