@@ -13,13 +13,14 @@ iterate respected the coercivity cap that nonnegative fits must obey
 import collections
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
 from .solvers import FitConfig, coercivity_bound, fit_seeds
-from .tensor import _real, norm
+from .tensor import _csv_text, _real, _write_text, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
 # wraps these module attributes.
@@ -89,8 +90,7 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     return DegeneracyReport(verdict, evidence, blowup, trend)
 
 
-@dataclass(frozen=True)
-class ContrastRow:
+class ContrastRow(NamedTuple):  # one fit; every field but error is a CSV column
     seed: int
     family: str  # nonneg | unconstrained
     verdict: str
@@ -101,7 +101,7 @@ class ContrastRow:
     error: str = ""
 
 
-SUMMARY_HEADER = "seed,family,verdict,final_residual_E,final_residual_F,blowup_ratio,iters"
+SUMMARY_HEADER = ",".join(ContrastRow._fields[:-1])
 
 
 @dataclass
@@ -113,17 +113,10 @@ class ContrastSummary:
         return collections.Counter(r.verdict for r in self.rows if r.family == family)
 
     def to_csv(self):
-        lines = [SUMMARY_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.seed},{r.family},{r.verdict},{r.final_residual_E!r},"
-                f"{r.final_residual_F!r},{r.blowup_ratio!r},{r.iters}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(SUMMARY_HEADER, (r[:-1] for r in self.rows))
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        _write_text(path, self.to_csv())
 
 
 def _contrast_row(a, a_norms, seed, family, result, thresholds):
@@ -133,30 +126,14 @@ def _contrast_row(a, a_norms, seed, family, result, thresholds):
     if not isinstance(result, Exception):
         try:
             report = detect_degeneracy(result.trace, a_norms, thresholds)
-            model_recon = reconstruct(result.model)
-            row = ContrastRow(
-                seed=seed,
-                family=family,
-                verdict=report.verdict,
-                final_residual_E=distance(a, model_recon, DivergenceKind.E_NORM),
-                final_residual_F=distance(a, model_recon, DivergenceKind.F_NORM),
-                blowup_ratio=report.blowup_ratio,
-                iters=result.trace.rows[-1].iter,
-            )
+            x = reconstruct(result.model)
+            res = [distance(a, x, kind) for kind in (DivergenceKind.E_NORM, DivergenceKind.F_NORM)]
+            row = ContrastRow(seed, family, report.verdict, *res, report.blowup_ratio,
+                              result.trace.rows[-1].iter)
             return row, report
         except Exception as exc:  # propagate per seed without killing the sweep
             error = exc
-    row = ContrastRow(
-        seed=seed,
-        family=family,
-        verdict="ERROR",
-        final_residual_E=math.nan,
-        final_residual_F=math.nan,
-        blowup_ratio=math.nan,
-        iters=0,
-        error=str(error),
-    )
-    return row, None
+    return ContrastRow(seed, family, "ERROR", math.nan, math.nan, math.nan, 0, str(error)), None
 
 
 def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):

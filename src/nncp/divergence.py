@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tensor import add_scaled, inner, norm
+from .tensor import _real, _scaled, _unscaled, add_scaled, inner, norm
 
 
 class DivergenceKind(enum.Enum):
@@ -55,8 +55,8 @@ def distance(a, b, kind):
     """Proximity of A to B under the given kind; >= 0, and 0 iff A == B.
 
     KL requires A >= 0 and B >= 0; it returns math.inf when some entry has
-    a > 0 but b = 0.  The norm kinds are math.inf, not an error, when the
-    norm of A - B exceeds the double range.
+    a > 0 but b = 0.  Every kind is math.inf, not an error, when the value
+    exceeds the double range.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -68,7 +68,12 @@ def distance(a, b, kind):
         # 0 log 0 = 0 where a = 0; +inf where a > 0 and b = 0.
         if np.any(b.data[a.data > 0.0] == 0.0):
             return math.inf
-        return _kl_rows(a.data)(b.data[None])[0]
+        with np.errstate(all="ignore"):  # inf where a scaled entry of b underflows
+            d = _kl_rows(a.data)(b.data[None])[0]
+            if not math.isfinite(d):  # a sum left the range; D_KL(ca, cb) = c D_KL(a, b)
+                pair = np.stack([a.data, b.data])
+                d = _unscaled(*_scaled(pair, lambda x: _kl_rows(x[0])(x[1:])[0]))
+        return float(d)
     if not isinstance(kind, DivergenceKind):
         raise ValueError(f"unknown divergence kind {kind!r}")
     try:
@@ -95,6 +100,7 @@ def bregman_from_phi(a, b, phi_a, phi_b, grad_phi_b):
     The caller supplies the generator values and the gradient at B (as a
     tensor).  With the KL generator this reproduces distance(A, B, KL); with
     phi = 0.5 ||.||_F^2 (gradient B) it gives half the squared F-distance.
+    phi_a and phi_b must be finite reals, and a form that is not finite raises.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -102,4 +108,8 @@ def bregman_from_phi(a, b, phi_a, phi_b, grad_phi_b):
         raise ValueError(
             f"gradient shape {grad_phi_b.shape} does not match {b.shape}"
         )
-    return float(phi_a) - float(phi_b) - inner(grad_phi_b, add_scaled(a, b, 1.0, -1.0))
+    d = _real(phi_a, "phi_a") - _real(phi_b, "phi_b")
+    d -= inner(grad_phi_b, add_scaled(a, b, 1.0, -1.0))
+    if not math.isfinite(d):
+        raise ValueError("the Bregman form is not finite")
+    return d

@@ -14,8 +14,8 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _divided, _frozen, _integer, _json_array
-from .tensor import _json_document, _real, _scaled, _shape, _unscaled, norm
+from .tensor import DenseTensor, _divided, _frozen, _integer, _json_array, _json_document
+from .tensor import _read_text, _real, _scaled, _shape, _unscaled, _write_text, norm
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
@@ -116,8 +116,6 @@ def _einsum_spec(k, mode=None, weighted=False):
 
 def reconstruct(model):
     """Dense tensor sum_p delta_p * (outer product of factor columns p)."""
-    if model.r == 0:
-        return DenseTensor.zeros(model.shape)
     spec = _einsum_spec(model.order, weighted=True)
     out = np.einsum(spec, model.delta, *model.factors)
     return DenseTensor.from_array(out)
@@ -278,11 +276,8 @@ def model_from_json(text):
 
 
 def write_model(model, path):
-    with open(path, "w") as fh:
-        fh.write(model_to_json(model))
-        fh.write("\n")
+    _write_text(path, model_to_json(model) + "\n")
 
 
 def read_model(path):
-    with open(path) as fh:
-        return model_from_json(fh.read())
+    return model_from_json(_read_text(path))

@@ -58,18 +58,18 @@ Both denominators are floored at 1e-12; each mode update majorizes its block
 subproblem, so full sweeps decrease the loss (to floor-level slack).
 """
 
-import collections
 import enum
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _einsum_spec, _nonnegative
-from .tensor import _integer, _real, norm
+from .tensor import _csv_text, _integer, _real, _write_text, norm
 
 # Absolute floors: on the MU denominators, the ALS ridge, and the
 # reconstruction inside the solver's KL loss and KL update, where it keeps the
@@ -121,8 +121,7 @@ def _check_finite_nonneg(name, value, loss=Loss.FROBENIUS):
         raise ValueError(f"{name} > 0 requires the Frobenius loss")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
+class TraceRow(NamedTuple):  # one traced iterate; the fields are the CSV columns
     iter: int
     objective: float
     delta_l1: float
@@ -130,7 +129,7 @@ class TraceRow:
     residual_E: float
 
 
-TRACE_HEADER = "iter,objective,delta_l1,max_component_F,residual_E"
+TRACE_HEADER = ",".join(TraceRow._fields)
 
 
 class FitTrace:
@@ -158,17 +157,10 @@ class FitTrace:
         return iter(self.rows)
 
     def to_csv(self):
-        lines = [TRACE_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.iter},{r.objective!r},{r.delta_l1!r},"
-                f"{r.max_component_F!r},{r.residual_E!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(TRACE_HEADER, self.rows)
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        _write_text(path, self.to_csv())
 
 
 @dataclass
@@ -320,8 +312,7 @@ def fit_seeds(a, cfg, seeds):
     factors = [np.stack(stack) for stack in zip(*starts)]
     stats = [_factor_stat(f, kl) for f in factors]
     traces = [FitTrace() for _ in slots]
-    # The objectives of each entry's last STOP_WINDOW iterations.
-    windows = [collections.deque(maxlen=STOP_WINDOW) for _ in slots]
+    window = []  # the objective lists of the last STOP_WINDOW iterations, if tol > 0
     ended = {}  # stack entry -> its FitResult or exception
 
     def retire():
@@ -330,7 +321,7 @@ def fit_seeds(a, cfg, seeds):
         for j, res in ended.items():
             out[slots[j]] = res
         keep = [j for j in range(len(slots)) if j not in ended]
-        for entries in (slots, traces, windows):
+        for entries in (slots, traces, *window):
             entries[:] = [entries[j] for j in keep]
         factors[:] = [f[keep] for f in factors]
         stats[:] = [st[keep] for st in stats]
@@ -352,31 +343,30 @@ def fit_seeds(a, cfg, seeds):
         objs = loss(xhat, resid, factors)
         last = it == cfg.max_iters
         traced = last or it % cfg.trace_every == 0
+        # Relative decrease over the trailing window; a full window starts
+        # with the objectives of iteration it - STOP_WINDOW.
+        stops = [False] * len(objs)
+        if cfg.tol > 0:
+            if len(window) == STOP_WINDOW:
+                ref = window.pop(0)
+                stops = [(r - o) / max(abs(r), 1e-300) < cfg.tol for r, o in zip(ref, objs)]
+            window.append(objs)
         rows = None
-        for j, (obj, window) in enumerate(zip(objs, windows)):
-            # Relative decrease over the trailing window; a full window
-            # starts with the objective of iteration it - STOP_WINDOW.
-            stop = False
-            if cfg.tol > 0 and len(window) == STOP_WINDOW:
-                ref = window[0]
-                stop = (ref - obj) / max(abs(ref), 1e-300) < cfg.tol
-            window.append(obj)
-            if not (traced or stop):
-                continue
+        for j in range(len(objs)) if traced else [j for j, s in enumerate(stops) if s]:
             if rows is None:
                 quantities = _trace_quantities(resid, factors, cfg.nonneg, kl and stats)
                 rows = list(zip(*(q.tolist() for q in quantities)))
             res_e, dl1, cmax = rows[j]
             try:
-                traces[j].append(TraceRow(it, obj, dl1, cmax, res_e))
+                traces[j].append(TraceRow(it, objs[j], dl1, cmax, res_e))
                 if cfg.nonneg and dl1 > coercivity_bound(a_e, res_e):
                     raise RuntimeError(
                         f"coercivity bound violated at iteration {it}: {dl1} > {a_e + res_e}"
                     )
-                if stop or last:
+                if stops[j] or last:
                     raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
                     model = _sort_by_weight(rescale(raw))
-                    ended[j] = FitResult(model, traces[j], converged=stop, final_objective=obj)
+                    ended[j] = FitResult(model, traces[j], stops[j], objs[j])
             except Exception as exc:
                 ended[j] = exc
         if ended:

@@ -223,10 +223,26 @@ def inner(a, b):
     return float(_unscaled(np.sum(x * y), e + f))
 
 
-# --- tensor file format -----------------------------------------------------
+# --- file formats ------------------------------------------------------------
 #
-# JSON document {"shape": [...], "data": [...]} with data row-major.  Floats
-# are emitted with shortest round-trip precision, so write/read is bit-exact.
+# Tensors are JSON {"shape": [...], "data": [...]} with data row-major, traces
+# and summaries CSV; floats are their shortest round-trip repr (bit-exact).
+
+
+def _csv_text(header, rows):
+    """``header``, then one line of str(value)s per row (numpy scalars too)."""
+    line = ",".join(["%s"] * (header.count(",") + 1))
+    return "\n".join([header, *(line % tuple(row) for row in rows)]) + "\n"
+
+
+def _write_text(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _read_text(path):
+    with open(path) as fh:
+        return fh.read()
 
 
 def _json_array(value, what, ndim=1, integral=False):
@@ -275,11 +291,8 @@ def tensor_from_json(text):
 
 
 def write_tensor(a, path):
-    with open(path, "w") as fh:
-        fh.write(tensor_to_json(a))
-        fh.write("\n")
+    _write_text(path, tensor_to_json(a) + "\n")
 
 
 def read_tensor(path):
-    with open(path) as fh:
-        return tensor_from_json(fh.read())
+    return tensor_from_json(_read_text(path))

@@ -6,6 +6,7 @@ import pytest
 from nncp import solvers
 from nncp.diagnostics import (
     SUMMARY_HEADER,
+    ContrastRow,
     DegeneracyThresholds,
     detect_degeneracy,
     run_contrast_experiment,
@@ -233,6 +234,9 @@ def test_contrast_without_seeds_is_empty():
     summary = run_contrast_experiment(a, rank=2, seeds=[])
     assert summary.rows == [] and summary.reports == {}
     assert summary.to_csv() == SUMMARY_HEADER + "\n"
+    # A numpy scalar prints as a plain number; the error is not a column.
+    summary.rows.append(ContrastRow(3, "nonneg", "BOUNDED", np.float64(0.5), 0.25, 1.0, 9, "x"))
+    assert summary.to_csv() == SUMMARY_HEADER + "\n3,nonneg,BOUNDED,0.5,0.25,1.0,9\n"
 
 
 def test_contrast_nonfinite_seed_is_the_only_error(monkeypatch):

@@ -20,6 +20,10 @@ def test_distance_identity_kl():
     for seed in range(5):
         a = positive_tensor(seed)
         assert distance(a, a, KL) <= 1e-12
+    # sum(a) overflows a double; D_KL(a, b) does not.
+    top = DenseTensor([2], [1e308, 1e308])
+    assert distance(top, top, KL) == 0.0
+    assert distance(top, DenseTensor([2], [1e308, 5e307]), KL) == 1.9314718055994544e307
 
 
 def test_kl_boundary_pair_value():
@@ -150,6 +154,13 @@ def test_bregman_zero_at_equal_arguments():
     a = positive_tensor(3)
     grad = DenseTensor.from_array(1.0 + np.log(a.as_array()))
     assert bregman_from_phi(a, a, kl_phi(a), kl_phi(a), grad) == 0.0
+    # Beyond the double range phi is inf, and inf - inf is never returned.
+    top = DenseTensor([2], [1e308, 1e308])
+    grad = DenseTensor.from_array(1.0 + np.log(top.as_array()))
+    with pytest.raises(ValueError, match="phi_a must be finite"):
+        bregman_from_phi(top, top, kl_phi(top), kl_phi(top), grad)
+    with pytest.raises(ValueError, match="the Bregman form is not finite"):
+        bregman_from_phi(top, top, 1e308, -1e308, grad)
 
 
 def test_bregman_shape_errors():

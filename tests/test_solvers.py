@@ -98,12 +98,12 @@ def test_trace_invariants():
         trace.append(TraceRow(0, 4.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         trace.append(TraceRow(1, math.inf, 1.0, 1.0, 1.0))
-    trace.append(TraceRow(1, 4.0, 1.0, 1.0, 1.0))
+    # numpy scalars print as plain numbers, as Python floats do
+    trace.append(TraceRow(np.int64(1), np.float64(4.0), *np.ones(3)))
     csv = trace.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == TRACE_HEADER
-    assert len(lines) == 3
-    assert lines[1].startswith("0,5.0,")
+    assert lines[1:] == ["0,5.0,1.0,1.0,1.0", "1,4.0,1.0,1.0,1.0"]
 
 
 # --- objective ----------------------------------------------------------------

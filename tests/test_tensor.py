@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nncp.divergence import bregman_from_phi
 from nncp.kruskal import KruskalModel, model_from_json, random_model
 from nncp.pathologies import bclr_a_eps, bclr_limit, kl_counterexample, w_sequence
 from nncp.solvers import FitConfig
@@ -331,6 +332,7 @@ _REJECTED = {
     "FitConfig-tol-True": (lambda: FitConfig(rank=1, tol=True), "tol must be a real number"),
     "FitConfig-reg_rho": (lambda: FitConfig(rank=1, reg_rho=True), "reg_rho must be a real"),
     "add_scaled-lam": (lambda: add_scaled(_T2, _T2, "2", 1), "lam must be a real number"),
+    "bregman-phi_b": (lambda: bregman_from_phi(_T2, _T2, 0.0, True, _T2), "phi_b must be a real"),
 }
 
 
