@@ -15,7 +15,8 @@ experiments walk straight toward it.
 One private evaluator, built once per target, computes D_KL for a stack of
 arrays.  It has three users: distance as its one-row case, and
 solvers.objective and the MU fits (fit_nncp, fit_seeds) as the KL loss on the
-reconstruction floored at solvers.KL_SOLVER_FLOOR.
+reconstruction floored at solvers.KL_SOLVER_FLOOR.  Where sum(a) or sum(b)
+leaves the double range, distance sums the terms of D_KL one by one instead.
 """
 
 import enum
@@ -23,7 +24,10 @@ import math
 
 import numpy as np
 
-from .tensor import _real, _scaled, _unscaled, add_scaled, inner, norm
+from .tensor import _real, _scaled, add_scaled, inner, norm
+
+
+_TINY = math.ldexp(1.0, -1022)  # the smallest normal double
 
 
 class DivergenceKind(enum.Enum):
@@ -51,6 +55,24 @@ def _kl_rows(a):
     return rows
 
 
+def _kl_termwise(a, b):
+    """D_KL(a, b) as the sum of its terms a log(a/b) - a + b, for b > 0 on
+    the support of a: the value where sum(a) or sum(b) leaves the range.
+    Each term is >= 0, so the sum exceeds the range only where D_KL does,
+    and the terms are halved so that a log(a/b) stays finite wherever its
+    term is; b - a cannot overflow.  The logs are of the pair scaled by the
+    power of two of its largest entry, or, where that scaling leaves an
+    entry subnormal, of the entries themselves."""
+    pair = np.stack([a, b])
+    scaled = _scaled(pair, lambda x: x)[0]
+    pos = a > 0.0
+    logs = np.log(np.where(np.minimum.reduce(scaled) >= _TINY, scaled, pair)[:, pos])
+    half = np.ldexp(b - a, -1)
+    with np.errstate(over="ignore"):
+        half[pos] += np.ldexp(a[pos], -1) * (logs[0] - logs[1])
+        return float(2.0 * np.add.reduce(half))
+
+
 def distance(a, b, kind):
     """Proximity of A to B under the given kind; >= 0, and 0 iff A == B.
 
@@ -68,12 +90,11 @@ def distance(a, b, kind):
         # 0 log 0 = 0 where a = 0; +inf where a > 0 and b = 0.
         if np.any(b.data[a.data > 0.0] == 0.0):
             return math.inf
-        with np.errstate(all="ignore"):  # inf where a scaled entry of b underflows
+        with np.errstate(all="ignore"):
             d = _kl_rows(a.data)(b.data[None])[0]
-            if not math.isfinite(d):  # a sum left the range; D_KL(ca, cb) = c D_KL(a, b)
-                pair = np.stack([a.data, b.data])
-                d = _unscaled(*_scaled(pair, lambda x: _kl_rows(x[0])(x[1:])[0]))
-        return float(d)
+        if not math.isfinite(d):  # sum(a) or sum(b) left the range
+            d = _kl_termwise(a.data, b.data)
+        return d
     if not isinstance(kind, DivergenceKind):
         raise ValueError(f"unknown divergence kind {kind!r}")
     try:

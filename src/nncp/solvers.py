@@ -29,9 +29,24 @@ rule, the finiteness of the trace, the coercivity check, a ridge note and a
 failed solve each concern one seed; a seed that stops or raises leaves the
 stack and its batch-mates carry on.  So every per-seed list is indexed by
 stack entry and sliced with the stacks, and every trace row enters through
-FitTrace.append.  A seed's arithmetic never mixes with its batch-mates', so
-it gets the same trace, notes, model or exception, byte for byte, in any
-batch.
+FitTrace.append_block.  A seed's arithmetic never mixes with its
+batch-mates', so it gets the same trace, notes, model or exception, byte for
+byte, in any batch.
+
+Trace rows are computed in blocks.  A traced iterate records only
+references to its iteration, objective list, residual stack and factor
+stacks (and KL's column sums), arrays the driver replaces and never writes
+into.  A block holds at most TRACE_BLOCK iterates, and at most
+TRACE_BLOCK_ENTRIES residual entries unless one iterate has more.  When it
+is full, and before any seed ends, one pass computes the (T, S) block's
+residual_E, delta_l1 and max_component_F, checks the coercivity cap as one
+array expression, and appends each seed's rows.  The entry bound keeps the
+memory of a block independent of the size of A and its temporaries small:
+on a 20x20x20 tensor a block of four or more iterates cost more per row
+than one row at a time.  The objectives are still checked for finiteness
+every traced iteration, so a diverging seed ends where it did; a cap
+violation surfaces at the next flush, naming the first violating iteration,
+and replaces any later error of that seed (a failed solve since).
 
 On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
@@ -43,7 +58,9 @@ contiguous axis pairwise in blocks of 8 and a strided one in order, and ALS
 leaves its stacks transposed.  So one np.add.reduceat over the concatenated
 factors, a stack of factors padded with -0.0, or a Gram's diagonal (a
 matmul) is not bit-equal to the per-factor norms and sums, and would change
-the traces.
+the traces.  For the same reason a block stacks each factor's iterates in
+their own layout, the transposed ALS stacks through their (S, r, d) bases,
+so every column sums in the same order as it would alone.
 
 Multiplicative updates are the standard majorization rules extended to k
 modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
@@ -61,6 +78,7 @@ subproblem, so full sweeps decrease the loss (to floor-level slack).
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -78,6 +96,9 @@ DEN_FLOOR = 1e-12
 RIDGE_JITTER = 1e-12
 KL_SOLVER_FLOOR = 1e-300
 STOP_WINDOW = 5
+# Bounds on a block of trace rows; see the module docstring.
+TRACE_BLOCK = 64
+TRACE_BLOCK_ENTRIES = 2**14
 
 
 class Loss(enum.Enum):
@@ -133,31 +154,47 @@ TRACE_HEADER = ",".join(TraceRow._fields)
 
 
 class FitTrace:
-    """Per-iteration record; ``notes`` collects events (e.g. ridge jitter)
-    that have no column of their own."""
+    """Per-iteration record, stored as columns; ``rows`` builds the TraceRows
+    on demand.  ``notes`` collects events (e.g. ridge jitter) that have no
+    column of their own."""
 
     def __init__(self):
-        self.rows = []
+        self._columns = tuple([] for _ in TraceRow._fields)
         self.notes = []
 
-    def append(self, row):
-        if self.rows and row.iter <= self.rows[-1].iter:
+    def append_block(self, iters, objectives, delta_l1, max_component_F, residual_E):
+        """Append a block of rows given as columns (one sequence per field):
+        the iterations must rise strictly past the last row and every
+        objective must be finite."""
+        block = (iters, objectives, delta_l1, max_component_F, residual_E)
+        if len(set(map(len, block))) > 1:
+            raise ValueError("trace columns must have equal lengths")
+        chain = self._columns[0][-1:] + list(iters)
+        if any(map(operator.ge, chain, chain[1:])):
             raise ValueError("trace iterations must be strictly increasing")
-        if not math.isfinite(row.objective):
+        if not all(map(math.isfinite, objectives)):
             raise ValueError("trace objective must be finite")
-        self.rows.append(row)
+        for column, values in zip(self._columns, block):
+            column.extend(values)
+
+    def append(self, row):
+        self.append_block(*([value] for value in row))
 
     def note(self, iteration, message):
         self.notes.append((iteration, message))
 
+    @property
+    def rows(self):
+        return list(map(TraceRow._make, zip(*self._columns)))
+
     def __len__(self):
-        return len(self.rows)
+        return len(self._columns[0])
 
     def __iter__(self):
         return iter(self.rows)
 
     def to_csv(self):
-        return _csv_text(TRACE_HEADER, self.rows)
+        return _csv_text(TRACE_HEADER, zip(*self._columns))
 
     def write_csv(self, path):
         _write_text(path, self.to_csv())
@@ -255,18 +292,47 @@ def coercivity_bound(a_e, residual_e):
     return cap + 1e-9 * (1.0 + cap)
 
 
-def _trace_quantities(resid, factors, nonneg, colsums=None):
-    """Per-seed residual_E, delta_l1 and max_component_F arrays; ``colsums``
-    are the factors' column sums if the caller has them, else falsy."""
-    residual_e = _per_seed_sum(np.abs(resid))
-    norms = [np.sqrt(np.add.reduce(f * f, axis=1)) for f in factors]
-    comp_f = functools.reduce(np.multiply, norms)
-    if nonneg:
-        colsums = colsums or [np.add.reduce(f, axis=1) for f in factors]
-        delta_hat = functools.reduce(np.multiply, colsums)
-    else:
+def _stacked(arrays):
+    """np.stack(arrays) for arrays of one shape, in one call, C-ordered
+    unless it is a view of a single array."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+
+
+def _trace_columns(resids, factors, nonneg, colsums=None):
+    """residual_E, delta_l1 and max_component_F of a block of T traced
+    iterates, each a (T, S) array: ``resids`` holds the T residual stacks,
+    ``factors`` the T tuples of factor stacks and ``colsums``, if given, the
+    T tuples of their column sums.  Each factor stack is reduced in its own
+    memory layout: C-ordered stacks as they are, transposed ones (ALS
+    solves) through their (S, r, d) bases; where the layouts change (ALS's
+    C-ordered start), each run of one layout is a block of its own."""
+    layouts = [tuple(f.strides[1] < f.strides[2] for f in fs) for fs in factors]
+    if len(set(layouts)) > 1:
+        k = next(t for t, x in enumerate(layouts) if x != layouts[0])
+        parts = (_trace_columns(resids[:k], factors[:k], nonneg, colsums and colsums[:k]),
+                 _trace_columns(resids[k:], factors[k:], nonneg, colsums and colsums[k:]))
+        return tuple(map(np.concatenate, zip(*parts)))
+    res = np.abs(_stacked(resids))
+    residual_e = np.add.reduce(res, axis=tuple(range(2, res.ndim)))
+    sumsq, sums = [], []
+    for fs, transposed in zip(zip(*factors), layouts[0]):
+        base = _stacked([f.transpose(0, 2, 1) for f in fs] if transposed else fs)
+        axis = 3 if transposed else 2
+        sumsq.append(np.add.reduce(base * base, axis=axis))
+        if nonneg and not colsums:
+            sums.append(np.add.reduce(base, axis=axis))
+    comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)
+    if not nonneg:
         delta_hat = comp_f
-    return residual_e, np.add.reduce(delta_hat, axis=1), np.maximum.reduce(comp_f, axis=1)
+    elif colsums:
+        flat = np.concatenate([c for cs in colsums for c in cs])
+        flat = flat.reshape(len(colsums), len(sumsq), *comp_f.shape[1:])
+        delta_hat = np.multiply.reduce(flat, axis=1)
+    else:
+        delta_hat = np.multiply.reduce(_stacked(sums), axis=0)
+    return residual_e, np.add.reduce(delta_hat, axis=2), np.maximum.reduce(comp_f, axis=2)
 
 
 def fit_seeds(a, cfg, seeds):
@@ -313,7 +379,38 @@ def fit_seeds(a, cfg, seeds):
     stats = [_factor_stat(f, kl) for f in factors]
     traces = [FitTrace() for _ in slots]
     window = []  # the objective lists of the last STOP_WINDOW iterations, if tol > 0
+    block = []  # the traced iterates whose rows are not yet in the traces
     ended = {}  # stack entry -> its FitResult or exception
+
+    def flush():
+        """Append the block's rows to the traces.  An entry is (iteration,
+        objective list, residual stack, factor stacks, stats, and the
+        stop flags if only the seeds that stop get a row, else None)."""
+        if not block:
+            return
+        its, objs, resids, fs, colsums, has_row = zip(*block)
+        block.clear()
+        cols = _trace_columns(resids, fs, cfg.nonneg, colsums if kl else None)
+        res_e, dl1, cmax = (c.T.tolist() for c in cols)
+        over = None
+        if cfg.nonneg:
+            with np.errstate(over="ignore"):  # a cap beyond the double range is inf
+                over = (cols[1] > coercivity_bound(a_e, cols[0])).T.tolist()
+        for j, seed_objs in enumerate(zip(*objs)):
+            n = len(its) - (has_row[-1] is not None and not has_row[-1][j])
+            k = over[j].index(True) if over and True in over[j][:n] else None
+            m = n if k is None else k + 1
+            try:
+                traces[j].append_block(
+                    its[:m], seed_objs[:m], dl1[j][:m], cmax[j][:m], res_e[j][:m]
+                )
+                if k is not None:
+                    raise RuntimeError(
+                        f"coercivity bound violated at iteration {its[k]}: "
+                        f"{dl1[j][k]} > {a_e + res_e[j][k]}"
+                    )
+            except Exception as exc:
+                ended[j] = exc
 
     def retire():
         """Record the ended entries, drop them from the stacks and the
@@ -336,8 +433,10 @@ def fit_seeds(a, cfg, seeds):
             for n in range(len(factors)):
                 factors[n] = update(factors, stats, n, xhat, note, ended.__setitem__)
                 stats[n], xhat = _factor_stat(factors[n], kl), None
-                if ended and not retire():
-                    return out
+                if ended:
+                    flush()
+                    if not retire():
+                        return out
         xhat = _reconstruct(factors)
         resid = a_arr - xhat
         objs = loss(xhat, resid, factors)
@@ -351,24 +450,23 @@ def fit_seeds(a, cfg, seeds):
                 ref = window.pop(0)
                 stops = [(r - o) / max(abs(r), 1e-300) < cfg.tol for r, o in zip(ref, objs)]
             window.append(objs)
-        rows = None
-        for j in range(len(objs)) if traced else [j for j, s in enumerate(stops) if s]:
-            if rows is None:
-                quantities = _trace_quantities(resid, factors, cfg.nonneg, kl and stats)
-                rows = list(zip(*(q.tolist() for q in quantities)))
-            res_e, dl1, cmax = rows[j]
-            try:
-                traces[j].append(TraceRow(it, objs[j], dl1, cmax, res_e))
-                if cfg.nonneg and dl1 > coercivity_bound(a_e, res_e):
-                    raise RuntimeError(
-                        f"coercivity bound violated at iteration {it}: {dl1} > {a_e + res_e}"
-                    )
-                if stops[j] or last:
-                    raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
-                    model = _sort_by_weight(rescale(raw))
-                    ended[j] = FitResult(model, traces[j], stops[j], objs[j])
-            except Exception as exc:
-                ended[j] = exc
+        stopping = True in stops
+        if traced or stopping:
+            block.append((it, objs, resid, tuple(factors), tuple(stats), None if traced else stops))
+            full = (len(block) == TRACE_BLOCK
+                    or (len(block) + 1) * resid.size > TRACE_BLOCK_ENTRIES)
+            # A seed whose objective is not finite ends at this iteration.
+            if last or stopping or full or not all(map(math.isfinite, objs)):
+                flush()
+        if last or stopping:
+            for j, stop in enumerate(stops):
+                if (stop or last) and j not in ended:
+                    try:
+                        raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
+                        model = _sort_by_weight(rescale(raw))
+                        ended[j] = FitResult(model, traces[j], stop, objs[j])
+                    except Exception as exc:
+                        ended[j] = exc
         if ended:
             keep = retire()
             if not keep:

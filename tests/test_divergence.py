@@ -26,6 +26,19 @@ def test_distance_identity_kl():
     assert distance(top, DenseTensor([2], [1e308, 5e307]), KL) == 1.9314718055994544e307
 
 
+def test_distance_kl_beyond_the_range_of_the_sums():
+    # sum(a) and sum(b) overflow.  The last entry of b is more than 2^1074
+    # below the largest entry, so no common power of two keeps it, yet D_KL
+    # is its term alone.
+    a = DenseTensor([3], [1e308, 1e308, 1e-10])
+    b = DenseTensor([3], [1e308, 1e308, 1e-300])
+    assert distance(a, b, KL) == pytest.approx(brute_kl(a, b), rel=1e-15)
+    assert distance(a, b, KL) == pytest.approx(1e-10 * (290 * math.log(10) - 1), rel=1e-12)
+    # a log(a/b) = 1.5a exceeds the range; the term 0.5a + b does not.
+    a, b = DenseTensor([1], [1.7e308]), DenseTensor([1], [1.7e308 / math.exp(1.5)])
+    assert distance(a, b, KL) == pytest.approx(0.5 * 1.7e308 + 1.7e308 / math.exp(1.5), rel=1e-12)
+
+
 def test_kl_boundary_pair_value():
     """The rank-1 boundary pair: termwise evaluation of the divergence gives
 

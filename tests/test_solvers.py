@@ -4,9 +4,12 @@ import functools
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nncp import solvers
 from nncp.divergence import DivergenceKind, distance
@@ -518,8 +521,8 @@ def test_factor_statistics_per_fit(monkeypatch, loss, nonneg, shape):
 
 
 def _wrapper_trace_quantities(resid, factors, nonneg, colsums=None):
-    """The trace quantities through numpy's wrappers: the reference that
-    solvers._trace_quantities must match bit for bit."""
+    """One iterate's trace quantities through numpy's wrappers: the reference
+    that each iterate of solvers._trace_columns must match bit for bit."""
     residual_e = np.sum(np.abs(resid), axis=tuple(range(1, resid.ndim)))
     comp_f = functools.reduce(np.multiply, [np.linalg.norm(f, axis=1) for f in factors])
     if nonneg:
@@ -539,26 +542,36 @@ _TRACE_DIMS = (1, 3, 4, 8, 9, 17, 20)
 def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, nonneg, with_colsums):
     # Pairwise summation blocks a contiguous reduction by 8, so the layout and
     # the lengths around 8 and 16 decide the rounding; ALS solves leave each
-    # factor stack transposed in memory.  Concatenating the factors for one
-    # np.add.reduceat, or padding them into one stack, rounds differently.
+    # factor stack transposed in memory, while its start (iteration 0) is
+    # C-ordered.  Concatenating the factors for one np.add.reduceat, or
+    # padding them into one stack, rounds differently.  A block of three
+    # iterates, at ranks below and above 8.
     rng = np.random.default_rng(11)
-    factors = []
-    for d in _TRACE_DIMS:
-        f = rng.random((stack, d, 4)) * 10.0 ** rng.integers(-3, 4, (stack, d, 4))
-        if not nonneg:
-            f = f - 0.5
-        f[rng.random(f.shape) < 0.2] = -0.0
-        if layout == "als":
-            f = np.ascontiguousarray(f.transpose(0, 2, 1)).transpose(0, 2, 1)
-        factors.append(f)
-    resid = rng.standard_normal((stack, 9, 17, 3))
-    resid[rng.random(resid.shape) < 0.2] = -0.0
-    colsums = [f.sum(axis=1) for f in factors] if with_colsums else None
-    got = solvers._trace_quantities(resid, factors, nonneg, colsums)
-    want = _wrapper_trace_quantities(resid, factors, nonneg, colsums)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape == (stack,)
-        assert g.tobytes() == w.tobytes()
+    for rank in (4, 10):
+        resids, blocks = [], []
+        for t in range(3):
+            factors = []
+            for d in _TRACE_DIMS:
+                f = rng.random((stack, d, rank)) * 10.0 ** rng.integers(-3, 4, (stack, d, rank))
+                if not nonneg:
+                    f = f - 0.5
+                f[rng.random(f.shape) < 0.2] = -0.0
+                if layout == "als" and t > 0:
+                    f = np.ascontiguousarray(f.transpose(0, 2, 1)).transpose(0, 2, 1)
+                factors.append(f)
+            resid = rng.standard_normal((stack, 9, 17, 3))
+            resid[rng.random(resid.shape) < 0.2] = -0.0
+            resids.append(resid)
+            blocks.append(tuple(factors))
+        colsums = [tuple(f.sum(axis=1) for f in fs) for fs in blocks] if with_colsums else None
+        got = solvers._trace_columns(resids, blocks, nonneg, colsums)
+        for t in range(3):
+            want = _wrapper_trace_quantities(
+                resids[t], list(blocks[t]), nonneg, colsums and list(colsums[t])
+            )
+            for g, w in zip(got, want):
+                assert g.shape == (3, stack) and w.shape == (stack,)
+                assert g[t].tobytes() == w.tobytes()
 
 
 # np.linalg.norm, np.sum and np.where calls of one fit with tol=0, by solver
@@ -782,24 +795,180 @@ def test_batch_seed_whose_ridged_solve_fails_ends_alone(monkeypatch):
     ids=["mu", "kl", "als"],
 )
 def test_every_trace_row_enters_through_append(monkeypatch, loss, nonneg, trace_every):
-    # One FitTrace.append call per row, so its checks see every row, in a
+    # Every row enters through FitTrace.append_block (append is its one-row
+    # case), so its order and finiteness checks see every row, in a
     # fixed-length batch and in one whose seeds stop by tol, each on its own.
-    calls = collections.Counter()
-    real = FitTrace.append
+    rows = collections.Counter()
+    real = FitTrace.append_block
 
-    def counting(self, row):
-        calls[id(self)] += 1
-        return real(self, row)
+    def counting(self, iters, *columns):
+        rows[id(self)] += len(iters)
+        return real(self, iters, *columns)
 
-    monkeypatch.setattr(FitTrace, "append", counting)
+    monkeypatch.setattr(FitTrace, "append_block", counting)
     cfg = FitConfig(
         rank=2, loss=loss, nonneg=nonneg, max_iters=30, tol=0.0, trace_every=trace_every
     )
     noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
     stopped = dataclasses.replace(cfg, max_iters=3000, tol=1e-6)
     for a, c in [(_NB, cfg), (noise, stopped)]:
-        calls.clear()
+        rows.clear()
         batch = solvers.fit_seeds(a, c, [0, 1, 2, 3])
-        assert {id(r.trace): len(r.trace) for r in batch} == dict(calls)
+        assert {id(r.trace): len(r.trace) for r in batch} == dict(rows)
     assert all(r.converged for r in batch)
     assert len({r.trace.rows[-1].iter for r in batch}) > 1
+
+
+@pytest.mark.parametrize(
+    "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
+    ids=["mu", "kl", "als"],
+)
+@pytest.mark.parametrize("bound", ["iterates", "entries"])
+def test_np_sqrt_calls_per_fit_scale_with_trace_blocks(monkeypatch, loss, nonneg, bound):
+    # The trace quantities take one np.sqrt per block of 8 rows, not one per
+    # row: 7 and 8 rows are one block, 63 and 64 rows eight.  A block holds
+    # at most TRACE_BLOCK iterates and TRACE_BLOCK_ENTRIES residual entries
+    # (_NB has 60).
+    calls = []
+    real = np.sqrt
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sqrt", counting)
+    if bound == "iterates":
+        monkeypatch.setattr(solvers, "TRACE_BLOCK", 8)
+    else:
+        monkeypatch.setattr(solvers, "TRACE_BLOCK_ENTRIES", 8 * _NB.size)
+    fit = fit_nncp if nonneg else fit_cp_unconstrained
+    per_fit = {}
+    for iters in (6, 7, 62, 63):
+        calls.clear()
+        fit(_NB, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
+        per_fit[iters] = len(calls)
+    assert per_fit[6] == per_fit[7]
+    assert per_fit[62] == per_fit[63] == per_fit[7] + 7
+
+
+# --- trace blocks -----------------------------------------------------------------
+
+
+def _violate_below(monkeypatch, residual):
+    """Substitute a coercivity bound that every row whose residual_E is below
+    ``residual`` violates."""
+    real = solvers.coercivity_bound
+
+    def tight(a_e, residual_e):
+        return np.where(np.less(residual_e, residual), -1.0, real(a_e, residual_e))
+
+    monkeypatch.setattr(solvers, "coercivity_bound", tight)
+
+
+def _first_violation(result, residual):
+    """The error that ends ``result``'s fit at its first row below ``residual``."""
+    row = next(r for r in result.trace.rows if r.residual_E < residual)
+    a_e = norm(_NB, "E")
+    return (
+        f"coercivity bound violated at iteration {row.iter}: "
+        f"{row.delta_l1} > {a_e + row.residual_E}"
+    )
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+def test_coercivity_violation_ends_its_seed_alone(monkeypatch, block):
+    # Seeds 1 and 2 bring residual_E below 0.02 within 300 sweeps, each at
+    # its own iteration; seeds 0 and 3 do not.
+    cfg = FitConfig(rank=2, max_iters=300, tol=0.0)
+    seeds = [0, 1, 2, 3]
+    clean = [_solo(_NB, cfg, seed) for seed in seeds]
+    if block:
+        monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
+    _violate_below(monkeypatch, 0.02)
+    batch = assert_batch_matches_solo(_NB, cfg, seeds)
+    kinds = [solvers.FitResult, RuntimeError, RuntimeError, solvers.FitResult]
+    assert [type(r) for r in batch] == kinds
+    for j in (1, 2):
+        assert str(batch[j]) == _first_violation(clean[j], 0.02)
+    for j in (0, 3):
+        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
+
+
+@pytest.mark.parametrize("block", [1, None, 1000], ids=["1", "default", "1000"])
+def test_coercivity_violation_wins_over_a_later_failed_solve(monkeypatch, block):
+    # The violation ends the seed at its first violating row, so a solve that
+    # fails three sweeps later, before the block is flushed, never counts.
+    cfg = FitConfig(rank=2, max_iters=300, tol=0.0)
+    clean = _solo(_NB, cfg, 1)
+    first = next(r.iter for r in clean.trace.rows if r.residual_E < 0.02)
+    real = solvers._mu_update
+
+    def failing_mu_update(a_arr, cfg):
+        update, calls = real(a_arr, cfg), []
+
+        def failing(factors, stats, n, xhat, note, fail):
+            calls.append(n)
+            if len(calls) == 3 * (first + 2) + 1:  # mode 0 of sweep first + 3
+                fail(0, np.linalg.LinAlgError("forced"))
+            return update(factors, stats, n, xhat, note, fail)
+
+        return failing
+
+    if block:
+        monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
+    monkeypatch.setattr(solvers, "_mu_update", failing_mu_update)
+    failed = _solo(_NB, cfg, 1)
+    assert (type(failed), str(failed)) == (np.linalg.LinAlgError, "forced")
+    _violate_below(monkeypatch, 0.02)
+    violated = _solo(_NB, cfg, 1)
+    assert (type(violated), str(violated)) == (RuntimeError, _first_violation(clean, 0.02))
+
+
+@pytest.mark.parametrize("nonneg", [True, False])
+def test_nonfinite_objective_ends_the_seed_at_its_iteration(monkeypatch, nonneg):
+    # NaN enters the MTTKRP of mode 0 at iteration 4.  The fit ends there,
+    # after that sweep's three MTTKRPs, not at the end of its trace block.
+    calls = []
+    real = solvers._mttkrp
+
+    def poisoned(arr, factors, n):
+        out = real(arr, factors, n)
+        calls.append(n)
+        if len(calls) == 10:
+            out[:] = np.nan
+        return out
+
+    monkeypatch.setattr(solvers, "_mttkrp", poisoned)
+    result = _solo(_NB, FitConfig(rank=2, nonneg=nonneg, max_iters=50, tol=0.0), 1)
+    assert (type(result), str(result)) == (ValueError, "trace objective must be finite")
+    assert len(calls) == 12
+
+
+@settings(database=None, deadline=None, max_examples=30)
+@given(st.data())
+def test_trace_block_boundaries_never_show(data):
+    # A batch and each solo fit give the same traces, notes, models or
+    # exceptions whatever the block size.
+    order = data.draw(st.integers(1, 3), label="order")
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+    solver = data.draw(st.sampled_from(["mu", "kl", "als"]), label="solver")
+    cfg = FitConfig(
+        rank=data.draw(st.integers(1, 3), label="rank"),
+        loss=Loss.KL if solver == "kl" else Loss.FROBENIUS,
+        nonneg=solver != "als",
+        max_iters=data.draw(st.integers(1, 80), label="max_iters"),
+        tol=data.draw(st.sampled_from([0.0, 1e-4]), label="tol"),
+        trace_every=data.draw(st.integers(1, 9), label="trace_every"),
+    )
+    seeds = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=4), label="seeds")
+    block = data.draw(st.sampled_from([1, 2, 7, solvers.TRACE_BLOCK]), label="TRACE_BLOCK")
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), label="data seed"))
+    a = DenseTensor.from_array(rng.uniform(size=shape))
+
+    def fits():
+        batch = [_fingerprint(r) for r in solvers.fit_seeds(a, cfg, seeds)]
+        return batch, [_fingerprint(_solo(a, cfg, seed)) for seed in seeds]
+
+    default = fits()
+    with mock.patch.object(solvers, "TRACE_BLOCK", block):
+        assert fits() == default
