@@ -60,10 +60,9 @@ def _cmd_decompose(args):
         result.trace.write_csv(args.trace)
     if args.out:
         write_model(result.model, args.out)
-    last = result.trace.rows[-1]
     print(
         f"final_objective={_fmt(result.final_objective)} "
-        f"iters={last.iter} converged={str(result.converged).lower()}"
+        f"iters={result.trace.columns.iter[-1]} converged={str(result.converged).lower()}"
     )
     return 0
 

@@ -52,7 +52,7 @@ class DegeneracyReport:
 
 
 def detect_degeneracy(trace, a_norms, thresholds=None):
-    """Classify a fit trace.
+    """Classify a fit trace (a FitTrace, read by its columns).
 
     DEGENERATE: the largest rank-1 summand ended above blowup_ratio times
     ||A||_F while the residual shrank by at least residual_factor.  BOUNDED:
@@ -61,30 +61,25 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     :func:`nncp.solvers.coercivity_bound` (so nothing blew up).  Otherwise
     INCONCLUSIVE.
     """
-    rows = list(trace)
-    if not rows:
+    cols = trace.columns
+    if not cols.iter:
         raise ValueError("trace is empty")
     th = thresholds or DegeneracyThresholds()
     a_e, a_f = float(a_norms[0]), float(a_norms[1])
-    evidence = tuple(
-        (r.iter, r.residual_E, r.max_component_F, r.delta_l1) for r in rows
-    )
-    first, last = rows[0], rows[-1]
-    if last.max_component_F == 0.0:
+    res, comp = cols.residual_E, cols.max_component_F
+    evidence = tuple(zip(cols.iter, res, comp, cols.delta_l1))
+    if comp[-1] == 0.0:
         blowup = 0.0  # every summand shrank to 0, whatever ||A||_F is
     elif a_f > 0:
-        blowup = last.max_component_F / a_f
+        blowup = comp[-1] / a_f
     else:
         blowup = math.inf
-    trend = (
-        last.residual_E / first.residual_E if first.residual_E > 0 else 1.0
-    )
+    trend = res[-1] / res[0] if res[0] > 0 else 1.0
     if blowup > th.blowup_ratio and trend <= 1.0 / th.residual_factor:
         verdict = "DEGENERATE"
     else:
         capped = all(
-            max(r.delta_l1, r.max_component_F) <= coercivity_bound(a_e, r.residual_E)
-            for r in rows
+            max(d, m) <= coercivity_bound(a_e, r) for d, m, r in zip(cols.delta_l1, comp, res)
         )
         verdict = "BOUNDED" if capped else "INCONCLUSIVE"
     return DegeneracyReport(verdict, evidence, blowup, trend)
@@ -128,8 +123,8 @@ def _contrast_row(a, a_norms, seed, family, result, thresholds):
             report = detect_degeneracy(result.trace, a_norms, thresholds)
             x = reconstruct(result.model)
             res = [distance(a, x, kind) for kind in (DivergenceKind.E_NORM, DivergenceKind.F_NORM)]
-            row = ContrastRow(seed, family, report.verdict, *res, report.blowup_ratio,
-                              result.trace.rows[-1].iter)
+            last_iter = report.evidence[-1][0]
+            row = ContrastRow(seed, family, report.verdict, *res, report.blowup_ratio, last_iter)
             return row, report
         except Exception as exc:  # propagate per seed without killing the sweep
             error = exc

@@ -16,7 +16,9 @@ One private evaluator, built once per target, computes D_KL for a stack of
 arrays.  It has three users: distance as its one-row case, and
 solvers.objective and the MU fits (fit_nncp, fit_seeds) as the KL loss on the
 reconstruction floored at solvers.KL_SOLVER_FLOOR.  Where sum(a) or sum(b)
-leaves the double range, distance sums the terms of D_KL one by one instead.
+leaves the double range, or the one-row value is not above the rounding error
+of those sums (so it may be all rounding, even negative), distance sums the
+terms of D_KL one by one instead.
 """
 
 import enum
@@ -57,10 +59,11 @@ def _kl_rows(a):
 
 def _kl_termwise(a, b):
     """D_KL(a, b) as the sum of its terms a log(a/b) - a + b, for b > 0 on
-    the support of a: the value where sum(a) or sum(b) leaves the range.
-    Each term is >= 0, so the sum exceeds the range only where D_KL does,
-    and the terms are halved so that a log(a/b) stays finite wherever its
-    term is; b - a cannot overflow.  The logs are of the pair scaled by the
+    the support of a: the value where sum(a) or sum(b) leaves the range or
+    absorbs D_KL.  Each term is >= 0, so a term that rounds below 0 counts
+    as 0 and the sum exceeds the range only where D_KL does; the terms are
+    halved so that a log(a/b) stays finite wherever its term is, and b - a
+    cannot overflow.  The logs are of the pair scaled by the
     power of two of its largest entry, or, where that scaling leaves an
     entry subnormal, of the entries themselves."""
     pair = np.stack([a, b])
@@ -70,7 +73,7 @@ def _kl_termwise(a, b):
     half = np.ldexp(b - a, -1)
     with np.errstate(over="ignore"):
         half[pos] += np.ldexp(a[pos], -1) * (logs[0] - logs[1])
-        return float(2.0 * np.add.reduce(half))
+        return float(2.0 * np.add.reduce(np.maximum(half, 0.0)))
 
 
 def distance(a, b, kind):
@@ -92,7 +95,9 @@ def distance(a, b, kind):
             return math.inf
         with np.errstate(all="ignore"):
             d = _kl_rows(a.data)(b.data[None])[0]
-        if not math.isfinite(d):  # sum(a) or sum(b) left the range
+            # The rounding error of sum(a) and sum(b); inf if either overflows.
+            err = a.size * 2.0**-52 * float(np.add.reduce(a.data) + np.add.reduce(b.data))
+        if not err < d < math.inf:
             d = _kl_termwise(a.data, b.data)
         return d
     if not isinstance(kind, DivergenceKind):

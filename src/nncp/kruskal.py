@@ -89,34 +89,18 @@ class KruskalModel:
 
 
 @functools.lru_cache(maxsize=None)
-def _einsum_spec(k, mode=None, weighted=False):
-    """np.einsum subscripts over the factors of an order-k CP model.
-
-    Modes are a, b, c, ... and the component index is z.  The weighted form
-    takes one model's (delta, W_1, ..., W_k) and gives its tensor; it is the
-    form :func:`reconstruct` uses.  The solver forms put a seed axis S in
-    front of every operand and of the output, so that one call serves a stack
-    of fits: with mode=None the operands are the (S, d_i, r) factor stacks
-    and the output is the stack of reconstructions; with mode=n they are a
-    stack of tensors and every factor stack but W_n, and the output is the
-    (S, d_n, r) stack of MTTKRPs.  At k = 1 the Khatri-Rao product of no
-    factors is a 1 x r row of ones, so that MTTKRP takes an (S, r) ones
-    operand.
-    """
+def _einsum_spec(k):
+    """np.einsum subscripts that take one order-k model's (delta, W_1, ...,
+    W_k) and give its tensor: modes a, b, c, ..., component index z."""
     if k > len(_LETTERS):
         raise ValueError(f"order {k} exceeds supported maximum {len(_LETTERS)}")
     modes = _LETTERS[:k]
-    if weighted:
-        return "z," + ",".join(f"{m}z" for m in modes) + f"->{modes}"
-    if mode is None:
-        return ",".join(f"S{m}z" for m in modes) + f"->S{modes}"
-    others = [f"S{m}z" for i, m in enumerate(modes) if i != mode] or ["Sz"]
-    return ",".join([f"S{modes}", *others]) + f"->S{modes[mode]}z"
+    return "z," + ",".join(f"{m}z" for m in modes) + f"->{modes}"
 
 
 def reconstruct(model):
     """Dense tensor sum_p delta_p * (outer product of factor columns p)."""
-    spec = _einsum_spec(model.order, weighted=True)
+    spec = _einsum_spec(model.order)
     out = np.einsum(spec, model.delta, *model.factors)
     return DenseTensor.from_array(out)
 

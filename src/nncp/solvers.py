@@ -23,7 +23,7 @@ update all read that one reconstruction.  It caches each factor's Gram (for
 KL its column sums, which the trace rows reuse), refreshed after its update.
 
 The driver fits a batch of seeds: every factor is an (S, d_i, r) stack with
-one matrix per seed, so one einsum, matmul or LAPACK call serves all S seeds,
+one matrix per seed, so one matmul, ufunc or LAPACK call serves all S seeds,
 and a single fit is a batch of one.  Per-seed events stay per seed.  The stop
 rule, the finiteness of the trace, the coercivity check, a ridge note and a
 failed solve each concern one seed; a seed that stops or raises leaves the
@@ -31,7 +31,16 @@ stack and its batch-mates carry on.  So every per-seed list is indexed by
 stack entry and sliced with the stacks, and every trace row enters through
 FitTrace.append_block.  A seed's arithmetic never mixes with its
 batch-mates', so it gets the same trace, notes, model or exception, byte for
-byte, in any batch.
+byte, in any batch, on every shape (modes of size 1 and order 1 included).
+
+The kernels are batched matmuls with the Khatri-Rao product K of the
+factors other than W^(n), one fixed-shape product per stack entry whatever S
+is, so the batch never changes a seed's summation order.  Each mode update
+builds its K once; its MTTKRP (matricized tensor times Khatri-Rao product)
+is A_(n) @ K, the unfoldings A_(n) built once per fit.  The reconstruction
+after a sweep is W^(0) K^T, whose K the next mode-0 update reuses; a KL
+update of mode n >= 1 reconstructs as W^(n) K^T with its own K.  At order 1,
+K is a row of ones.
 
 Trace rows are computed in blocks.  A traced iterate records only
 references to its iteration, objective list, residual stack and factor
@@ -52,15 +61,12 @@ On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
 np.linalg.norm, whose Python wrappers cost more than the arithmetic on these
 tiny tensors; np.linalg.norm(f, axis=1) is exactly
-np.sqrt(np.add.reduce(f * f, axis=1)).  Each factor stack is reduced in its
-own memory layout, because the layout fixes the rounding: numpy sums a
-contiguous axis pairwise in blocks of 8 and a strided one in order, and ALS
-leaves its stacks transposed.  So one np.add.reduceat over the concatenated
-factors, a stack of factors padded with -0.0, or a Gram's diagonal (a
-matmul) is not bit-equal to the per-factor norms and sums, and would change
-the traces.  For the same reason a block stacks each factor's iterates in
-their own layout, the transposed ALS stacks through their (S, r, d) bases,
-so every column sums in the same order as it would alone.
+np.sqrt(np.add.reduce(f * f, axis=1)).  Every factor stack is C-ordered (ALS
+copies its solves back to that layout), and each is reduced on its own: a
+reduction's rounding depends on the lengths and layout it runs over, so one
+np.add.reduceat over the concatenated factors, a stack of factors padded
+with -0.0, or a Gram's diagonal (a matmul) is not bit-equal to the
+per-factor norms and sums, and would change the traces.
 
 Multiplicative updates are the standard majorization rules extended to k
 modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
@@ -154,9 +160,9 @@ TRACE_HEADER = ",".join(TraceRow._fields)
 
 
 class FitTrace:
-    """Per-iteration record, stored as columns; ``rows`` builds the TraceRows
-    on demand.  ``notes`` collects events (e.g. ridge jitter) that have no
-    column of their own."""
+    """Per-iteration record, stored as columns; ``columns`` reads them and
+    ``rows`` builds the TraceRows on demand.  ``notes`` collects events
+    (e.g. ridge jitter) that have no column of their own."""
 
     def __init__(self):
         self._columns = tuple([] for _ in TraceRow._fields)
@@ -182,6 +188,11 @@ class FitTrace:
 
     def note(self, iteration, message):
         self.notes.append((iteration, message))
+
+    @property
+    def columns(self):
+        """The trace as a TraceRow of columns, one tuple per field."""
+        return TraceRow._make(map(tuple, self._columns))
 
     @property
     def rows(self):
@@ -212,18 +223,30 @@ class FitResult:
 # result per seed along the leading axis.
 
 
-def _reconstruct(factors):
-    return np.einsum(_einsum_spec(len(factors)), *factors)
+def _unfoldings(arr):
+    """The mode-n unfoldings of the tensor ``arr``: C-ordered (d_n, size/d_n)
+    matrices whose columns match the rows of :func:`_khatri_rao`."""
+    return [np.moveaxis(arr, n, 0).reshape(d, -1) for n, d in enumerate(arr.shape)]
 
 
-def _mttkrp(arr, factors, n):
-    """MTTKRP of each tensor of the stack ``arr`` with the stacks other than
-    factors[n]; a stack of one tensor serves every seed."""
-    others = [f for m, f in enumerate(factors) if m != n]
-    if not others:  # order 1: the Khatri-Rao product of no factors is ones
-        s, _, r = factors[0].shape
-        others = [np.ones((s, r))]
-    return np.einsum(_einsum_spec(len(factors), mode=n), arr, *others)
+def _khatri_rao(factors, n):
+    """The (S, size/d_n, r) Khatri-Rao product of the stacks other than
+    factors[n], its rows running over those modes in order, the last
+    fastest; of no stacks (order 1), a row of ones."""
+    others = factors[:n] + factors[n + 1:]
+    if not others:
+        s, _, r = factors[n].shape
+        return np.ones((s, 1, r))
+    kr = others[0]
+    for f in others[1:]:
+        kr = (kr[:, :, None, :] * f[:, None, :, :]).reshape(len(f), -1, f.shape[2])
+    return kr
+
+
+def _reconstruct(w, kr):
+    """The mode-n unfolding W^(n) K^T of each seed's reconstruction, given
+    the stack W^(n) and the Khatri-Rao product K of the other stacks."""
+    return w @ kr.transpose(0, 2, 1)
 
 
 def _factor_stat(f, kl):
@@ -303,26 +326,17 @@ def _stacked(arrays):
 def _trace_columns(resids, factors, nonneg, colsums=None):
     """residual_E, delta_l1 and max_component_F of a block of T traced
     iterates, each a (T, S) array: ``resids`` holds the T residual stacks,
-    ``factors`` the T tuples of factor stacks and ``colsums``, if given, the
-    T tuples of their column sums.  Each factor stack is reduced in its own
-    memory layout: C-ordered stacks as they are, transposed ones (ALS
-    solves) through their (S, r, d) bases; where the layouts change (ALS's
-    C-ordered start), each run of one layout is a block of its own."""
-    layouts = [tuple(f.strides[1] < f.strides[2] for f in fs) for fs in factors]
-    if len(set(layouts)) > 1:
-        k = next(t for t, x in enumerate(layouts) if x != layouts[0])
-        parts = (_trace_columns(resids[:k], factors[:k], nonneg, colsums and colsums[:k]),
-                 _trace_columns(resids[k:], factors[k:], nonneg, colsums and colsums[k:]))
-        return tuple(map(np.concatenate, zip(*parts)))
+    ``factors`` the T tuples of C-ordered factor stacks and ``colsums``, if
+    given, the T tuples of their column sums.  Each factor is reduced on its
+    own, so every column sums in the same order as it would alone."""
     res = np.abs(_stacked(resids))
     residual_e = np.add.reduce(res, axis=tuple(range(2, res.ndim)))
     sumsq, sums = [], []
-    for fs, transposed in zip(zip(*factors), layouts[0]):
-        base = _stacked([f.transpose(0, 2, 1) for f in fs] if transposed else fs)
-        axis = 3 if transposed else 2
-        sumsq.append(np.add.reduce(base * base, axis=axis))
+    for fs in zip(*factors):
+        base = _stacked(fs)
+        sumsq.append(np.add.reduce(base * base, axis=2))
         if nonneg and not colsums:
-            sums.append(np.add.reduce(base, axis=axis))
+            sums.append(np.add.reduce(base, axis=2))
     comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)
     if not nonneg:
         delta_hat = comp_f
@@ -342,10 +356,11 @@ def fit_seeds(a, cfg, seeds):
     :func:`fit_nncp` or the alternating least squares of
     :func:`fit_cp_unconstrained`, with the same input checks.  Each is a
     start ``init(a, cfg)`` that returns one seed's starting factors, and a
-    per-mode update ``update(factors, stats, n, xhat, note, fail)`` that
+    per-mode update ``update(factors, stats, n, kr, x, note, fail)`` that
     returns the new mode-n factor stack.  ``stats`` caches each factor's
-    Gram, or column sums for KL; ``xhat`` is the reconstruction stack of
-    ``factors``, or None once an earlier mode of the sweep has changed;
+    Gram, or column sums for KL; ``kr`` is the Khatri-Rao product of the
+    stacks other than factors[n]; ``x`` is the mode-n unfolding of the
+    reconstruction of ``factors`` if the driver has it (mode 0), else None;
     ``note(j, message)`` records an event on the trace of stack entry j at
     the current iteration, and ``fail(j, exc)`` ends that entry's fit with
     ``exc``.  Every per-seed list (output slot, trace, objective window) is
@@ -357,6 +372,7 @@ def fit_seeds(a, cfg, seeds):
     """
     if cfg.nonneg and np.any(a.data < 0):
         raise ValueError("fit_nncp requires a nonnegative tensor")
+    _einsum_spec(a.order)  # the fitted model must reconstruct: order <= 25
     a_arr = a.as_array()
     a_e = norm(a, "E")
     # Module globals looked up per call, so that tests can substitute them.
@@ -415,6 +431,7 @@ def fit_seeds(a, cfg, seeds):
     def retire():
         """Record the ended entries, drop them from the stacks and the
         per-entry lists, and return the kept entries."""
+        nonlocal kr0, x0
         for j, res in ended.items():
             out[slots[j]] = res
         keep = [j for j in range(len(slots)) if j not in ended]
@@ -423,6 +440,7 @@ def fit_seeds(a, cfg, seeds):
         factors[:] = [f[keep] for f in factors]
         stats[:] = [st[keep] for st in stats]
         ended.clear()
+        kr0, x0 = kr0[keep], x0[keep]
         return keep
 
     def note(j, message):
@@ -431,13 +449,16 @@ def fit_seeds(a, cfg, seeds):
     for it in range(cfg.max_iters + 1):
         if it > 0:
             for n in range(len(factors)):
-                factors[n] = update(factors, stats, n, xhat, note, ended.__setitem__)
-                stats[n], xhat = _factor_stat(factors[n], kl), None
+                kr, x = (kr0, x0) if n == 0 else (_khatri_rao(factors, n), None)
+                factors[n] = update(factors, stats, n, kr, x, note, ended.__setitem__)
+                stats[n] = _factor_stat(factors[n], kl)
                 if ended:
                     flush()
                     if not retire():
                         return out
-        xhat = _reconstruct(factors)
+        kr0 = _khatri_rao(factors, 0)
+        x0 = _reconstruct(factors[0], kr0)
+        xhat = x0.reshape(len(x0), *a.shape)
         resid = a_arr - xhat
         objs = loss(xhat, resid, factors)
         last = it == cfg.max_iters
@@ -467,11 +488,8 @@ def fit_seeds(a, cfg, seeds):
                         ended[j] = FitResult(model, traces[j], stop, objs[j])
                     except Exception as exc:
                         ended[j] = exc
-        if ended:
-            keep = retire()
-            if not keep:
-                return out
-            xhat = xhat[keep]
+        if ended and not retire():
+            return out
     return out
 
 
@@ -495,57 +513,58 @@ def _init_signed(a, cfg):
 
 def _mu_update(a_arr, cfg):
     rho = cfg.reg_rho
-    # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support.
-    a_pos = a_arr + 0.0
+    if cfg.loss is Loss.KL:
+        # a_arr >= 0 and -0.0 + 0.0 is +0.0: the ratio is +0.0 off the support.
+        unfold = _unfoldings(a_arr + 0.0)
 
-    def frobenius(factors, stats, n, xhat, note, fail):
-        num = _mttkrp(a_arr[None], factors, n)
+        def kl(factors, stats, n, kr, x, note, fail):
+            if x is None:
+                x = _reconstruct(factors[n], kr)
+            ratio = unfold[n] / np.maximum(x, KL_SOLVER_FLOOR)
+            den = _product_of_others(stats, n)[:, None, :]
+            return factors[n] * ((ratio @ kr) / np.maximum(den, DEN_FLOOR))
+
+        return kl
+    unfold = _unfoldings(a_arr)
+
+    def frobenius(factors, stats, n, kr, x, note, fail):
         den = factors[n] @ _product_of_others(stats, n)
         if rho > 0:
             den = den + rho * factors[n]
-        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
+        return factors[n] * ((unfold[n] @ kr) / np.maximum(den, DEN_FLOOR))
 
-    def kl(factors, stats, n, xhat, note, fail):
-        if xhat is None:
-            xhat = _reconstruct(factors)
-        ratio = a_pos / np.maximum(xhat, KL_SOLVER_FLOOR)
-        num = _mttkrp(ratio, factors, n)
-        den = _product_of_others(stats, n)[:, None, :]
-        return factors[n] * (num / np.maximum(den, DEN_FLOOR))
-
-    return kl if cfg.loss is Loss.KL else frobenius
+    return frobenius
 
 
 def _als_update(a_arr, cfg):
     rho = cfg.reg_rho
     eye = np.eye(cfg.rank)
+    unfold = _unfoldings(a_arr)
 
-    def als(factors, stats, n, xhat, note, fail):
+    def als(factors, stats, n, kr, x, note, fail):
         gram = _product_of_others(stats, n)
         if rho > 0:
             gram = gram + rho * eye
-        rhs = _mttkrp(a_arr[None], factors, n).transpose(0, 2, 1)
+        rhs = (unfold[n] @ kr).transpose(0, 2, 1)
         try:
             np.linalg.cholesky(gram)
-            return np.linalg.solve(gram, rhs).transpose(0, 2, 1)
+            sol = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
-            pass
-        # Some seed's normal equations are singular: solve seed by seed, into
-        # the (S, r, d) layout that the batched solve returns.
-        sol = np.zeros(rhs.shape)
-        for j in range(len(gram)):
+            # Some seed's normal equations are singular: solve seed by seed.
             # A Gram that fails the Cholesky probe, or whose solve fails, gets
             # the ridge RIDGE_JITTER * I; if that solve fails too, so does the seed.
-            try:
-                np.linalg.cholesky(gram[j])
-                sol[j] = np.linalg.solve(gram[j], rhs[j])
-            except np.linalg.LinAlgError:
+            sol = np.zeros(rhs.shape)
+            for j in range(len(gram)):
                 try:
-                    sol[j] = np.linalg.solve(gram[j] + RIDGE_JITTER * eye, rhs[j])
-                    note(j, f"ridge jitter on mode {n}")
-                except np.linalg.LinAlgError as exc:
-                    fail(j, exc)
-        return sol.transpose(0, 2, 1)
+                    np.linalg.cholesky(gram[j])
+                    sol[j] = np.linalg.solve(gram[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    try:
+                        sol[j] = np.linalg.solve(gram[j] + RIDGE_JITTER * eye, rhs[j])
+                        note(j, f"ridge jitter on mode {n}")
+                    except np.linalg.LinAlgError as exc:
+                        fail(j, exc)
+        return np.ascontiguousarray(sol.transpose(0, 2, 1))
 
     return als
 

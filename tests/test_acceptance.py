@@ -34,10 +34,10 @@ KL_SEEDS = [(100 + i, i) for i in range(10)]
 # recorded with its reason.
 PINNED_DIGESTS = {
     "contrast": "872df8b5f56ca0da767e506a2453feb6fc36a56b1d8cb623ec3815adccade476",
-    "rank1_runs": "76b08f3e3cd5a374d6b5770fb38b36d61666863cca4a112b1b943427e0fef329",
-    "kl_runs": "a360b055b82a85ba67322c91b9358749e5904910a9e1815917b9a1352a4a144d",
-    "extra_fits": "3dca3948611e2c6020654411e4de400053c7eb3f52cd416060497ed8c1a314a4",
-    "unconstrained_fits": "0b5927c0b90c92d2a7be47121eb57b5289d021199eeb57ccd45ae7f084d4c0c5",
+    "rank1_runs": "9c97b5fdcee7c29580063bab2a2e5318e66ab0950b117fb4c1cdfa69a99b5b1d",
+    "kl_runs": "e46623ab57387fa8139e85d7dcfff870496a7f674eec000d4eef1c34bb1b6d6b",
+    "extra_fits": "aef53a362137b9bd920a3d5683fa640501343db7df87569804e8fdb32e523a14",
+    "unconstrained_fits": "ceeca8d41370f477e8dc77dfbe2f7d3ccef6a85d336799daef6d246730f0ff0c",
 }
 
 

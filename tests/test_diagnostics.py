@@ -240,21 +240,24 @@ def test_contrast_without_seeds_is_empty():
 
 
 def test_contrast_nonfinite_seed_is_the_only_error(monkeypatch):
-    # NaN enters the second seed's nonneg MTTKRP at iteration 4; that fit ends
-    # with the message it gets alone, and every other row is unchanged.
+    # NaN enters the second seed's nonneg Khatri-Rao product of mode 1 at
+    # iteration 4 (the 11th: one per mode update but mode 0's, which reuses
+    # the one built for the reconstruction, plus that one at iteration 0);
+    # that fit ends with the message it gets alone, and every other row is
+    # unchanged.
     a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
     clean = run_contrast_experiment(a, rank=2, seeds=range(3), max_iters=50)
-    real = solvers._mttkrp
+    real = solvers._khatri_rao
     calls = []
 
-    def poisoned(arr, factors, n):
-        out = real(arr, factors, n)
+    def poisoned(factors, n):
+        out = real(factors, n)
         calls.append(n)
-        if len(calls) == 10:  # the nonneg batch runs first
+        if len(calls) == 11:  # the nonneg batch runs first
             out[1] = np.nan
         return out
 
-    monkeypatch.setattr(solvers, "_mttkrp", poisoned)
+    monkeypatch.setattr(solvers, "_khatri_rao", poisoned)
     summary = run_contrast_experiment(a, rank=2, seeds=range(3), max_iters=50)
     bad = [r for r in summary.rows if r.verdict == "ERROR"]
     assert [(r.seed, r.family, r.error) for r in bad] == [

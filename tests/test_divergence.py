@@ -1,7 +1,10 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nncp.divergence import DivergenceKind, bregman_from_phi, distance, kl_phi
 from nncp.pathologies import kl_counterexample, w_sequence
@@ -37,6 +40,47 @@ def test_distance_kl_beyond_the_range_of_the_sums():
     # a log(a/b) = 1.5a exceeds the range; the term 0.5a + b does not.
     a, b = DenseTensor([1], [1.7e308]), DenseTensor([1], [1.7e308 / math.exp(1.5)])
     assert distance(a, b, KL) == pytest.approx(0.5 * 1.7e308 + 1.7e308 / math.exp(1.5), rel=1e-12)
+
+
+_MAX = 1.7976931348623157e308
+_FINITE = st.floats(0.0, _MAX)  # the whole nonnegative finite range, subnormals included
+
+
+@st.composite
+def _kl_pairs(draw):
+    """(a, b) of one length: b entrywise either free or a close multiple of a."""
+    a = draw(st.lists(_FINITE, min_size=1, max_size=6), label="a")
+    near = st.sampled_from([1.0, 1 + 2**-52, 1 - 2**-53, 1 + 1e-8, 1 - 1e-8, 0.5, 2.0])
+    b = [draw(st.one_of(_FINITE, near.map(lambda f, x=x: min(x * f, _MAX)))) for x in a]
+    return DenseTensor([len(a)], a), DenseTensor([len(b)], b)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(_kl_pairs())
+def test_distance_kl_is_nonnegative_and_matches_brute_kl(pair):
+    # D_KL >= 0 exactly.  Its value is computed from sums and logs, so it
+    # matches the oracle to 1e-9 relative plus a rounding allowance of
+    # 2^-40 (about 4096 ulps, for logs up to 745 in size) per entry of the
+    # pair's total mass, which the oracle sums in decimal.
+    a, b = pair
+    d, want = distance(a, b, KL), brute_kl(a, b)
+    assert d >= 0.0
+    with decimal.localcontext(decimal.Context(prec=60)):
+        mass = sum(map(decimal.Decimal, a.data.tolist() + b.data.tolist()))
+        slack = float(a.size * mass * decimal.Decimal(2) ** -40)
+    if math.isinf(want) or math.isinf(d):
+        assert min(d, want) >= _MAX * (1 - 1e-9) - slack
+    else:
+        assert abs(d - want) <= 1e-9 * want + slack
+
+
+def test_distance_kl_is_not_absorbed_by_the_sums():
+    # sum(b) - sum(a) absorbs the entries far below the largest, so the
+    # one-row value is -2.3e-319 although D_KL is about 1e-310.
+    a = DenseTensor([2], [1e308, 1e-320])
+    b = DenseTensor([2], [1e308, 1e-310])
+    assert distance(a, b, KL) == pytest.approx(brute_kl(a, b), rel=1e-9)
+    assert distance(a, b, KL) > 0.0
 
 
 def test_kl_boundary_pair_value():

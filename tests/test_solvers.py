@@ -482,14 +482,13 @@ def test_reconstructions_per_fit(monkeypatch, fit, loss, nonneg, shape, per_swee
     # One reconstruction per sweep, shared by the objective and the trace
     # row; KL updates of modes 1..k-1 each need a fresh one.
     calls = []
-    spec = solvers._einsum_spec
+    real = solvers._reconstruct
 
-    def counting(k, mode=None, weighted=False):
-        if mode is None:
-            calls.append(k)
-        return spec(k, mode, weighted)
+    def counting(w, kr):
+        calls.append(len(w))
+        return real(w, kr)
 
-    monkeypatch.setattr(solvers, "_einsum_spec", counting)
+    monkeypatch.setattr(solvers, "_reconstruct", counting)
     a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
     iters = 7
     fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
@@ -541,11 +540,11 @@ _TRACE_DIMS = (1, 3, 4, 8, 9, 17, 20)
 @pytest.mark.parametrize("nonneg, with_colsums", [(True, False), (True, True), (False, False)])
 def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, nonneg, with_colsums):
     # Pairwise summation blocks a contiguous reduction by 8, so the layout and
-    # the lengths around 8 and 16 decide the rounding; ALS solves leave each
-    # factor stack transposed in memory, while its start (iteration 0) is
-    # C-ordered.  Concatenating the factors for one np.add.reduceat, or
-    # padding them into one stack, rounds differently.  A block of three
-    # iterates, at ranks below and above 8.
+    # the lengths around 8 and 16 decide the rounding; ALS solves come back
+    # as (S, r, d) arrays that the update copies to C order, while its start
+    # (iteration 0) is stacked C-ordered.  Concatenating the factors for one
+    # np.add.reduceat, or padding them into one stack, rounds differently.  A
+    # block of three iterates, at ranks below and above 8.
     rng = np.random.default_rng(11)
     for rank in (4, 10):
         resids, blocks = [], []
@@ -557,7 +556,8 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
                     f = f - 0.5
                 f[rng.random(f.shape) < 0.2] = -0.0
                 if layout == "als" and t > 0:
-                    f = np.ascontiguousarray(f.transpose(0, 2, 1)).transpose(0, 2, 1)
+                    solved = np.ascontiguousarray(f.transpose(0, 2, 1))
+                    f = np.ascontiguousarray(solved.transpose(0, 2, 1))
                 factors.append(f)
             resid = rng.standard_normal((stack, 9, 17, 3))
             resid[rng.random(resid.shape) < 0.2] = -0.0
@@ -572,6 +572,28 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
             for g, w in zip(got, want):
                 assert g.shape == (3, stack) and w.shape == (stack,)
                 assert g[t].tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
+    ids=["mu", "kl", "als"],
+)
+def test_trace_blocks_see_only_c_ordered_factor_stacks(monkeypatch, loss, nonneg):
+    # _trace_columns reduces every factor stack as a C-ordered array, so
+    # every solver must hand it C-ordered stacks, stopped seeds sliced out.
+    seen = []
+    real = solvers._trace_columns
+
+    def recording(resids, factors, *rest):
+        seen.extend(f.flags.c_contiguous for fs in factors for f in fs)
+        return real(resids, factors, *rest)
+
+    monkeypatch.setattr(solvers, "_trace_columns", recording)
+    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
+    cfg = FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=3000, tol=1e-6, trace_every=3)
+    batch = solvers.fit_seeds(noise, cfg, [0, 1, 2, 3])
+    assert len({r.trace.rows[-1].iter for r in batch}) > 1
+    assert seen and all(seen)
 
 
 # np.linalg.norm, np.sum and np.where calls of one fit with tol=0, by solver
@@ -708,6 +730,14 @@ def test_batch_seeds_stop_at_their_own_iteration(cfg):
     assert len({r.trace.rows[-1].iter for r in batch}) > 1
 
 
+def test_batch_matches_solo_on_a_mode_of_size_one():
+    # The summation order of each seed's MTTKRP does not depend on the
+    # batch, also where a mode has size 1 and the rank is 1.
+    a = DenseTensor.from_array(np.random.default_rng(1).uniform(size=(1, 2, 2)))
+    cfg = FitConfig(rank=1, loss=Loss.KL, max_iters=1, tol=0.0)
+    assert_batch_matches_solo(a, cfg, [0, 0])
+
+
 def test_batch_takes_numpy_seeds_and_fails_bad_seeds_alone():
     cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
     assert_batch_matches_solo(_NB, cfg, np.arange(3))
@@ -739,23 +769,23 @@ def test_batch_ridge_notes_stay_with_their_seed(monkeypatch):
 
 @pytest.mark.parametrize("nonneg", [True, False])
 def test_batch_nonfinite_seed_fails_alone(monkeypatch, nonneg):
-    # NaN enters one stack entry's MTTKRP at iteration 4 (mode 0).
+    # NaN enters one stack entry's Khatri-Rao product at iteration 4 (mode 1).
     cfg = FitConfig(rank=2, nonneg=nonneg, max_iters=50, tol=0.0)
     seeds = [0, 1, 2]
     clean = [_solo(_NB, cfg, seed) for seed in seeds]
-    real = solvers._mttkrp
+    real = solvers._khatri_rao
 
     def poison(entry):
         calls = []
 
-        def poisoned(arr, factors, n):
-            out = real(arr, factors, n)
+        def poisoned(factors, n):
+            out = real(factors, n)
             calls.append(n)
-            if len(calls) == 10:
+            if len(calls) == 11:
                 out[entry] = np.nan
             return out
 
-        monkeypatch.setattr(solvers, "_mttkrp", poisoned)
+        monkeypatch.setattr(solvers, "_khatri_rao", poisoned)
 
     poison(0)
     alone = _solo(_NB, cfg, 1)
@@ -906,11 +936,11 @@ def test_coercivity_violation_wins_over_a_later_failed_solve(monkeypatch, block)
     def failing_mu_update(a_arr, cfg):
         update, calls = real(a_arr, cfg), []
 
-        def failing(factors, stats, n, xhat, note, fail):
+        def failing(factors, stats, n, kr, x, note, fail):
             calls.append(n)
             if len(calls) == 3 * (first + 2) + 1:  # mode 0 of sweep first + 3
                 fail(0, np.linalg.LinAlgError("forced"))
-            return update(factors, stats, n, xhat, note, fail)
+            return update(factors, stats, n, kr, x, note, fail)
 
         return failing
 
@@ -926,29 +956,33 @@ def test_coercivity_violation_wins_over_a_later_failed_solve(monkeypatch, block)
 
 @pytest.mark.parametrize("nonneg", [True, False])
 def test_nonfinite_objective_ends_the_seed_at_its_iteration(monkeypatch, nonneg):
-    # NaN enters the MTTKRP of mode 0 at iteration 4.  The fit ends there,
-    # after that sweep's three MTTKRPs, not at the end of its trace block.
+    # NaN enters the Khatri-Rao product of mode 1 at iteration 4 (the 11th:
+    # one at iteration 0 for the reconstruction, then one per sweep for each
+    # of modes 1 and 2 and one for the reconstruction, which mode 0 of the
+    # next sweep reuses).  The fit ends there, after that sweep's three
+    # Khatri-Rao products, not at the end of its trace block.
     calls = []
-    real = solvers._mttkrp
+    real = solvers._khatri_rao
 
-    def poisoned(arr, factors, n):
-        out = real(arr, factors, n)
+    def poisoned(factors, n):
+        out = real(factors, n)
         calls.append(n)
-        if len(calls) == 10:
+        if len(calls) == 11:
             out[:] = np.nan
         return out
 
-    monkeypatch.setattr(solvers, "_mttkrp", poisoned)
+    monkeypatch.setattr(solvers, "_khatri_rao", poisoned)
     result = _solo(_NB, FitConfig(rank=2, nonneg=nonneg, max_iters=50, tol=0.0), 1)
     assert (type(result), str(result)) == (ValueError, "trace objective must be finite")
-    assert len(calls) == 12
+    assert len(calls) == 13
 
 
 @settings(database=None, deadline=None, max_examples=30)
 @given(st.data())
 def test_trace_block_boundaries_never_show(data):
     # A batch and each solo fit give the same traces, notes, models or
-    # exceptions whatever the block size.
+    # exceptions, on every shape (modes of size 1 included) and whatever the
+    # block size.
     order = data.draw(st.integers(1, 3), label="order")
     shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
     solver = data.draw(st.sampled_from(["mu", "kl", "als"]), label="solver")
@@ -970,5 +1004,6 @@ def test_trace_block_boundaries_never_show(data):
         return batch, [_fingerprint(_solo(a, cfg, seed)) for seed in seeds]
 
     default = fits()
+    assert default[0] == default[1]
     with mock.patch.object(solvers, "TRACE_BLOCK", block):
         assert fits() == default
