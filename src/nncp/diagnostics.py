@@ -19,7 +19,7 @@ import numpy as np
 
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
-from .solvers import FitConfig, coercivity_bound, fit_seeds
+from .solvers import FitConfig, _within_cap, fit_seeds
 from .tensor import _csv_text, _real, _write_text, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
@@ -58,8 +58,8 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     ||A||_F while the residual shrank by at least residual_factor.  BOUNDED:
     every row satisfied the coercivity cap delta_l1, max_component_F <=
     ||A||_E + residual_E, up to the slack of
-    :func:`nncp.solvers.coercivity_bound` (so nothing blew up).  Otherwise
-    INCONCLUSIVE.
+    :func:`nncp.solvers.coercivity_bound` (so nothing blew up); a NaN in
+    either column fails the cap.  Otherwise INCONCLUSIVE.
     """
     cols = trace.columns
     if not cols.iter:
@@ -78,9 +78,7 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     if blowup > th.blowup_ratio and trend <= 1.0 / th.residual_factor:
         verdict = "DEGENERATE"
     else:
-        capped = all(
-            max(d, m) <= coercivity_bound(a_e, r) for d, m, r in zip(cols.delta_l1, comp, res)
-        )
+        capped = _within_cap(a_e, np.maximum(cols.delta_l1, comp), np.asarray(res)).all()
         verdict = "BOUNDED" if capped else "INCONCLUSIVE"
     return DegeneracyReport(verdict, evidence, blowup, trend)
 

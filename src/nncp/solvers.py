@@ -20,7 +20,7 @@ picks the solver from ``cfg.nonneg`` and owns the sweeps, the stop rule, the
 trace rows, the coercivity check and the packaging.  The driver reconstructs
 X once per sweep; the objective, the trace row and the next sweep's first KL
 update all read that one reconstruction.  It caches each factor's Gram (for
-KL its column sums, which the trace rows reuse), refreshed after its update.
+KL its column sums), refreshed after its update.
 
 The driver fits a batch of seeds: every factor is an (S, d_i, r) stack with
 one matrix per seed, so one matmul, ufunc or LAPACK call serves all S seeds,
@@ -44,9 +44,9 @@ K is a row of ones.
 
 Trace rows are computed in blocks.  A traced iterate records only
 references to its iteration, objective list, residual stack and factor
-stacks (and KL's column sums), arrays the driver replaces and never writes
-into.  A block holds at most TRACE_BLOCK iterates, and at most
-TRACE_BLOCK_ENTRIES residual entries unless one iterate has more.  When it
+stacks, arrays the driver replaces and never writes into.  A block holds at
+most TRACE_BLOCK iterates, and at most TRACE_BLOCK_ENTRIES residual entries
+unless one iterate has more.  When it
 is full, and before any seed ends, one pass computes the (T, S) block's
 residual_E, delta_l1 and max_component_F, checks the coercivity cap as one
 array expression, and appends each seed's rows.  The entry bound keeps the
@@ -183,9 +183,6 @@ class FitTrace:
         for column, values in zip(self._columns, block):
             column.extend(values)
 
-    def append(self, row):
-        self.append_block(*([value] for value in row))
-
     def note(self, iteration, message):
         self.notes.append((iteration, message))
 
@@ -196,13 +193,12 @@ class FitTrace:
 
     @property
     def rows(self):
+        """The trace as a list of TraceRows, built on each call; kept for the
+        benchmark harness, which reads ``rows[-1].iter`` and ``len(rows)``."""
         return list(map(TraceRow._make, zip(*self._columns)))
 
     def __len__(self):
         return len(self._columns[0])
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def to_csv(self):
         return _csv_text(TRACE_HEADER, zip(*self._columns))
@@ -315,6 +311,13 @@ def coercivity_bound(a_e, residual_e):
     return cap + 1e-9 * (1.0 + cap)
 
 
+def _within_cap(a_e, values, residual_e):
+    """values <= coercivity_bound(a_e, residual_e), entrywise, for arrays;
+    a NaN on either side is never within the cap."""
+    with np.errstate(over="ignore"):  # a cap beyond the double range is inf
+        return values <= coercivity_bound(a_e, residual_e)
+
+
 def _stacked(arrays):
     """np.stack(arrays) for arrays of one shape, in one call, C-ordered
     unless it is a view of a single array."""
@@ -323,29 +326,22 @@ def _stacked(arrays):
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
-def _trace_columns(resids, factors, nonneg, colsums=None):
+def _trace_columns(resids, factors, nonneg):
     """residual_E, delta_l1 and max_component_F of a block of T traced
-    iterates, each a (T, S) array: ``resids`` holds the T residual stacks,
-    ``factors`` the T tuples of C-ordered factor stacks and ``colsums``, if
-    given, the T tuples of their column sums.  Each factor is reduced on its
-    own, so every column sums in the same order as it would alone."""
+    iterates, each a (T, S) array: ``resids`` holds the T residual stacks
+    and ``factors`` the T tuples of C-ordered factor stacks.  Each factor is
+    reduced on its own, so every column sums in the same order as it would
+    alone."""
     res = np.abs(_stacked(resids))
     residual_e = np.add.reduce(res, axis=tuple(range(2, res.ndim)))
     sumsq, sums = [], []
     for fs in zip(*factors):
         base = _stacked(fs)
         sumsq.append(np.add.reduce(base * base, axis=2))
-        if nonneg and not colsums:
+        if nonneg:
             sums.append(np.add.reduce(base, axis=2))
     comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)
-    if not nonneg:
-        delta_hat = comp_f
-    elif colsums:
-        flat = np.concatenate([c for cs in colsums for c in cs])
-        flat = flat.reshape(len(colsums), len(sumsq), *comp_f.shape[1:])
-        delta_hat = np.multiply.reduce(flat, axis=1)
-    else:
-        delta_hat = np.multiply.reduce(_stacked(sums), axis=0)
+    delta_hat = np.multiply.reduce(_stacked(sums), axis=0) if nonneg else comp_f
     return residual_e, np.add.reduce(delta_hat, axis=2), np.maximum.reduce(comp_f, axis=2)
 
 
@@ -400,18 +396,15 @@ def fit_seeds(a, cfg, seeds):
 
     def flush():
         """Append the block's rows to the traces.  An entry is (iteration,
-        objective list, residual stack, factor stacks, stats, and the
-        stop flags if only the seeds that stop get a row, else None)."""
+        objective list, residual stack, factor stacks, and the stop flags
+        if only the seeds that stop get a row, else None)."""
         if not block:
             return
-        its, objs, resids, fs, colsums, has_row = zip(*block)
+        its, objs, resids, fs, has_row = zip(*block)
         block.clear()
-        cols = _trace_columns(resids, fs, cfg.nonneg, colsums if kl else None)
+        cols = _trace_columns(resids, fs, cfg.nonneg)
         res_e, dl1, cmax = (c.T.tolist() for c in cols)
-        over = None
-        if cfg.nonneg:
-            with np.errstate(over="ignore"):  # a cap beyond the double range is inf
-                over = (cols[1] > coercivity_bound(a_e, cols[0])).T.tolist()
+        over = (~_within_cap(a_e, cols[1], cols[0])).T.tolist() if cfg.nonneg else None
         for j, seed_objs in enumerate(zip(*objs)):
             n = len(its) - (has_row[-1] is not None and not has_row[-1][j])
             k = over[j].index(True) if over and True in over[j][:n] else None
@@ -473,7 +466,7 @@ def fit_seeds(a, cfg, seeds):
             window.append(objs)
         stopping = True in stops
         if traced or stopping:
-            block.append((it, objs, resid, tuple(factors), tuple(stats), None if traced else stops))
+            block.append((it, objs, resid, tuple(factors), None if traced else stops))
             full = (len(block) == TRACE_BLOCK
                     or (len(block) + 1) * resid.size > TRACE_BLOCK_ENTRIES)
             # A seed whose objective is not finite ends at this iteration.

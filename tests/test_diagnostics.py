@@ -16,7 +16,6 @@ from nncp.pathologies import bclr_limit, w_sequence
 from nncp.solvers import (
     FitConfig,
     FitTrace,
-    TraceRow,
     coercivity_bound,
     fit_cp_unconstrained,
     fit_nncp,
@@ -26,8 +25,7 @@ from nncp.tensor import DenseTensor, norm
 
 def synthetic_trace(rows):
     trace = FitTrace()
-    for r in rows:
-        trace.append(TraceRow(*r))
+    trace.append_block(*zip(*rows))
     return trace
 
 
@@ -73,7 +71,8 @@ def test_detect_bounded_recheck_rejects_cap_violation():
 
 def test_detect_bounded_up_to_the_shared_coercivity_bound():
     # A row exactly at solvers.coercivity_bound is BOUNDED; one float above
-    # it is not.  The residual does not shrink, so nothing reads DEGENERATE.
+    # it, or a NaN in either column, is not.  The residual does not shrink,
+    # so nothing reads DEGENERATE.
     a_e, res_e = A_NORMS[0], 3.0
     bound = coercivity_bound(a_e, res_e)
     assert bound == a_e + res_e + 1e-9 * (1.0 + a_e + res_e)
@@ -81,7 +80,7 @@ def test_detect_bounded_up_to_the_shared_coercivity_bound():
         trace = synthetic_trace([(0, 9.0, delta_l1, comp_f, res_e)])
         assert detect_degeneracy(trace, A_NORMS).verdict == "BOUNDED"
     above = float(np.nextafter(bound, math.inf))
-    for delta_l1, comp_f in ((above, 1.0), (1.0, above)):
+    for delta_l1, comp_f in ((above, 1.0), (1.0, above), (math.nan, 1.0), (1.0, math.nan)):
         trace = synthetic_trace([(0, 9.0, delta_l1, comp_f, res_e)])
         assert detect_degeneracy(trace, A_NORMS).verdict == "INCONCLUSIVE"
 
