@@ -76,11 +76,20 @@ def test_distance_kl_is_nonnegative_and_matches_brute_kl(pair):
 
 def test_distance_kl_is_not_absorbed_by_the_sums():
     # sum(b) - sum(a) absorbs the entries far below the largest, so the
-    # one-row value is -2.3e-319 although D_KL is about 1e-310.
-    a = DenseTensor([2], [1e308, 1e-320])
-    b = DenseTensor([2], [1e308, 1e-310])
-    assert distance(a, b, KL) == pytest.approx(brute_kl(a, b), rel=1e-9)
-    assert distance(a, b, KL) > 0.0
+    # one-row value is -2.3e-319 although D_KL is about 1e-310.  In the
+    # near-equal pairs every term a log(a/b) - a + b cancels in doubles
+    # (D_KL is 2.5e-32, 1e-19, and 4e-325, which rounds to 0).
+    pairs = [
+        ([1e308, 1e-320], [1e308, 1e-310]),
+        ([1.0], [1 + 2**-52]),
+        ([3.0, 5.0], [3.0, 5 + 1e-9]),
+        ([1e-300], [1e-300 * (1 + 2**-40)]),
+    ]
+    for a, b in pairs:
+        a, b = DenseTensor([len(a)], a), DenseTensor([len(b)], b)
+        d, want = distance(a, b, KL), brute_kl(a, b)
+        assert abs(d - want) <= 1e-9 * want, (a.data, b.data)
+        assert (d > 0.0) == (want > 0.0)
 
 
 def test_kl_boundary_pair_value():
