@@ -9,15 +9,12 @@ unit l1-norm and absorbs the scale into the weights; in that form
 unit-E-norm model into a naive-Bayes joint distribution.
 """
 
-import functools
 import json
 
 import numpy as np
 
 from .tensor import DenseTensor, _divided, _frozen, _integer, _json_array, _json_document
 from .tensor import _read_text, _real, _scaled, _shape, _unscaled, _write_text, norm
-
-_LETTERS = "abcdefghijklmnopqrstuvwxy"  # z indexes components
 
 
 def _nonnegative(*arrays):
@@ -88,21 +85,43 @@ class KruskalModel:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _einsum_spec(k):
-    """np.einsum subscripts that take one order-k model's (delta, W_1, ...,
-    W_k) and give its tensor: modes a, b, c, ..., component index z."""
-    if k > len(_LETTERS):
-        raise ValueError(f"order {k} exceeds supported maximum {len(_LETTERS)}")
-    modes = _LETTERS[:k]
-    return "z," + ",".join(f"{m}z" for m in modes) + f"->{modes}"
+# The kernels below take factor stacks of shape (S, d_i, r), one model per
+# stack entry, and return one result per entry along the leading axis.
+
+
+def _unfoldings(arr):
+    """The mode-n unfoldings of the tensor ``arr``: C-ordered (d_n, size/d_n)
+    matrices whose columns match the rows of :func:`_khatri_rao`."""
+    return [np.moveaxis(arr, n, 0).reshape(d, -1) for n, d in enumerate(arr.shape)]
+
+
+def _khatri_rao(factors, n):
+    """The (S, size/d_n, r) Khatri-Rao product of the stacks other than
+    factors[n], its rows running over those modes in order, the last
+    fastest; of no stacks (order 1), a row of ones."""
+    others = factors[:n] + factors[n + 1:]
+    if not others:
+        s, _, r = factors[n].shape
+        return np.ones((s, 1, r))
+    kr = others[0]
+    for f in others[1:]:
+        s, d, r = f.shape
+        kr = (kr[:, :, None, :] * f[:, None, :, :]).reshape(s, kr.shape[1] * d, r)
+    return kr
+
+
+def _reconstruct(w, kr):
+    """The mode-n unfolding W^(n) K^T of each entry's reconstruction, given
+    the stack W^(n) and the Khatri-Rao product K of the other stacks."""
+    return w @ kr.transpose(0, 2, 1)
 
 
 def reconstruct(model):
-    """Dense tensor sum_p delta_p * (outer product of factor columns p)."""
-    spec = _einsum_spec(model.order)
-    out = np.einsum(spec, model.delta, *model.factors)
-    return DenseTensor.from_array(out)
+    """Dense tensor sum_p delta_p * (outer product of factor columns p): the
+    one-entry case of the kernels, W^(0) diag(delta) K^T reshaped."""
+    factors = [f[None] for f in model.factors]
+    x = _reconstruct(factors[0] * model.delta, _khatri_rao(factors, 0))
+    return DenseTensor.from_array(x.reshape(model.shape))
 
 
 def _rescale_columns(model, column_scales):

@@ -33,29 +33,31 @@ FitTrace.append_block.  A seed's arithmetic never mixes with its
 batch-mates', so it gets the same trace, notes, model or exception, byte for
 byte, in any batch, on every shape (modes of size 1 and order 1 included).
 
-The kernels are batched matmuls with the Khatri-Rao product K of the
-factors other than W^(n), one fixed-shape product per stack entry whatever S
-is, so the batch never changes a seed's summation order.  Each mode update
-builds its K once; its MTTKRP (matricized tensor times Khatri-Rao product)
-is A_(n) @ K, the unfoldings A_(n) built once per fit.  The reconstruction
-after a sweep is W^(0) K^T, whose K the next mode-0 update reuses; a KL
+The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
+are batched matmuls with the Khatri-Rao product K of the factors other than
+W^(n), one fixed-shape product per stack entry whatever S is, so the batch
+never changes a seed's summation order.  Each mode update builds its K once;
+its MTTKRP (matricized tensor times Khatri-Rao product) is A_(n) @ K, the
+unfoldings A_(n) built once per fit.  The reconstruction after a sweep is
+W^(0) K^T, whose K the next mode-0 update reuses; it and the residual stay
+mode-0 unfoldings, so no array of a fit has more axes than the target.  A KL
 update of mode n >= 1 reconstructs as W^(n) K^T with its own K.  At order 1,
 K is a row of ones.
 
-Trace rows are computed in blocks.  A traced iterate records only
-references to its iteration, objective list, residual stack and factor
-stacks, arrays the driver replaces and never writes into.  A block holds at
-most TRACE_BLOCK iterates, and at most TRACE_BLOCK_ENTRIES residual entries
-unless one iterate has more.  When it
-is full, and before any seed ends, one pass computes the (T, S) block's
-residual_E, delta_l1 and max_component_F, checks the coercivity cap as one
-array expression, and appends each seed's rows.  The entry bound keeps the
-memory of a block independent of the size of A and its temporaries small:
-on a 20x20x20 tensor a block of four or more iterates cost more per row
-than one row at a time.  The objectives are still checked for finiteness
-every traced iteration, so a diverging seed ends where it did; a cap
-violation surfaces at the next flush, naming the first violating iteration,
-and replaces any later error of that seed (a failed solve since).
+Trace rows are computed in blocks.  A traced iterate records only references
+to its iteration, objective list, residual stack and factor stacks, arrays
+the driver replaces and never writes into.  A block holds at most
+TRACE_BLOCK iterates, and at most TRACE_BLOCK_ENTRIES residual entries
+unless one iterate has more.  When it is full, and before any seed ends, one
+pass computes the (T, S) block's residual_E, delta_l1 and max_component_F,
+checks the coercivity cap as one array expression, and appends each seed's
+rows.  The entry bound keeps the memory of a block independent of the size
+of A and its temporaries small: on a 20x20x20 tensor a block of four or more
+iterates cost more per row than one row at a time.  The objectives are still
+checked for finiteness every traced iteration, so a diverging seed ends
+where it did; a cap violation surfaces at the next flush, naming the first
+violating iteration, and replaces any later error of that seed (a failed
+solve since).
 
 On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
@@ -92,7 +94,7 @@ import numpy as np
 
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
-from .kruskal import _einsum_spec, _nonnegative
+from .kruskal import _khatri_rao, _nonnegative, _reconstruct, _unfoldings
 from .tensor import _csv_text, _integer, _real, _write_text, norm
 
 # Absolute floors: on the MU denominators, the ALS ridge, and the
@@ -215,36 +217,6 @@ class FitResult:
     final_objective: float
 
 
-# The kernels below take factor stacks of shape (S, d_i, r) and return one
-# result per seed along the leading axis.
-
-
-def _unfoldings(arr):
-    """The mode-n unfoldings of the tensor ``arr``: C-ordered (d_n, size/d_n)
-    matrices whose columns match the rows of :func:`_khatri_rao`."""
-    return [np.moveaxis(arr, n, 0).reshape(d, -1) for n, d in enumerate(arr.shape)]
-
-
-def _khatri_rao(factors, n):
-    """The (S, size/d_n, r) Khatri-Rao product of the stacks other than
-    factors[n], its rows running over those modes in order, the last
-    fastest; of no stacks (order 1), a row of ones."""
-    others = factors[:n] + factors[n + 1:]
-    if not others:
-        s, _, r = factors[n].shape
-        return np.ones((s, 1, r))
-    kr = others[0]
-    for f in others[1:]:
-        kr = (kr[:, :, None, :] * f[:, None, :, :]).reshape(len(f), -1, f.shape[2])
-    return kr
-
-
-def _reconstruct(w, kr):
-    """The mode-n unfolding W^(n) K^T of each seed's reconstruction, given
-    the stack W^(n) and the Khatri-Rao product K of the other stacks."""
-    return w @ kr.transpose(0, 2, 1)
-
-
 def _factor_stat(f, kl):
     return np.add.reduce(f, axis=1) if kl else f.transpose(0, 2, 1) @ f
 
@@ -261,15 +233,17 @@ def _per_seed_sum(x):
     return np.add.reduce(x, axis=tuple(range(1, x.ndim)))
 
 
-def _loss(a_arr, loss, rho):
-    """The loss against ``a_arr`` as ``f(xhat, resid, factors)``, one float per
-    seed; KL is D_KL(a, max(x, KL_SOLVER_FLOOR)) with a's terms fixed."""
+def _loss(a0, loss, rho):
+    """The loss against the mode-0 unfolding ``a0`` of the target as
+    ``f(x, resid, factors)``, one float per seed, for stacks ``x`` and
+    ``resid`` of mode-0 unfoldings; KL is D_KL(a, max(x, KL_SOLVER_FLOOR))
+    with a's terms fixed."""
     if loss is Loss.KL:
-        kl_rows = _kl_rows(a_arr)
+        kl_rows = _kl_rows(a0)
 
-    def per_seed(xhat, resid, factors):
+    def per_seed(x, resid, factors):
         if loss is Loss.KL:
-            return kl_rows(np.maximum(xhat.reshape(len(xhat), -1), KL_SOLVER_FLOOR))
+            return kl_rows(np.maximum(x.reshape(len(x), -1), KL_SOLVER_FLOOR))
         val = _per_seed_sum(resid * resid)
         if rho > 0:
             val = val + rho * sum(_per_seed_sum(f * f) for f in factors)
@@ -297,10 +271,10 @@ def objective(a, model, loss, reg_rho=0.0):
             raise ValueError("KL objective requires a nonnegative tensor")
     elif loss is not Loss.FROBENIUS:
         raise ValueError(f"unknown loss {loss!r}")
-    a_arr = a.as_array()
-    x = reconstruct(model).as_array()[None]
+    a0 = a.as_array().reshape(a.shape[0], -1)
+    x = reconstruct(model).as_array().reshape(1, *a0.shape)
     factors = [f[None] for f in model.factors]
-    return _loss(a_arr, loss, reg_rho)(x, a_arr - x, factors)[0]
+    return _loss(a0, loss, reg_rho)(x, a0 - x, factors)[0]
 
 
 def coercivity_bound(a_e, residual_e):
@@ -368,15 +342,15 @@ def fit_seeds(a, cfg, seeds):
     """
     if cfg.nonneg and np.any(a.data < 0):
         raise ValueError("fit_nncp requires a nonnegative tensor")
-    _einsum_spec(a.order)  # the fitted model must reconstruct: order <= 25
     a_arr = a.as_array()
+    unfolded = a_arr.reshape(a.shape[0], -1)  # the mode-0 unfolding, as x0
     a_e = norm(a, "E")
     # Module globals looked up per call, so that tests can substitute them.
     if cfg.nonneg:
         init, update, rescale = _init_nonneg, _mu_update(a_arr, cfg), normalize
     else:
         init, update, rescale = _init_signed, _als_update(a_arr, cfg), l2_normalize
-    kl, loss = cfg.loss is Loss.KL, _loss(a_arr, cfg.loss, cfg.reg_rho)
+    kl, loss = cfg.loss is Loss.KL, _loss(unfolded, cfg.loss, cfg.reg_rho)
     out = [None] * len(seeds)
     slots, starts = [], []  # slots[j]: the output index of stack entry j
     for i, seed in enumerate(seeds):
@@ -451,9 +425,8 @@ def fit_seeds(a, cfg, seeds):
                         return out
         kr0 = _khatri_rao(factors, 0)
         x0 = _reconstruct(factors[0], kr0)
-        xhat = x0.reshape(len(x0), *a.shape)
-        resid = a_arr - xhat
-        objs = loss(xhat, resid, factors)
+        resid = unfolded - x0
+        objs = loss(x0, resid, factors)
         last = it == cfg.max_iters
         traced = last or it % cfg.trace_every == 0
         # Relative decrease over the trailing window; a full window starts

@@ -33,11 +33,11 @@ KL_SEEDS = [(100 + i, i) for i in range(10)]
 # concatenated in fixture order.  A change to any of them is deliberate and
 # recorded with its reason.
 PINNED_DIGESTS = {
-    "contrast": "872df8b5f56ca0da767e506a2453feb6fc36a56b1d8cb623ec3815adccade476",
-    "rank1_runs": "9c97b5fdcee7c29580063bab2a2e5318e66ab0950b117fb4c1cdfa69a99b5b1d",
-    "kl_runs": "e46623ab57387fa8139e85d7dcfff870496a7f674eec000d4eef1c34bb1b6d6b",
-    "extra_fits": "aef53a362137b9bd920a3d5683fa640501343db7df87569804e8fdb32e523a14",
-    "unconstrained_fits": "ceeca8d41370f477e8dc77dfbe2f7d3ccef6a85d336799daef6d246730f0ff0c",
+    "contrast": "58faf21d09bcdabbb99121569296962da103c5a3a30276bb5645ed1991aa04b6",
+    "rank1_runs": "78c6ad9164930ca7c582f84d858a5b0f12e1f09bf982078d7e02da48342b4a79",
+    "kl_runs": "fcc9e43ce79e8d6fcf401ac7990c86578b459c9474ce3e83558baa045ac68527",
+    "extra_fits": "a750a9d65c02c3fcb3cc75efa9ecf45978bc01b6b89c493eb5b35fa22e69b56a",
+    "unconstrained_fits": "f3495fbfd80b95ec27d8593d5e8e6c91d26153cd88c4a615dc674f178efd0f43",
 }
 
 

@@ -60,6 +60,8 @@ def test_model_validation():
 def test_reconstruct_rank_zero():
     m = KruskalModel((2, 2), [], [np.zeros((2, 0)), np.zeros((2, 0))])
     assert reconstruct(m).data.tolist() == [0.0] * 4
+    m = KruskalModel((2, 3, 2), [], [np.zeros((d, 0)) for d in (2, 3, 2)])
+    assert reconstruct(m).data.tolist() == [0.0] * 12
 
 
 def test_reconstruct_basis_component():
