@@ -464,8 +464,8 @@ def test_order_one_fit_reproduces_the_vector(fit, cfg):
 
 @pytest.mark.parametrize("fit, cfg", _SOLVERS)
 def test_order_26_fits_and_reconstructs(fit, cfg):
-    # No fit array has more axes than the target, so any order a DenseTensor
-    # holds fits; the einsum alphabet once capped it at 25.
+    # No fit array has more axes than the target, so an order above 25
+    # fits with every solver, and its model reconstructs.
     a = reconstruct(random_model([2] + [1] * 24 + [3], 1, seed=4, nonneg=True, e_norm=3.0))
     x = reconstruct(fit(a, cfg).model)
     assert x.shape == a.shape
@@ -621,9 +621,9 @@ def test_trace_blocks_see_only_c_ordered_factor_stacks(monkeypatch, loss, nonneg
     seen = []
     real = solvers._trace_columns
 
-    def recording(resids, factors, nonneg):
+    def recording(resids, factors, *rest):
         seen.extend(f.flags.c_contiguous for fs in factors for f in fs)
-        return real(resids, factors, nonneg)
+        return real(resids, factors, *rest)
 
     monkeypatch.setattr(solvers, "_trace_columns", recording)
     noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
