@@ -16,9 +16,10 @@ One private evaluator, built once per target, computes D_KL for a stack of
 arrays.  It has three users: distance as its one-row case, and
 solvers.objective and the MU fits (fit_nncp, fit_seeds) as the KL loss on the
 reconstruction floored at solvers.KL_SOLVER_FLOOR.  Where sum(a) or sum(b)
-leaves the double range, or the one-row value is not above the rounding error
-of those sums (so it may be all rounding, even negative), distance sums the
-terms of D_KL one by one instead.
+leaves the double range, or the one-row value is not 2^30 times the rounding
+error of those sums times the size of the largest log (so it may be off by
+more than 1e-9 relative, or be all rounding, even negative), distance sums
+the terms of D_KL one by one instead.
 """
 
 import enum
@@ -46,12 +47,15 @@ def _kl_rows(a):
     pos = np.flatnonzero(a > 0.0)
     av = a.take(pos)
     a_sum, log_a = np.add.reduce(av), np.log(av)
+    everywhere = len(pos) == a.size
 
     def rows(b):
-        # take() keeps each row contiguous, so it sums as a flat array does.
+        # take() keeps each row contiguous, so it sums as a flat array does;
+        # on a support of every entry each row of b already is its take().
         # log a - log b rather than log(a/b): the ratio can overflow when b is
         # tiny.  The last add is on Python floats.
-        terms = np.add.reduce(av * (log_a - np.log(b.take(pos, axis=1))), axis=1).tolist()
+        bv = b if everywhere else b.take(pos, axis=1)
+        terms = np.add.reduce(av * (log_a - np.log(bv)), axis=1).tolist()
         return [m + t for m, t in zip((np.add.reduce(b, axis=1) - a_sum).tolist(), terms)]
 
     return rows
@@ -102,13 +106,19 @@ def distance(a, b, kind):
         if np.any(b.data < 0):
             raise ValueError("KL requires the second argument to be nonnegative")
         # 0 log 0 = 0 where a = 0; +inf where a > 0 and b = 0.
-        if np.any(b.data[a.data > 0.0] == 0.0):
+        pos = a.data > 0.0
+        if np.any(b.data[pos] == 0.0):
             return math.inf
         with np.errstate(all="ignore"):
             d = _kl_rows(a.data)(b.data[None])[0]
-            # The rounding error of sum(a) and sum(b); inf if either overflows.
+            # The rounding error of sum(a) and sum(b), times the size of the
+            # largest log on the support, which each term's error grows
+            # with; inf if either sum overflows.  d is kept only where that
+            # is below 2^-30 of it, so d is good to about 1e-9 relative.
+            logs = np.abs(np.log(np.concatenate([a.data[pos], b.data[pos]])))
             err = a.size * 2.0**-52 * float(np.add.reduce(a.data) + np.add.reduce(b.data))
-        if not err < d < math.inf:
+            err *= 1.0 + np.maximum.reduce(logs, initial=0.0)
+        if not err < 2.0**-30 * d < math.inf:
             d = _kl_termwise(a.data, b.data)
         return d
     if not isinstance(kind, DivergenceKind):

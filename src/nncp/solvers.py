@@ -44,20 +44,18 @@ mode-0 unfoldings, so no array of a fit has more axes than the target.  A KL
 update of mode n >= 1 reconstructs as W^(n) K^T with its own K.  At order 1,
 K is a row of ones.
 
-Trace rows are computed in blocks.  A traced iterate records only references
-to its iteration, objective list, residual stack and factor stacks, arrays
-the driver replaces and never writes into.  A block holds at most
-TRACE_BLOCK iterates, and at most TRACE_BLOCK_ENTRIES residual entries
-unless one iterate has more.  When it is full, and before any seed ends, one
-pass computes the (T, S) block's residual_E, delta_l1 and max_component_F,
-checks the coercivity cap as one array expression, and appends each seed's
-rows.  The entry bound keeps the memory of a block independent of the size
-of A and its temporaries small: on a 20x20x20 tensor a block of four or more
-iterates cost more per row than one row at a time.  The objectives are still
-checked for finiteness every traced iteration, so a diverging seed ends
-where it did; a cap violation surfaces at the next flush, naming the first
-violating iteration, and replaces any later error of that seed (a failed
-solve since).
+Trace rows are computed in blocks.  A traced iterate records its iteration,
+its objective list, its residual_E (one per seed, reduced from the residual
+stack when it is recorded) and references to its factor stacks, arrays the
+driver replaces and never writes into.  A block holds at most TRACE_BLOCK
+iterates, so its memory is at most TRACE_BLOCK sets of factor stacks,
+whatever the size of A.  When it is full, and before any seed ends, one pass
+computes the (T, S) block's delta_l1 and max_component_F, checks the
+coercivity cap as one array expression, and appends each seed's rows.  The
+objectives are still checked for finiteness every traced iteration, so a
+diverging seed ends where it did; a cap violation surfaces at the next
+flush, naming the first violating iteration, and replaces any later error of
+that seed (a failed solve since).
 
 On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
@@ -84,7 +82,6 @@ subproblem, so full sweeps decrease the loss (to floor-level slack).
 """
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -104,9 +101,7 @@ DEN_FLOOR = 1e-12
 RIDGE_JITTER = 1e-12
 KL_SOLVER_FLOOR = 1e-300
 STOP_WINDOW = 5
-# Bounds on a block of trace rows; see the module docstring.
-TRACE_BLOCK = 64
-TRACE_BLOCK_ENTRIES = 2**14
+TRACE_BLOCK = 64  # traced iterates per block of trace rows; see the module docstring
 
 
 class Loss(enum.Enum):
@@ -222,8 +217,11 @@ def _factor_stat(f, kl):
 
 
 def _product_of_others(stats, n):
-    others = [st for m, st in enumerate(stats) if m != n]
-    return functools.reduce(np.multiply, others) if others else np.ones_like(stats[n])
+    others = stats[:n] + stats[n + 1:]
+    out = others[0] if others else np.ones_like(stats[n])
+    for st in others[1:]:
+        out = out * st
+    return out
 
 
 def _per_seed_sum(x):
@@ -300,14 +298,12 @@ def _stacked(arrays):
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
-def _trace_columns(resids, factors, nonneg):
+def _trace_columns(residual_e, factors, nonneg):
     """residual_E, delta_l1 and max_component_F of a block of T traced
-    iterates, each a (T, S) array: ``resids`` holds the T residual stacks
-    and ``factors`` the T tuples of C-ordered factor stacks.  Each factor is
-    reduced on its own, so every column sums in the same order as it would
-    alone."""
-    res = np.abs(_stacked(resids))
-    residual_e = np.add.reduce(res, axis=tuple(range(2, res.ndim)))
+    iterates, each a (T, S) array: ``residual_e`` holds the T iterates'
+    residual_E arrays and ``factors`` their T tuples of C-ordered factor
+    stacks.  Each factor is reduced on its own, so every column sums in the
+    same order as it would alone."""
     sumsq, sums = [], []
     for fs in zip(*factors):
         base = _stacked(fs)
@@ -316,7 +312,8 @@ def _trace_columns(resids, factors, nonneg):
             sums.append(np.add.reduce(base, axis=2))
     comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)
     delta_hat = np.multiply.reduce(_stacked(sums), axis=0) if nonneg else comp_f
-    return residual_e, np.add.reduce(delta_hat, axis=2), np.maximum.reduce(comp_f, axis=2)
+    return (_stacked(residual_e), np.add.reduce(delta_hat, axis=2),
+            np.maximum.reduce(comp_f, axis=2))
 
 
 def fit_seeds(a, cfg, seeds):
@@ -370,13 +367,13 @@ def fit_seeds(a, cfg, seeds):
 
     def flush():
         """Append the block's rows to the traces.  An entry is (iteration,
-        objective list, residual stack, factor stacks, and the stop flags
+        objective list, residual_E array, factor stacks, and the stop flags
         if only the seeds that stop get a row, else None)."""
         if not block:
             return
-        its, objs, resids, fs, has_row = zip(*block)
+        its, objs, res_es, fs, has_row = zip(*block)
         block.clear()
-        cols = _trace_columns(resids, fs, cfg.nonneg)
+        cols = _trace_columns(res_es, fs, cfg.nonneg)
         res_e, dl1, cmax = (c.T.tolist() for c in cols)
         over = (~_within_cap(a_e, cols[1], cols[0])).T.tolist() if cfg.nonneg else None
         for j, seed_objs in enumerate(zip(*objs)):
@@ -439,9 +436,9 @@ def fit_seeds(a, cfg, seeds):
             window.append(objs)
         stopping = True in stops
         if traced or stopping:
-            block.append((it, objs, resid, tuple(factors), None if traced else stops))
-            full = (len(block) == TRACE_BLOCK
-                    or (len(block) + 1) * resid.size > TRACE_BLOCK_ENTRIES)
+            res_e = np.add.reduce(np.abs(resid), axis=(1, 2))  # resid is (S, d0, size/d0)
+            block.append((it, objs, res_e, tuple(factors), None if traced else stops))
+            full = len(block) == TRACE_BLOCK
             # A seed whose objective is not finite ends at this iteration.
             if last or stopping or full or not all(map(math.isfinite, objs)):
                 flush()

@@ -79,7 +79,11 @@ class DenseTensor:
                 f"data length {arr.size} does not match shape {shape} "
                 f"(expected {expected})"
             )
-        object.__setattr__(self, "_array", arr.reshape(shape))
+        try:
+            arr = arr.reshape(shape)
+        except ValueError:  # more axes than numpy supports (64 in numpy 2, 32 in 1.x)
+            raise ValueError(f"tensor order {len(shape)} exceeds numpy's axis limit") from None
+        object.__setattr__(self, "_array", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")

@@ -78,12 +78,17 @@ def test_distance_kl_is_not_absorbed_by_the_sums():
     # sum(b) - sum(a) absorbs the entries far below the largest, so the
     # one-row value is -2.3e-319 although D_KL is about 1e-310.  In the
     # near-equal pairs every term a log(a/b) - a + b cancels in doubles
-    # (D_KL is 2.5e-32, 1e-19, and 4e-325, which rounds to 0).
+    # (D_KL is 2.5e-32, 1e-19, and 4e-325, which rounds to 0).  In the last
+    # two the logs are about 590 and 668 in size, and the one-row value's
+    # error, that many times the rounding error of the sums, is far above
+    # D_KL (1.06e243 for 5.0e239 when the switch ignored the logs).
     pairs = [
         ([1e308, 1e-320], [1e308, 1e-310]),
         ([1.0], [1 + 2**-52]),
         ([3.0, 5.0], [3.0, 5 + 1e-9]),
         ([1e-300], [1e-300 * (1 + 2**-40)]),
+        ([1e256], [1e256 * (1 + 1e-8)]),
+        ([1e-290], [1e-290 * (1 + 1e-7)]),
     ]
     for a, b in pairs:
         a, b = DenseTensor([len(a)], a), DenseTensor([len(b)], b)

@@ -547,7 +547,9 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
     # as (S, r, d) arrays that the update copies to C order, while its start
     # (iteration 0) is stacked C-ordered.  Concatenating the factors for one
     # np.add.reduceat, or padding them into one stack, rounds differently.  A
-    # block of three iterates, at ranks below and above 8.  with_colsums:
+    # block of three iterates, at ranks below and above 8.  residual_E is
+    # reduced from each (S, d0, size/d0) residual stack when the driver
+    # records the iterate, as fit_seeds does it.  with_colsums:
     # delta_l1 is also bit-equal to the product of the column sums that the
     # KL driver caches, so the trace pass needs no copy of them.
     rng = np.random.default_rng(11)
@@ -564,11 +566,12 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
                     solved = np.ascontiguousarray(f.transpose(0, 2, 1))
                     f = np.ascontiguousarray(solved.transpose(0, 2, 1))
                 factors.append(f)
-            resid = rng.standard_normal((stack, 9, 17, 3))
+            resid = rng.standard_normal((stack, 9, 51))
             resid[rng.random(resid.shape) < 0.2] = -0.0
             resids.append(resid)
             blocks.append(tuple(factors))
-        got = solvers._trace_columns(resids, blocks, nonneg)
+        recorded = [np.add.reduce(np.abs(resid), axis=(1, 2)) for resid in resids]
+        got = solvers._trace_columns(recorded, blocks, nonneg)
         for t in range(3):
             colsums = [solvers._factor_stat(f, True) for f in blocks[t]] if with_colsums else None
             want = _wrapper_trace_quantities(resids[t], list(blocks[t]), nonneg, colsums)
@@ -602,11 +605,11 @@ def test_trace_block_numpy_calls_do_not_grow_with_the_batch(nonneg):
     rng = np.random.default_rng(2)
     counts = []
     for stack in (1, 5):
-        resids = [rng.standard_normal((stack, 3, 20)) for _ in range(4)]
+        residual_e = [rng.random(stack) for _ in range(4)]
         blocks = [tuple(rng.random((stack, d, 2)) for d in (3, 4, 5)) for _ in range(4)]
         calls = collections.Counter()
         with mock.patch.object(solvers, "np", _CountingNumpy(np, calls)):
-            solvers._trace_columns(resids, blocks, nonneg)
+            solvers._trace_columns(residual_e, blocks, nonneg)
         counts.append(calls)
     assert counts[0] and counts[0] == counts[1]
 
@@ -621,9 +624,9 @@ def test_trace_blocks_see_only_c_ordered_factor_stacks(monkeypatch, loss, nonneg
     seen = []
     real = solvers._trace_columns
 
-    def recording(resids, factors, *rest):
+    def recording(residual_e, factors, *rest):
         seen.extend(f.flags.c_contiguous for fs in factors for f in fs)
-        return real(resids, factors, *rest)
+        return real(residual_e, factors, *rest)
 
     monkeypatch.setattr(solvers, "_trace_columns", recording)
     noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
@@ -892,10 +895,11 @@ def test_every_trace_row_enters_through_append(monkeypatch, loss, nonneg, trace_
 )
 @pytest.mark.parametrize("bound", ["iterates", "entries"])
 def test_np_sqrt_calls_per_fit_scale_with_trace_blocks(monkeypatch, loss, nonneg, bound):
-    # The trace quantities take one np.sqrt per block of 8 rows, not one per
-    # row: 7 and 8 rows are one block, 63 and 64 rows eight.  A block holds
-    # at most TRACE_BLOCK iterates and TRACE_BLOCK_ENTRIES residual entries
-    # (_NB has 60).
+    # The trace quantities take one np.sqrt per block of rows, not one per
+    # row.  A block holds at most TRACE_BLOCK iterates, whatever the size of
+    # the target.  iterates: in blocks of 8, 7 and 8 rows are one block, 63
+    # and 64 rows eight.  entries: on a 7x7x7 target, 7, 8, 63 and 64 rows
+    # each take one block of the default 64.
     calls = []
     real = np.sqrt
 
@@ -906,16 +910,18 @@ def test_np_sqrt_calls_per_fit_scale_with_trace_blocks(monkeypatch, loss, nonneg
     monkeypatch.setattr(np, "sqrt", counting)
     if bound == "iterates":
         monkeypatch.setattr(solvers, "TRACE_BLOCK", 8)
+        a, passes = _NB, 8
     else:
-        monkeypatch.setattr(solvers, "TRACE_BLOCK_ENTRIES", 8 * _NB.size)
+        a = reconstruct(random_model((7, 7, 7), 2, seed=77, nonneg=True, e_norm=3.0))
+        passes = 1
     fit = fit_nncp if nonneg else fit_cp_unconstrained
     per_fit = {}
     for iters in (6, 7, 62, 63):
         calls.clear()
-        fit(_NB, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
+        fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
         per_fit[iters] = len(calls)
     assert per_fit[6] == per_fit[7]
-    assert per_fit[62] == per_fit[63] == per_fit[7] + 7
+    assert per_fit[62] == per_fit[63] == per_fit[7] + passes - 1
 
 
 # --- trace blocks -----------------------------------------------------------------

@@ -32,6 +32,30 @@ def test_construction_validates_shape_and_length():
         DenseTensor([2, 0], [])
 
 
+def _numpy_axis_limit():
+    """The largest number of axes a numpy array can have (64 in numpy 2, 32 in 1.x)."""
+    k = 1
+    while True:
+        try:
+            np.empty((1,) * (k + 1))
+        except ValueError:
+            return k
+        k += 1
+
+
+def test_order_above_numpys_axis_limit_fails_at_the_tensor():
+    # One axis more than numpy supports is the tensor's own error, whether
+    # the shape comes to the constructor or through JSON.
+    top = _numpy_axis_limit()
+    assert DenseTensor([1] * top, [2.0]).order == top
+    for order in sorted({top + 1, 65}):
+        with pytest.raises(ValueError, match=f"^tensor order {order} exceeds"):
+            DenseTensor([1] * order, [1.0])
+        doc = json.dumps({"shape": [1] * order, "data": [1.0]})
+        with pytest.raises(ValueError, match=f"^tensor order {order} exceeds"):
+            tensor_from_json(doc)
+
+
 def test_construction_rejects_nonfinite():
     with pytest.raises(ValueError):
         DenseTensor([2], [1.0, float("nan")])
