@@ -61,12 +61,14 @@ On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
 np.linalg.norm, whose Python wrappers cost more than the arithmetic on these
 tiny tensors; np.linalg.norm(f, axis=1) is exactly
-np.sqrt(np.add.reduce(f * f, axis=1)).  Every factor stack is C-ordered (ALS
-copies its solves back to that layout), and each is reduced on its own: a
-reduction's rounding depends on the lengths and layout it runs over, so one
-np.add.reduceat over the concatenated factors, a stack of factors padded
-with -0.0, or a Gram's diagonal (a matmul) is not bit-equal to the
-per-factor norms and sums, and would change the traces.
+np.sqrt(np.add.reduce(f * f, axis=1)).  Likewise the ALS Cholesky probe and
+solve call the LAPACK gufuncs that np.linalg.cholesky and np.linalg.solve
+wrap, directly, under the wrappers' own error rule.  Every factor stack is
+C-ordered (ALS copies its solves back to that layout), and each is reduced
+on its own: a reduction's rounding depends on the lengths and layout it runs
+over, so one np.add.reduceat over the concatenated factors, a stack of
+factors padded with -0.0, or a Gram's diagonal (a matmul) is not bit-equal
+to the per-factor norms and sums, and would change the traces.
 
 Multiplicative updates are the standard majorization rules extended to k
 modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
@@ -88,6 +90,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the gufuncs np.linalg.cholesky and solve wrap
 
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
@@ -499,6 +502,20 @@ def _mu_update(a_arr, cfg):
     return frobenius
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_solve(gram, rhs, probe=True):
+    """np.linalg.cholesky(gram) if ``probe``, then np.linalg.solve(gram, rhs), as
+    the gufuncs they wrap, under their error rule and around these calls only."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        if probe:
+            _umath_linalg.cholesky_lo(gram, signature="d->d")
+        return _umath_linalg.solve(gram, rhs, signature="dd->d")
+
+
 def _als_update(a_arr, cfg):
     rho = cfg.reg_rho
     eye = np.eye(cfg.rank)
@@ -509,9 +526,10 @@ def _als_update(a_arr, cfg):
         if rho > 0:
             gram = gram + rho * eye
         rhs = (unfold[n] @ kr).transpose(0, 2, 1)
+        # Every probe and solve is a direct LAPACK gufunc call (_lapack_solve):
+        # np.linalg's wrappers cost more than the solve on these tiny Grams.
         try:
-            np.linalg.cholesky(gram)
-            sol = np.linalg.solve(gram, rhs)
+            sol = _lapack_solve(gram, rhs)
         except np.linalg.LinAlgError:
             # Some seed's normal equations are singular: solve seed by seed.
             # A Gram that fails the Cholesky probe, or whose solve fails, gets
@@ -519,11 +537,10 @@ def _als_update(a_arr, cfg):
             sol = np.zeros(rhs.shape)
             for j in range(len(gram)):
                 try:
-                    np.linalg.cholesky(gram[j])
-                    sol[j] = np.linalg.solve(gram[j], rhs[j])
+                    sol[j] = _lapack_solve(gram[j], rhs[j])
                 except np.linalg.LinAlgError:
                     try:
-                        sol[j] = np.linalg.solve(gram[j] + RIDGE_JITTER * eye, rhs[j])
+                        sol[j] = _lapack_solve(gram[j] + RIDGE_JITTER * eye, rhs[j], probe=False)
                         note(j, f"ridge jitter on mode {n}")
                     except np.linalg.LinAlgError as exc:
                         fail(j, exc)

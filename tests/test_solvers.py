@@ -636,19 +636,21 @@ def test_trace_blocks_see_only_c_ordered_factor_stacks(monkeypatch, loss, nonneg
     assert seen and all(seen)
 
 
-# np.linalg.norm, np.sum and np.where calls of one fit with tol=0, by solver
-# and order: all of them set up the fit or package its model, none runs per
-# iteration.
+# np.linalg.norm, np.sum, np.where, np.linalg.cholesky and np.linalg.solve
+# calls of one fit with tol=0, by solver and order: all of them set up the fit
+# or package its model, none runs per iteration.
+_WRAPPERS = [(np.linalg, "norm"), (np, "sum"), (np, "where"), (np.linalg, "cholesky"),
+             (np.linalg, "solve")]
 _WRAPPER_CALLS = {
-    ("mu", "o1"): {"sum": 4},
-    ("mu", "o3"): {"sum": 10},
-    ("mu", "o4"): {"sum": 13},
-    ("kl", "o1"): {"sum": 4},
-    ("kl", "o3"): {"sum": 10},
-    ("kl", "o4"): {"sum": 13},
-    ("als", "o1"): {"norm": 2},
-    ("als", "o3"): {"norm": 6},
-    ("als", "o4"): {"norm": 8},
+    ("mu", "o1"): {"norm": 0, "sum": 4, "where": 0, "cholesky": 0, "solve": 0},
+    ("mu", "o3"): {"norm": 0, "sum": 10, "where": 0, "cholesky": 0, "solve": 0},
+    ("mu", "o4"): {"norm": 0, "sum": 13, "where": 0, "cholesky": 0, "solve": 0},
+    ("kl", "o1"): {"norm": 0, "sum": 4, "where": 0, "cholesky": 0, "solve": 0},
+    ("kl", "o3"): {"norm": 0, "sum": 10, "where": 0, "cholesky": 0, "solve": 0},
+    ("kl", "o4"): {"norm": 0, "sum": 13, "where": 0, "cholesky": 0, "solve": 0},
+    ("als", "o1"): {"norm": 2, "sum": 0, "where": 0, "cholesky": 0, "solve": 0},
+    ("als", "o3"): {"norm": 6, "sum": 0, "where": 0, "cholesky": 0, "solve": 0},
+    ("als", "o4"): {"norm": 8, "sum": 0, "where": 0, "cholesky": 0, "solve": 0},
 }
 
 
@@ -660,7 +662,7 @@ _WRAPPER_CALLS = {
 )
 def test_numpy_wrapper_calls_per_fit(monkeypatch, solver, loss, nonneg, shape):
     calls = collections.Counter()
-    for module, name in [(np.linalg, "norm"), (np, "sum"), (np, "where")]:
+    for module, name in _WRAPPERS:
         real = getattr(module, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
@@ -674,9 +676,66 @@ def test_numpy_wrapper_calls_per_fit(monkeypatch, solver, loss, nonneg, shape):
     for iters in (3, 30):
         calls.clear()
         fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
-        per_fit.append(dict(calls))
+        per_fit.append({name: calls[name] for _, name in _WRAPPERS})
     order = f"o{len(shape)}"
     assert per_fit[0] == per_fit[1] == _WRAPPER_CALLS[solver, order]
+
+
+def _linalg_outcome(solve, *args):
+    """The result's bytes, or the LinAlgError's type and message."""
+    try:
+        return solve(*args).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return np.linalg.LinAlgError, str(exc)
+
+
+def _wrapped_probe_and_solve(gram, rhs):
+    np.linalg.cholesky(gram)
+    return np.linalg.solve(gram, rhs)
+
+
+def test_lapack_solve_matches_the_numpy_wrappers():
+    # _lapack_solve calls numpy's private LAPACK gufuncs; a numpy release
+    # that moves or changes them fails here, not deep inside an ALS fit.
+    from numpy.linalg import _umath_linalg
+
+    assert _umath_linalg.cholesky_lo.signature == "(m,m)->(m,m)"
+    assert _umath_linalg.solve.signature == "(m,m),(m,n)->(m,n)"
+    before = np.geterr(), np.geterrcall()
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(4, 4))
+    v = rng.normal(size=(4, 2))
+    grams = {
+        "spd": m @ m.T,
+        "psd": v @ v.T,
+        "indefinite": np.diag([2.0, -1.0, 3.0, 0.5]),
+        "zero": np.zeros((4, 4)),
+        "nan": np.where(np.eye(4) == 1, np.nan, 0.0) + m @ m.T,
+        "inf": np.diag([np.inf, 1.0, 1.0, 1.0]),
+    }
+    stacks = dict(grams)
+    stacks.update({f"{name}-stack": np.stack([grams["spd"], g, grams["spd"]])
+                   for name, g in grams.items()})
+    raised = set()
+    for name, gram in stacks.items():
+        rhs = rng.normal(size=(*gram.shape[:-1], 3))
+        probed = _linalg_outcome(solvers._lapack_solve, gram, rhs)
+        wrapped = _linalg_outcome(_wrapped_probe_and_solve, gram, rhs)
+        if isinstance(wrapped, bytes):
+            assert probed == wrapped, name
+        else:
+            assert probed[0] is np.linalg.LinAlgError, name
+            raised.add(name)
+        unprobed = _linalg_outcome(solvers._lapack_solve, gram, rhs, False)
+        assert unprobed == _linalg_outcome(np.linalg.solve, gram, rhs), name
+    # Rank-deficient "psd" may pass the probe by rounding; these cannot.
+    assert {"indefinite", "zero", "indefinite-stack", "zero-stack"} <= raised
+    # The ridged solve's failure reads as np.linalg.solve's own.
+    zero = np.zeros((3, 3))
+    assert _linalg_outcome(solvers._lapack_solve, zero, np.ones((3, 1)), False) == (
+        np.linalg.LinAlgError, "Singular matrix")
+    # The error rule ends with each call, raised or not.
+    assert (np.geterr(), np.geterrcall()) == before
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])
