@@ -19,7 +19,7 @@ import numpy as np
 
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
-from .solvers import FitConfig, _within_cap, fit_seeds
+from .solvers import FitConfig, _fit_batch, _within_cap
 from .tensor import _csv_text, _real, _write_text, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
@@ -43,6 +43,13 @@ class DegeneracyThresholds:
                 raise ValueError(f"{name} must be > 0")
 
 
+def _thresholds(th):
+    """``th``, or the defaults for None; anything else is a ValueError."""
+    if th is not None and not isinstance(th, DegeneracyThresholds):
+        raise ValueError(f"thresholds must be a DegeneracyThresholds or None, got {th!r}")
+    return th or DegeneracyThresholds()
+
+
 @dataclass(frozen=True)
 class DegeneracyReport:
     verdict: str  # DEGENERATE | BOUNDED | INCONCLUSIVE
@@ -59,12 +66,13 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     every row satisfied the coercivity cap delta_l1, max_component_F <=
     ||A||_E + residual_E, up to the slack of
     :func:`nncp.solvers.coercivity_bound` (so nothing blew up); a NaN in
-    either column fails the cap.  Otherwise INCONCLUSIVE.
+    either column fails the cap.  Otherwise INCONCLUSIVE.  ``thresholds``
+    is a DegeneracyThresholds or None (the defaults).
     """
+    th = _thresholds(thresholds)
     cols = trace.columns
     if not cols.iter:
         raise ValueError("trace is empty")
-    th = thresholds or DegeneracyThresholds()
     a_e, a_f = float(a_norms[0]), float(a_norms[1])
     res, comp = cols.residual_E, cols.max_component_F
     evidence = tuple(zip(cols.iter, res, comp, cols.delta_l1))
@@ -137,25 +145,28 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     iterate of the fit.  Returns a ContrastSummary with one row per (seed,
     family), in seed order.  Requires a nonnegative target (the nonnegative
     family demands it); an invalid rank or budget raises ValueError from
-    FitConfig.  Each family fits all seeds as one batch
-    (:func:`nncp.solvers.fit_seeds`); a seed whose fit raises, an invalid
-    seed included, gets an ERROR row and the others are unaffected.
+    FitConfig, and ``thresholds`` other than None or a DegeneracyThresholds
+    raises ValueError, both before any fit runs.  Both families fit every
+    seed as one batch (:func:`nncp.solvers._fit_batch`), each fit exactly as
+    it runs alone; a seed whose fit raises, an invalid seed included, gets
+    an ERROR row and the others are unaffected.
     """
     if np.any(a.data < 0):
         raise ValueError("contrast experiment requires a nonnegative tensor")
+    thresholds = _thresholds(thresholds)
     seeds = list(seeds)
     summary = ContrastSummary()
     a_norms = (norm(a, "E"), norm(a, "F"))
-    fits = {}
-    for family in _FAMILIES:
-        cfg = FitConfig(rank=rank, nonneg=family == "nonneg", max_iters=max_iters, tol=0.0)
-        try:
-            fits[family] = fit_seeds(a, cfg, seeds)
-        except Exception as exc:  # a failure of the whole batch, e.g. its order
-            fits[family] = [exc] * len(seeds)
+    cfg = FitConfig(rank=rank, max_iters=max_iters, tol=0.0)
+    entries = [(seed, family == "nonneg") for family in _FAMILIES for seed in seeds]
+    try:
+        fits = _fit_batch(a, cfg, entries)
+    except Exception as exc:  # a failure of the whole batch, e.g. its order
+        fits = [exc] * len(entries)
     for i, seed in enumerate(seeds):
-        for family in _FAMILIES:
-            row, report = _contrast_row(a, a_norms, seed, family, fits[family][i], thresholds)
+        for k, family in enumerate(_FAMILIES):
+            fit = fits[k * len(seeds) + i]
+            row, report = _contrast_row(a, a_norms, seed, family, fit, thresholds)
             summary.rows.append(row)
             if report is not None:
                 summary.reports[(seed, family)] = report

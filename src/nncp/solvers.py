@@ -15,23 +15,29 @@ Two entry points share one fit driver and one trace format:
 
 :func:`fit_seeds` runs either solver from many random starts at once.
 :class:`FitConfig` rejects every invalid configuration; each entry point
-hands the config to the driver :func:`fit_seeds`, which checks the tensor,
-picks the solver from ``cfg.nonneg`` and owns the sweeps, the stop rule, the
-trace rows, the coercivity check and the packaging.  The driver reconstructs
-X once per sweep; the objective, the trace row and the next sweep's first KL
-update all read that one reconstruction.  It caches each factor's Gram (for
-KL its column sums), refreshed after its update.
+hands the config to the driver :func:`_fit_batch`, which checks the tensor
+and owns the sweeps, the stop rule, the trace rows, the coercivity check and
+the packaging.  The driver reconstructs X once per sweep; the objective, the
+trace row and the next sweep's first KL update all read that one
+reconstruction.  It caches each factor's Gram (for KL its column sums),
+refreshed after its update.
 
-The driver fits a batch of seeds: every factor is an (S, d_i, r) stack with
-one matrix per seed, so one matmul, ufunc or LAPACK call serves all S seeds,
-and a single fit is a batch of one.  Per-seed events stay per seed.  The stop
-rule, the finiteness of the trace, the coercivity check, a ridge note and a
-failed solve each concern one seed; a seed that stops or raises leaves the
-stack and its batch-mates carry on.  So every per-seed list is indexed by
+The driver fits a batch of stack entries, each a seed and a family (MU or
+ALS; the contrast experiment fits both Frobenius families as one batch).
+Every factor is an (S, d_i, r) stack with one matrix per entry, so one
+matmul, ufunc or LAPACK call serves all S entries, and a single fit is a
+batch of one.  The MU entries come first, and only the update's family
+tails run on their contiguous slices; the Khatri-Rao products, Grams,
+MTTKRP, reconstruction, loss and trace pass serve the whole stack.
+Per-entry events stay per entry.  The stop rule, the finiteness of the
+trace, the coercivity check (of MU entries), a ridge note and a failed
+solve each concern one entry; an entry that stops or raises leaves the
+stack and its batch-mates carry on.  So every per-entry list is indexed by
 stack entry and sliced with the stacks, and every trace row enters through
-FitTrace.append_block.  A seed's arithmetic never mixes with its
-batch-mates', so it gets the same trace, notes, model or exception, byte for
-byte, in any batch, on every shape (modes of size 1 and order 1 included).
+FitTrace.append_block.  An entry's arithmetic never mixes with its
+batch-mates', so it gets the same trace, notes, model or exception, byte
+for byte, in any batch, on every shape (modes of size 1 and order 1
+included).
 
 The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
 are batched matmuls with the Khatri-Rao product K of the factors other than
@@ -304,17 +310,21 @@ def _stacked(arrays):
 def _trace_columns(residual_e, factors, nonneg):
     """residual_E, delta_l1 and max_component_F of a block of T traced
     iterates, each a (T, S) array: ``residual_e`` holds the T iterates'
-    residual_E arrays and ``factors`` their T tuples of C-ordered factor
-    stacks.  Each factor is reduced on its own, so every column sums in the
-    same order as it would alone."""
+    residual_E arrays, ``factors`` their T tuples of C-ordered factor stacks
+    and ``nonneg`` one bool per entry (delta_l1 multiplies column sums if it
+    is set, else l2-norms).  Each factor is reduced on its own, so every
+    column sums in the same order as it would alone."""
+    some = True in nonneg
     sumsq, sums = [], []
     for fs in zip(*factors):
         base = _stacked(fs)
         sumsq.append(np.add.reduce(base * base, axis=2))
-        if nonneg:
+        if some:
             sums.append(np.add.reduce(base, axis=2))
     comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)
-    delta_hat = np.multiply.reduce(_stacked(sums), axis=0) if nonneg else comp_f
+    delta_hat = np.multiply.reduce(_stacked(sums), axis=0) if some else comp_f
+    if some and False in nonneg:
+        delta_hat = np.where(np.reshape(nonneg, (-1, 1)), delta_hat, comp_f)
     return (_stacked(residual_e), np.add.reduce(delta_hat, axis=2),
             np.maximum.reduce(comp_f, axis=2))
 
@@ -324,43 +334,56 @@ def fit_seeds(a, cfg, seeds):
 
     ``cfg.nonneg`` picks the solver: the multiplicative updates of
     :func:`fit_nncp` or the alternating least squares of
-    :func:`fit_cp_unconstrained`, with the same input checks.  Each is a
-    start ``init(a, cfg)`` that returns one seed's starting factors, and a
-    per-mode update ``update(factors, stats, n, kr, x, note, fail)`` that
-    returns the new mode-n factor stack.  ``stats`` caches each factor's
-    Gram, or column sums for KL; ``kr`` is the Khatri-Rao product of the
-    stacks other than factors[n]; ``x`` is the mode-n unfolding of the
-    reconstruction of ``factors`` if the driver has it (mode 0), else None;
-    ``note(j, message)`` records an event on the trace of stack entry j at
-    the current iteration, and ``fail(j, exc)`` ends that entry's fit with
-    ``exc``.  Every per-seed list (output slot, trace, objective window) is
-    indexed by stack entry, like the stacks, and is sliced with them when
-    entries end.  ``cfg.seed`` is ignored; ``seeds`` lists the starts.
-    Returns one entry per seed, in order: the FitResult that ``cfg`` with
-    that seed gives alone, or the exception that fit raises (a seed that
-    FitConfig rejects fails alone).
+    :func:`fit_cp_unconstrained`, with the same input checks.  ``cfg.seed``
+    is ignored; ``seeds`` lists the starts.  Returns one entry per seed, in
+    order: the FitResult that ``cfg`` with that seed gives alone, or the
+    exception that fit raises (a seed that FitConfig rejects fails alone).
+    This is the one-family case of the driver :func:`_fit_batch`, which
+    also fits both Frobenius families as one batch.
     """
-    if cfg.nonneg and np.any(a.data < 0):
+    return _fit_batch(a, cfg, [(seed, cfg.nonneg) for seed in seeds])
+
+
+def _fit_batch(a, cfg, entries):
+    """Fit the (seed, nonneg) ``entries`` of ``cfg`` as one batch and return
+    what each gives alone, in order (see :func:`fit_seeds`); ``cfg.seed`` and
+    ``cfg.nonneg`` are ignored.
+
+    The stacks hold the nonnegative entries first; ``split`` counts the live
+    ones.  A family is a start ``init(a, cfg)`` of one seed's factors, a
+    rescale and a mode-n tail ``update(w, prod, mt, note, fail)`` given its
+    slices of the factor stack ``w``, of the product ``prod`` of the other
+    factors' cached Grams (column sums for KL) and of the MTTKRP ``mt``.
+    ``note(j, event)`` records "<event> on mode n" on the trace of the
+    slice's entry j at the current iteration; ``fail(j, exc)`` ends that
+    entry's fit with ``exc``.  Every per-entry list (output slot, trace,
+    family, objective window) is sliced with the stacks when entries end.
+    """
+    order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
+    if any(flag for _, flag in entries) and np.any(a.data < 0):
         raise ValueError("fit_nncp requires a nonnegative tensor")
     a_arr = a.as_array()
     unfolded = a_arr.reshape(a.shape[0], -1)  # the mode-0 unfolding, as x0
     a_e = norm(a, "E")
-    # Module globals looked up per call, so that tests can substitute them.
-    if cfg.nonneg:
-        init, update, rescale = _init_nonneg, _mu_update(a_arr, cfg), normalize
-    else:
-        init, update, rescale = _init_signed, _als_update(a_arr, cfg), l2_normalize
     kl, loss = cfg.loss is Loss.KL, _loss(unfolded, cfg.loss, cfg.reg_rho)
-    out = [None] * len(seeds)
-    slots, starts = [], []  # slots[j]: the output index of stack entry j
-    for i, seed in enumerate(seeds):
+    # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support.
+    unfold = _unfoldings(a_arr + 0.0 if kl else a_arr)
+    out = [None] * len(entries)
+    slots, nonneg, starts = [], [], []  # slots[j]: the output index of stack entry j
+    for i in order:
+        seed, flag = entries[i]
+        init = _init_nonneg if flag else _init_signed  # looked up per call, for tests
         try:
-            starts.append(init(a, replace(cfg, seed=seed)))
+            starts.append(init(a, replace(cfg, seed=seed, nonneg=flag)))
             slots.append(i)
+            nonneg.append(flag)
         except Exception as exc:
             out[i] = exc
     if not slots:
         return out
+    split = nonneg.count(True)
+    mu = _mu_update(cfg) if split else None
+    als = _als_update(cfg) if split < len(slots) else None
     factors = [np.stack(stack) for stack in zip(*starts)]
     stats = [_factor_stat(f, kl) for f in factors]
     traces = [FitTrace() for _ in slots]
@@ -376,12 +399,13 @@ def fit_seeds(a, cfg, seeds):
             return
         its, objs, res_es, fs, has_row = zip(*block)
         block.clear()
-        cols = _trace_columns(res_es, fs, cfg.nonneg)
+        cols = _trace_columns(res_es, fs, nonneg)
         res_e, dl1, cmax = (c.T.tolist() for c in cols)
-        over = (~_within_cap(a_e, cols[1], cols[0])).T.tolist() if cfg.nonneg else None
+        # The coercivity cap binds the nonnegative entries, the first split.
+        over = (~_within_cap(a_e, cols[1][:, :split], cols[0][:, :split])).T.tolist()
         for j, seed_objs in enumerate(zip(*objs)):
             n = len(its) - (has_row[-1] is not None and not has_row[-1][j])
-            k = over[j].index(True) if over and True in over[j][:n] else None
+            k = over[j].index(True) if j < split and True in over[j][:n] else None
             m = n if k is None else k + 1
             try:
                 traces[j].append_block(
@@ -398,26 +422,44 @@ def fit_seeds(a, cfg, seeds):
     def retire():
         """Record the ended entries, drop them from the stacks and the
         per-entry lists, and return the kept entries."""
-        nonlocal kr0, x0
+        nonlocal kr0, x0, split, update
         for j, res in ended.items():
             out[slots[j]] = res
         keep = [j for j in range(len(slots)) if j not in ended]
-        for entries in (slots, traces, *window):
-            entries[:] = [entries[j] for j in keep]
+        for per_entry in (slots, traces, nonneg, *window):
+            per_entry[:] = [per_entry[j] for j in keep]
         factors[:] = [f[keep] for f in factors]
         stats[:] = [st[keep] for st in stats]
         ended.clear()
-        kr0, x0 = kr0[keep], x0[keep]
+        kr0, x0, split = kr0[keep], x0[keep], nonneg.count(True)
+        update = mixed if 0 < split < len(slots) else mu if split else als
         return keep
 
-    def note(j, message):
-        traces[j].note(it, message)
+    def note(j, event):
+        traces[j].note(it, f"{event} on mode {n}")
+
+    def mixed(w, prod, mt, note, fail):
+        """The tail of a batch of both families: each on its slice."""
+        lo, hi = slice(split), slice(split, None)
+        return np.concatenate([
+            mu(w[lo], prod[lo], mt[lo], note, fail),
+            als(w[hi], prod[hi], mt[hi], lambda j, event: note(split + j, event),
+                lambda j, exc: fail(split + j, exc)),
+        ])
+
+    update = mixed if 0 < split < len(slots) else mu if split else als
 
     for it in range(cfg.max_iters + 1):
         if it > 0:
             for n in range(len(factors)):
-                kr, x = (kr0, x0) if n == 0 else (_khatri_rao(factors, n), None)
-                factors[n] = update(factors, stats, n, kr, x, note, ended.__setitem__)
+                kr = kr0 if n == 0 else _khatri_rao(factors, n)
+                if kl:  # (A/X)_(n) K, with X_(n) = W^(n) K^T
+                    x = x0 if n == 0 else _reconstruct(factors[n], kr)
+                    mt = (unfold[n] / np.maximum(x, KL_SOLVER_FLOOR)) @ kr
+                else:
+                    mt = unfold[n] @ kr
+                prod = _product_of_others(stats, n)
+                factors[n] = update(factors[n], prod, mt, note, ended.__setitem__)
                 stats[n] = _factor_stat(factors[n], kl)
                 if ended:
                     flush()
@@ -450,7 +492,7 @@ def fit_seeds(a, cfg, seeds):
                 if (stop or last) and j not in ended:
                     try:
                         raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
-                        model = _sort_by_weight(rescale(raw))
+                        model = _sort_by_weight((normalize if nonneg[j] else l2_normalize)(raw))
                         ended[j] = FitResult(model, traces[j], stop, objs[j])
                     except Exception as exc:
                         ended[j] = exc
@@ -477,27 +519,16 @@ def _init_signed(a, cfg):
     return w
 
 
-def _mu_update(a_arr, cfg):
+def _mu_update(cfg):
     rho = cfg.reg_rho
     if cfg.loss is Loss.KL:
-        # a_arr >= 0 and -0.0 + 0.0 is +0.0: the ratio is +0.0 off the support.
-        unfold = _unfoldings(a_arr + 0.0)
+        return lambda w, prod, mt, note, fail: w * (mt / np.maximum(prod[:, None, :], DEN_FLOOR))
 
-        def kl(factors, stats, n, kr, x, note, fail):
-            if x is None:
-                x = _reconstruct(factors[n], kr)
-            ratio = unfold[n] / np.maximum(x, KL_SOLVER_FLOOR)
-            den = _product_of_others(stats, n)[:, None, :]
-            return factors[n] * ((ratio @ kr) / np.maximum(den, DEN_FLOOR))
-
-        return kl
-    unfold = _unfoldings(a_arr)
-
-    def frobenius(factors, stats, n, kr, x, note, fail):
-        den = factors[n] @ _product_of_others(stats, n)
+    def frobenius(w, prod, mt, note, fail):
+        den = w @ prod
         if rho > 0:
-            den = den + rho * factors[n]
-        return factors[n] * ((unfold[n] @ kr) / np.maximum(den, DEN_FLOOR))
+            den = den + rho * w
+        return w * (mt / np.maximum(den, DEN_FLOOR))
 
     return frobenius
 
@@ -516,16 +547,14 @@ def _lapack_solve(gram, rhs, probe=True):
         return _umath_linalg.solve(gram, rhs, signature="dd->d")
 
 
-def _als_update(a_arr, cfg):
+def _als_update(cfg):
     rho = cfg.reg_rho
     eye = np.eye(cfg.rank)
-    unfold = _unfoldings(a_arr)
 
-    def als(factors, stats, n, kr, x, note, fail):
-        gram = _product_of_others(stats, n)
+    def als(w, gram, mt, note, fail):
         if rho > 0:
             gram = gram + rho * eye
-        rhs = (unfold[n] @ kr).transpose(0, 2, 1)
+        rhs = mt.transpose(0, 2, 1)
         # Every probe and solve is a direct LAPACK gufunc call (_lapack_solve):
         # np.linalg's wrappers cost more than the solve on these tiny Grams.
         try:
@@ -541,7 +570,7 @@ def _als_update(a_arr, cfg):
                 except np.linalg.LinAlgError:
                     try:
                         sol[j] = _lapack_solve(gram[j] + RIDGE_JITTER * eye, rhs[j], probe=False)
-                        note(j, f"ridge jitter on mode {n}")
+                        note(j, "ridge jitter")
                     except np.linalg.LinAlgError as exc:
                         fail(j, exc)
         return np.ascontiguousarray(sol.transpose(0, 2, 1))

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -252,7 +253,7 @@ def test_contrast_nonfinite_seed_is_the_only_error(monkeypatch):
     def poisoned(factors, n):
         out = real(factors, n)
         calls.append(n)
-        if len(calls) == 11:  # the nonneg batch runs first
+        if len(calls) == 11:  # stack entries 0-2 are the nonneg fits
             out[1] = np.nan
         return out
 
@@ -265,3 +266,42 @@ def test_contrast_nonfinite_seed_is_the_only_error(monkeypatch):
     assert [r for r in summary.rows if r not in bad] == [
         r for r in clean.rows if (r.seed, r.family) != (1, "nonneg")
     ]
+
+
+@pytest.mark.parametrize("max_iters", [1, 6])
+def test_contrast_fits_both_families_with_one_batch_of_kernel_calls(monkeypatch, max_iters):
+    # One batch for both families on an order-3 target: a Khatri-Rao product
+    # for the reconstruction at iteration 0, then per sweep one each for
+    # modes 1 and 2 and one for the reconstruction (which mode 0 reuses), and
+    # one reconstruction per iteration.  Two batches would make twice that.
+    calls = collections.Counter()
+    for name in ("_khatri_rao", "_reconstruct"):
+        real = getattr(solvers, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(solvers, name, counting)
+    a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
+    summary = run_contrast_experiment(a, rank=2, seeds=range(3), max_iters=max_iters)
+    assert len(summary.rows) == 6 and all(r.verdict != "ERROR" for r in summary.rows)
+    assert calls == {"_khatri_rao": 1 + 3 * max_iters, "_reconstruct": max_iters + 1}
+
+
+@pytest.mark.parametrize("bad", [3, 0, {"blowup_ratio": 5.0}, (10.0, 2.0)])
+def test_contrast_rejects_bad_thresholds_before_fitting(monkeypatch, bad):
+    def no_fit(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(solvers, "_init_nonneg", no_fit)
+    monkeypatch.setattr(solvers, "_init_signed", no_fit)
+    with pytest.raises(ValueError, match="thresholds must be a DegeneracyThresholds or None"):
+        run_contrast_experiment(bclr_limit(4), rank=5, seeds=[0], max_iters=10, thresholds=bad)
+
+
+@pytest.mark.parametrize("bad", [3, 0, {"blowup_ratio": 5.0}, (10.0, 2.0)])
+def test_detect_rejects_bad_thresholds(bad):
+    trace = synthetic_trace([(0, 1.0, 1.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="thresholds must be a DegeneracyThresholds or None"):
+        detect_degeneracy(trace, A_NORMS, thresholds=bad)

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import re
 from unittest import mock
@@ -540,7 +541,9 @@ _TRACE_DIMS = (1, 3, 4, 8, 9, 17, 20)
 
 @pytest.mark.parametrize("stack", [1, 5])
 @pytest.mark.parametrize("layout", ["C", "als"])
-@pytest.mark.parametrize("nonneg, with_colsums", [(True, False), (True, True), (False, False)])
+@pytest.mark.parametrize(
+    "nonneg, with_colsums", [(True, False), (True, True), (False, False), ("mixed", False)]
+)
 def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, nonneg, with_colsums):
     # Pairwise summation blocks a contiguous reduction by 8, so the layout and
     # the lengths around 8 and 16 decide the rounding; ALS solves come back
@@ -551,7 +554,10 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
     # reduced from each (S, d0, size/d0) residual stack when the driver
     # records the iterate, as fit_seeds does it.  with_colsums:
     # delta_l1 is also bit-equal to the product of the column sums that the
-    # KL driver caches, so the trace pass needs no copy of them.
+    # KL driver caches, so the trace pass needs no copy of them.  mixed: the
+    # nonnegative entries first, as in a batch of both families, each entry
+    # against the reference of its own family.
+    flags = [j < stack // 2 for j in range(stack)] if nonneg == "mixed" else [nonneg] * stack
     rng = np.random.default_rng(11)
     for rank in (4, 10):
         resids, blocks = [], []
@@ -571,13 +577,14 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
             resids.append(resid)
             blocks.append(tuple(factors))
         recorded = [np.add.reduce(np.abs(resid), axis=(1, 2)) for resid in resids]
-        got = solvers._trace_columns(recorded, blocks, nonneg)
-        for t in range(3):
-            colsums = [solvers._factor_stat(f, True) for f in blocks[t]] if with_colsums else None
-            want = _wrapper_trace_quantities(resids[t], list(blocks[t]), nonneg, colsums)
+        got = solvers._trace_columns(recorded, blocks, flags)
+        for t, j in itertools.product(range(3), range(stack)):
+            entry = [f[j:j + 1] for f in blocks[t]]
+            colsums = [solvers._factor_stat(f, True) for f in entry] if with_colsums else None
+            want = _wrapper_trace_quantities(resids[t][j:j + 1], entry, flags[j], colsums)
             for g, w in zip(got, want):
-                assert g.shape == (3, stack) and w.shape == (stack,)
-                assert g[t].tobytes() == w.tobytes()
+                assert g.shape == (3, stack) and w.shape == (1,)
+                assert g[t, j:j + 1].tobytes() == w.tobytes()
 
 
 class _CountingNumpy:
@@ -598,18 +605,20 @@ class _CountingNumpy:
         return self._target(*args, **kwargs)
 
 
-@pytest.mark.parametrize("nonneg", [True, False])
+@pytest.mark.parametrize("nonneg", [True, False, "mixed"])
 def test_trace_block_numpy_calls_do_not_grow_with_the_batch(nonneg):
     # One block pass makes the same numpy calls for one seed as for five:
-    # the seeds share every call, none is made per seed.
+    # the seeds share every call, none is made per seed.  mixed: two entries
+    # and five, nonnegative ones first.
     rng = np.random.default_rng(2)
     counts = []
-    for stack in (1, 5):
+    for stack in (2, 5) if nonneg == "mixed" else (1, 5):
+        flags = [j == 0 for j in range(stack)] if nonneg == "mixed" else [nonneg] * stack
         residual_e = [rng.random(stack) for _ in range(4)]
         blocks = [tuple(rng.random((stack, d, 2)) for d in (3, 4, 5)) for _ in range(4)]
         calls = collections.Counter()
         with mock.patch.object(solvers, "np", _CountingNumpy(np, calls)):
-            solvers._trace_columns(residual_e, blocks, nonneg)
+            solvers._trace_columns(residual_e, blocks, flags)
         counts.append(calls)
     assert counts[0] and counts[0] == counts[1]
 
@@ -918,6 +927,116 @@ def test_batch_seed_whose_ridged_solve_fails_ends_alone(monkeypatch):
     assert str(batch[1]) == "Singular matrix"
 
 
+# --- batches of both families -------------------------------------------------
+
+
+def assert_mixed_matches_solo(a, cfg, seeds):
+    """Fit every seed with both families as one batch, the signed entries
+    listed first (the driver puts the nonnegative ones first in its stacks),
+    and compare each entry with its solo fit.  Returns the nonnegative and
+    the signed results."""
+    entries = [(seed, False) for seed in seeds] + [(seed, True) for seed in seeds]
+    batch = solvers._fit_batch(a, cfg, entries)
+    assert len(batch) == len(entries)
+    for (seed, nonneg), result in zip(entries, batch):
+        solo = _solo(a, dataclasses.replace(cfg, nonneg=nonneg), seed)
+        assert _fingerprint(result) == _fingerprint(solo), (seed, nonneg)
+    return batch[len(seeds):], batch[:len(seeds)]
+
+
+@pytest.mark.parametrize("reg_rho", [0.0, 0.5])
+def test_mixed_batch_matches_solo_fits_on_bclr(reg_rho):
+    cfg = FitConfig(rank=5, max_iters=300, tol=0.0, reg_rho=reg_rho)
+    assert_mixed_matches_solo(bclr_limit(4), cfg, [56, 57, 58, 59, 60, 1020])
+
+
+def test_mixed_batch_fails_bad_seeds_alone():
+    cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
+    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, -1, 1])
+    for results in (mu, als):
+        assert [type(r) for r in results] == [solvers.FitResult, ValueError, solvers.FitResult]
+
+
+def test_mixed_batch_entries_stop_at_their_own_iteration():
+    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
+    cfg = FitConfig(rank=2, max_iters=3000, tol=1e-6)
+    mu, als = assert_mixed_matches_solo(noise, cfg, list(range(4)))
+    assert all(r.converged for r in mu + als)
+    assert len({r.trace.rows[-1].iter for r in mu + als}) > 2
+
+
+@pytest.mark.parametrize("entry", [1, 4], ids=["nonneg", "signed"])
+def test_mixed_batch_nonfinite_entry_fails_alone(monkeypatch, entry):
+    # NaN enters one stack entry's Khatri-Rao product at iteration 4 (mode
+    # 1); the stack holds nonnegative seeds 0-2, then signed seeds 0-2, so
+    # either entry is seed 1.
+    cfg = FitConfig(rank=2, max_iters=50, tol=0.0)
+    clean = sum(assert_mixed_matches_solo(_NB, cfg, [0, 1, 2]), [])
+    real = solvers._khatri_rao
+
+    def poison(j):
+        calls = []
+
+        def poisoned(factors, n):
+            out = real(factors, n)
+            calls.append(n)
+            if len(calls) == 11:
+                out[j] = np.nan
+            return out
+
+        monkeypatch.setattr(solvers, "_khatri_rao", poisoned)
+
+    poison(0)
+    alone = _solo(_NB, dataclasses.replace(cfg, nonneg=entry < 3), 1)
+    assert (type(alone), str(alone)) == (ValueError, "trace objective must be finite")
+    poison(entry)
+    batch = solvers._fit_batch(_NB, cfg, [(s, f) for f in (True, False) for s in (0, 1, 2)])
+    assert _fingerprint(batch[entry]) == _fingerprint(alone)
+    for j in set(range(6)) - {entry}:
+        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
+
+
+def test_mixed_batch_ridge_notes_and_failed_solves_stay_with_their_entry(monkeypatch):
+    # Signed seed 2 starts with a zero column (ridge notes from the first
+    # sweep on); signed seed 1 with twin columns scaled by 1e10 in modes 1
+    # and 2, so its ridged solve of mode 0 fails in the first sweep.
+    real = solvers._init_signed
+
+    def singular_starts(a, cfg):
+        w = real(a, cfg)
+        if cfg.seed == 2:
+            w[-1][:, 1] = 0.0
+        if cfg.seed == 1:
+            for m in (1, 2):
+                w[m][:, :] = w[m][:, :1] * 1e10
+        return w
+
+    monkeypatch.setattr(solvers, "_init_signed", singular_starts)
+    cfg = FitConfig(rank=2, max_iters=50, tol=0.0)
+    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, 1, 2, 3])
+    assert not any(r.trace.notes for r in mu)
+    kinds = [solvers.FitResult, np.linalg.LinAlgError, solvers.FitResult, solvers.FitResult]
+    assert [type(r) for r in als] == kinds
+    assert [bool(r.trace.notes) for r in als[2:]] == [True, False]
+    assert (1, "ridge jitter on mode 0") in als[2].trace.notes
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+def test_mixed_batch_coercivity_violation_ends_its_entry_alone(monkeypatch, block):
+    # As in test_coercivity_violation_ends_its_seed_alone: nonnegative seeds
+    # 1 and 2 violate the tightened cap; the signed fits have no cap.
+    cfg = FitConfig(rank=2, max_iters=300, tol=0.0)
+    clean = [_solo(_NB, cfg, seed) for seed in (1, 2)]
+    if block:
+        monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
+    _violate_below(monkeypatch, 0.02)
+    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, 1, 2, 3])
+    kinds = [solvers.FitResult, RuntimeError, RuntimeError, solvers.FitResult]
+    assert [type(r) for r in mu] == kinds
+    assert [str(r) for r in mu[1:3]] == [_first_violation(c, 0.02) for c in clean]
+    assert all(type(r) is solvers.FitResult for r in als)
+
+
 @pytest.mark.parametrize("trace_every", [1, 7])
 @pytest.mark.parametrize(
     "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
@@ -1035,14 +1154,14 @@ def test_coercivity_violation_wins_over_a_later_failed_solve(monkeypatch, block)
     first = next(r.iter for r in clean.trace.rows if r.residual_E < 0.02)
     real = solvers._mu_update
 
-    def failing_mu_update(a_arr, cfg):
-        update, calls = real(a_arr, cfg), []
+    def failing_mu_update(cfg):
+        update, calls = real(cfg), []
 
-        def failing(factors, stats, n, kr, x, note, fail):
-            calls.append(n)
+        def failing(w, prod, mt, note, fail):
+            calls.append(None)
             if len(calls) == 3 * (first + 2) + 1:  # mode 0 of sweep first + 3
                 fail(0, np.linalg.LinAlgError("forced"))
-            return update(factors, stats, n, kr, x, note, fail)
+            return update(w, prod, mt, note, fail)
 
         return failing
 
@@ -1084,10 +1203,11 @@ def test_nonfinite_objective_ends_the_seed_at_its_iteration(monkeypatch, nonneg)
 def test_trace_block_boundaries_never_show(data):
     # A batch and each solo fit give the same traces, notes, models or
     # exceptions, on every shape (modes of size 1 included) and whatever the
-    # block size.
+    # block size; "mix" draws each seed's family, so a Frobenius batch may
+    # hold both.
     order = data.draw(st.integers(1, 3), label="order")
     shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
-    solver = data.draw(st.sampled_from(["mu", "kl", "als"]), label="solver")
+    solver = data.draw(st.sampled_from(["mu", "kl", "als", "mix"]), label="solver")
     cfg = FitConfig(
         rank=data.draw(st.integers(1, 3), label="rank"),
         loss=Loss.KL if solver == "kl" else Loss.FROBENIUS,
@@ -1097,13 +1217,22 @@ def test_trace_block_boundaries_never_show(data):
         trace_every=data.draw(st.integers(1, 9), label="trace_every"),
     )
     seeds = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=4), label="seeds")
+    if solver == "mix":
+        families = st.lists(st.booleans(), min_size=len(seeds), max_size=len(seeds))
+        entries = list(zip(seeds, data.draw(families, label="nonneg")))
+    else:
+        entries = [(seed, cfg.nonneg) for seed in seeds]
     block = data.draw(st.sampled_from([1, 2, 7, solvers.TRACE_BLOCK]), label="TRACE_BLOCK")
     rng = np.random.default_rng(data.draw(st.integers(0, 99), label="data seed"))
     a = DenseTensor.from_array(rng.uniform(size=shape))
 
     def fits():
-        batch = [_fingerprint(r) for r in solvers.fit_seeds(a, cfg, seeds)]
-        return batch, [_fingerprint(_solo(a, cfg, seed)) for seed in seeds]
+        if solver == "mix":
+            batch = solvers._fit_batch(a, cfg, entries)
+        else:
+            batch = solvers.fit_seeds(a, cfg, seeds)
+        solo = [_solo(a, dataclasses.replace(cfg, nonneg=f), seed) for seed, f in entries]
+        return [_fingerprint(r) for r in batch], [_fingerprint(r) for r in solo]
 
     default = fits()
     assert default[0] == default[1]
