@@ -65,28 +65,31 @@ def _kl_termwise(a, b):
     """D_KL(a, b) as the sum of its terms a log(a/b) - a + b, for b > 0 on
     the support of a: the value where sum(a) or sum(b) leaves the range or
     absorbs D_KL.  Each term is >= 0, so a term that rounds below 0 counts
-    as 0 and the sum exceeds the range only where D_KL does; the terms are
-    halved so that a log(a/b) stays finite wherever its term is, and b - a
-    cannot overflow.  The logs are of the pair scaled by the power of two
-    of its largest entry, or, where that scaling leaves an entry subnormal,
-    of the entries themselves.  Where b is near a, |t| < 1/2 for
-    t = (b - a)/a, the difference of logs would cancel, so the term is
-    a (t - log1p(t)) instead, by its series below |t| = 2^-10."""
+    as 0 and the sum exceeds the range only where D_KL does.  Where the
+    largest entry is 2^1013 or more, a log(a/b) (|log| < 2^11) could
+    overflow where its term does not, so the terms are halved there and the
+    sum doubled; below, they are not, so a subnormal term keeps its last
+    bit.  The logs are of the pair scaled by the power of two of its largest
+    entry, or, where that scaling leaves an entry subnormal, of the entries
+    themselves.  Where b is near a, |t| < 1/2 for t = (b - a)/a, the
+    difference of logs would cancel, so the term is a (t - log1p(t))
+    instead, by its series below |t| = 2^-10."""
     pair = np.stack([a, b])
-    scaled = _scaled(pair, lambda x: x)[0]
+    scaled, e = _scaled(pair, lambda x: x)
+    k = -int(e > 1013)  # the binary exponent of the scale of every term
     pos = a > 0.0
     logs = np.log(np.where(np.minimum.reduce(scaled) >= _TINY, scaled, pair)[:, pos])
-    half = np.ldexp(b - a, -1)
-    ap = a[pos]
+    terms = np.ldexp(b - a, k)
+    ap = np.ldexp(a[pos], k)
     with np.errstate(over="ignore"):
-        half[pos] += np.ldexp(ap, -1) * (logs[0] - logs[1])
-        t = (b[pos] - ap) / ap
+        terms[pos] += ap * (logs[0] - logs[1])
+        t = (b[pos] - a[pos]) / a[pos]
         near = np.abs(t) < 0.5
         t = t[near]
-        series = t * t * (1 / 4 - t * (1 / 6 - t * (1 / 8 - t * (1 / 10 - t / 12))))
-        g = np.where(np.abs(t) < 2.0**-10, series, np.ldexp(t - np.log1p(t), -1))
-        half[np.flatnonzero(pos)[near]] = ap[near] * g
-        return float(2.0 * np.add.reduce(np.maximum(half, 0.0)))
+        series = t * t * (1 / 2 - t * (1 / 3 - t * (1 / 4 - t * (1 / 5 - t / 6))))
+        g = np.where(np.abs(t) < 2.0**-10, series, t - np.log1p(t))
+        terms[np.flatnonzero(pos)[near]] = ap[near] * g
+        return float(np.ldexp(np.add.reduce(np.maximum(terms, 0.0)), -k))
 
 
 def distance(a, b, kind):

@@ -26,18 +26,16 @@ The driver fits a batch of stack entries, each a seed and a family (MU or
 ALS; the contrast experiment fits both Frobenius families as one batch).
 Every factor is an (S, d_i, r) stack with one matrix per entry, so one
 matmul, ufunc or LAPACK call serves all S entries, and a single fit is a
-batch of one.  The MU entries come first, and only the update's family
-tails run on their contiguous slices; the Khatri-Rao products, Grams,
-MTTKRP, reconstruction, loss and trace pass serve the whole stack.
-Per-entry events stay per entry.  The stop rule, the finiteness of the
-trace, the coercivity check (of MU entries), a ridge note and a failed
-solve each concern one entry; an entry that stops or raises leaves the
-stack and its batch-mates carry on.  So every per-entry list is indexed by
-stack entry and sliced with the stacks, and every trace row enters through
-FitTrace.append_block.  An entry's arithmetic never mixes with its
-batch-mates', so it gets the same trace, notes, model or exception, byte
-for byte, in any batch, on every shape (modes of size 1 and order 1
-included).
+batch of one.  The MU entries come first; only the family tails of an
+update run on their contiguous slices, writing them into one fresh
+C-ordered stack.  Per-entry events (the stop rule, the finiteness of the
+trace, the MU coercivity check, a ridge note, a failed solve) concern one
+entry; an entry that stops or raises leaves the stack and its batch-mates
+carry on, so every per-entry list is sliced with the stacks, and every
+trace row enters through FitTrace.append_block.  An entry's arithmetic
+never mixes with its batch-mates', so it gets the same trace, notes, model
+or exception, byte for byte, in any batch, on every shape (modes of size 1
+and order 1 included).
 
 The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
 are batched matmuls with the Khatri-Rao product K of the factors other than
@@ -54,27 +52,27 @@ Trace rows are computed in blocks.  A traced iterate records its iteration,
 its objective list, its residual_E (one per seed, reduced from the residual
 stack when it is recorded) and references to its factor stacks, arrays the
 driver replaces and never writes into.  A block holds at most TRACE_BLOCK
-iterates, so its memory is at most TRACE_BLOCK sets of factor stacks,
-whatever the size of A.  When it is full, and before any seed ends, one pass
-computes the (T, S) block's delta_l1 and max_component_F, checks the
-coercivity cap as one array expression, and appends each seed's rows.  The
-objectives are still checked for finiteness every traced iteration, so a
-diverging seed ends where it did; a cap violation surfaces at the next
-flush, naming the first violating iteration, and replaces any later error of
-that seed (a failed solve since).
+iterates' stacks, whatever the size of A.  When it is full, and before any
+seed ends, one pass joins each factor's T stacks as an (S, d, T, r) array,
+reduces it over d as an outer axis, checks the coercivity cap as one array
+expression, and appends each seed's rows.  The objectives are still checked
+for finiteness every traced iteration, so a diverging seed ends where it
+did; a cap violation surfaces at the next flush, naming the first violating
+iteration, and replaces any later error of that seed (a failed solve since).
 
 On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
 np.linalg.norm, whose Python wrappers cost more than the arithmetic on these
 tiny tensors; np.linalg.norm(f, axis=1) is exactly
-np.sqrt(np.add.reduce(f * f, axis=1)).  Likewise the ALS Cholesky probe and
-solve call the LAPACK gufuncs that np.linalg.cholesky and np.linalg.solve
-wrap, directly, under the wrappers' own error rule.  Every factor stack is
-C-ordered (ALS copies its solves back to that layout), and each is reduced
-on its own: a reduction's rounding depends on the lengths and layout it runs
-over, so one np.add.reduceat over the concatenated factors, a stack of
-factors padded with -0.0, or a Gram's diagonal (a matmul) is not bit-equal
-to the per-factor norms and sums, and would change the traces.
+np.sqrt(np.add.reduce(f * f, axis=1)).  Likewise the ALS probe and solve
+call the LAPACK gufuncs of np.linalg.cholesky and np.linalg.solve directly,
+under the wrappers' error rule, bound once to the solve.  Every factor stack
+is C-ordered and reduced on its own: a reduction's rounding depends on the
+lengths and layout it runs over, so one np.add.reduceat over the
+concatenated factors, a stack padded with -0.0, or a Gram's diagonal is not
+bit-equal to the per-factor norms and sums.  A Frobenius Gram W^T W
+multiplies a C-ordered copy of W^T (half the time of the transposed view at
+40 entries; bit-equal to it at mode sizes up to 15, not above).
 
 Multiplicative updates are the standard majorization rules extended to k
 modes.  With X = sum_p (x) W^(i)[:, p] and the mode-n matricization
@@ -222,7 +220,7 @@ class FitResult:
 
 
 def _factor_stat(f, kl):
-    return np.add.reduce(f, axis=1) if kl else f.transpose(0, 2, 1) @ f
+    return np.add.reduce(f, axis=1) if kl else np.ascontiguousarray(f.transpose(0, 2, 1)) @ f
 
 
 def _product_of_others(stats, n):
@@ -312,21 +310,24 @@ def _trace_columns(residual_e, factors, nonneg):
     iterates, each a (T, S) array: ``residual_e`` holds the T iterates'
     residual_E arrays, ``factors`` their T tuples of C-ordered factor stacks
     and ``nonneg`` one bool per entry (delta_l1 multiplies column sums if it
-    is set, else l2-norms).  Each factor is reduced on its own, so every
-    column sums in the same order as it would alone."""
+    is set, else l2-norms).  Each factor is reduced on its own, over d, in
+    the order of a lone column: as the outer axis of its (S, d, T, r) block
+    (one sequential pass of T * r sums), or at rank 1 (pairwise) the inner."""
     some = True in nonneg
     sumsq, sums = [], []
     for fs in zip(*factors):
-        base = _stacked(fs)
-        sumsq.append(np.add.reduce(base * base, axis=2))
+        s, d, r = fs[0].shape
+        base = (np.concatenate(fs, axis=2).reshape(s, d, len(fs), r) if r > 1
+                else _stacked(fs).transpose(1, 2, 0, 3))
+        sumsq.append(np.add.reduce(base * base, axis=1))
         if some:
-            sums.append(np.add.reduce(base, axis=2))
-    comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)
+            sums.append(np.add.reduce(base, axis=1))
+    comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)  # (S, T, r)
     delta_hat = np.multiply.reduce(_stacked(sums), axis=0) if some else comp_f
     if some and False in nonneg:
-        delta_hat = np.where(np.reshape(nonneg, (-1, 1)), delta_hat, comp_f)
-    return (_stacked(residual_e), np.add.reduce(delta_hat, axis=2),
-            np.maximum.reduce(comp_f, axis=2))
+        delta_hat = np.where(np.reshape(nonneg, (-1, 1, 1)), delta_hat, comp_f)
+    return (_stacked(residual_e), np.add.reduce(delta_hat, axis=2).T,
+            np.maximum.reduce(comp_f, axis=2).T)
 
 
 def fit_seeds(a, cfg, seeds):
@@ -351,13 +352,12 @@ def _fit_batch(a, cfg, entries):
 
     The stacks hold the nonnegative entries first; ``split`` counts the live
     ones.  A family is a start ``init(a, cfg)`` of one seed's factors, a
-    rescale and a mode-n tail ``update(w, prod, mt, note, fail)`` given its
-    slices of the factor stack ``w``, of the product ``prod`` of the other
-    factors' cached Grams (column sums for KL) and of the MTTKRP ``mt``.
-    ``note(j, event)`` records "<event> on mode n" on the trace of the
-    slice's entry j at the current iteration; ``fail(j, exc)`` ends that
-    entry's fit with ``exc``.  Every per-entry list (output slot, trace,
-    family, objective window) is sliced with the stacks when entries end.
+    rescale and a mode-n tail ``update(w, prod, mt, note, fail)`` that returns
+    the new stack (or, given ``out``, writes it there) from its slices of the
+    factor stack ``w``, of the product ``prod`` of the other factors' cached
+    Grams (column sums for KL) and of the MTTKRP ``mt``.  ``note(j, event)``
+    records "<event> on mode n" on the trace of the slice's entry j at the
+    current iteration; ``fail(j, exc)`` ends that entry's fit with ``exc``.
     """
     order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
     if any(flag for _, flag in entries) and np.any(a.data < 0):
@@ -439,13 +439,12 @@ def _fit_batch(a, cfg, entries):
         traces[j].note(it, f"{event} on mode {n}")
 
     def mixed(w, prod, mt, note, fail):
-        """The tail of a batch of both families: each on its slice."""
-        lo, hi = slice(split), slice(split, None)
-        return np.concatenate([
-            mu(w[lo], prod[lo], mt[lo], note, fail),
-            als(w[hi], prod[hi], mt[hi], lambda j, event: note(split + j, event),
-                lambda j, exc: fail(split + j, exc)),
-        ])
+        """Both families' tails, each writing its slice of one fresh stack."""
+        lo, hi, out = slice(split), slice(split, None), np.empty(w.shape)
+        mu(w[lo], prod[lo], mt[lo], note, fail, out[lo])
+        als(w[hi], prod[hi], mt[hi], lambda j, event: note(split + j, event),
+            lambda j, exc: fail(split + j, exc), out[hi])
+        return out
 
     update = mixed if 0 < split < len(slots) else mu if split else als
 
@@ -521,14 +520,14 @@ def _init_signed(a, cfg):
 
 def _mu_update(cfg):
     rho = cfg.reg_rho
-    if cfg.loss is Loss.KL:
+    if cfg.loss is Loss.KL:  # never in a mixed batch: ALS fits the Frobenius loss only
         return lambda w, prod, mt, note, fail: w * (mt / np.maximum(prod[:, None, :], DEN_FLOOR))
 
-    def frobenius(w, prod, mt, note, fail):
+    def frobenius(w, prod, mt, note, fail, out=None):
         den = w @ prod
         if rho > 0:
             den = den + rho * w
-        return w * (mt / np.maximum(den, DEN_FLOOR))
+        return np.multiply(w, mt / np.maximum(den, DEN_FLOOR), out=out)
 
     return frobenius
 
@@ -537,33 +536,31 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _lapack_solve(gram, rhs, probe=True):
-    """np.linalg.cholesky(gram) if ``probe``, then np.linalg.solve(gram, rhs), as
-    the gufuncs they wrap, under their error rule and around these calls only."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        if probe:
-            _umath_linalg.cholesky_lo(gram, signature="d->d")
-        return _umath_linalg.solve(gram, rhs, signature="dd->d")
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack_solve(gram, rhs, probe=True, out=None):
+    """np.linalg.cholesky(gram) if ``probe``, then np.linalg.solve(gram, rhs) into
+    ``out``, as the gufuncs they wrap, under their error rule and only there."""
+    if probe:
+        _umath_linalg.cholesky_lo(gram, signature="d->d")
+    return _umath_linalg.solve(gram, rhs, signature="dd->d", out=out)
 
 
 def _als_update(cfg):
     rho = cfg.reg_rho
     eye = np.eye(cfg.rank)
 
-    def als(w, gram, mt, note, fail):
+    def als(w, gram, mt, note, fail, out=None):
         if rho > 0:
             gram = gram + rho * eye
         rhs = mt.transpose(0, 2, 1)
-        # Every probe and solve is a direct LAPACK gufunc call (_lapack_solve):
-        # np.linalg's wrappers cost more than the solve on these tiny Grams.
+        out = np.empty(w.shape) if out is None else out
+        sol = out.transpose(0, 2, 1)  # the (r, d) solutions land C-ordered as (d, r)
         try:
-            sol = _lapack_solve(gram, rhs)
+            _lapack_solve(gram, rhs, out=sol)
         except np.linalg.LinAlgError:
             # Some seed's normal equations are singular: solve seed by seed.
             # A Gram that fails the Cholesky probe, or whose solve fails, gets
-            # the ridge RIDGE_JITTER * I; if that solve fails too, so does the seed.
-            sol = np.zeros(rhs.shape)
+            # the ridge RIDGE_JITTER * I; if that fails too, the seed fails (zeros).
             for j in range(len(gram)):
                 try:
                     sol[j] = _lapack_solve(gram[j], rhs[j])
@@ -572,8 +569,9 @@ def _als_update(cfg):
                         sol[j] = _lapack_solve(gram[j] + RIDGE_JITTER * eye, rhs[j], probe=False)
                         note(j, "ridge jitter")
                     except np.linalg.LinAlgError as exc:
+                        sol[j] = 0.0
                         fail(j, exc)
-        return np.ascontiguousarray(sol.transpose(0, 2, 1))
+        return out
 
     return als
 

@@ -145,7 +145,11 @@ class DenseTensor:
         return hash((self.shape, (self._array + 0.0).tobytes()))
 
     def __repr__(self):
-        return f"DenseTensor(shape={self.shape})"
+        """A constructor call that rebuilds the tensor exactly, up to 32
+        entries (float reprs round-trip); the shape alone beyond that."""
+        if self.size > 32:
+            return f"DenseTensor(shape={self.shape})"
+        return f"DenseTensor({list(self.shape)}, {self.data.tolist()})"
 
 
 def outer_product(vectors):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nncp.divergence import DivergenceKind, bregman_from_phi, distance, kl_phi
@@ -57,11 +57,16 @@ def _kl_pairs(draw):
 
 @settings(database=None, deadline=None, max_examples=300)
 @given(_kl_pairs())
+@example((DenseTensor([1], [0.0]), DenseTensor([1], [5e-324])))
+@example((DenseTensor([2], [0.0, 0.0]), DenseTensor([2], [5e-324, 5e-324])))
 def test_distance_kl_is_nonnegative_and_matches_brute_kl(pair):
     # D_KL >= 0 exactly.  Its value is computed from sums and logs, so it
     # matches the oracle to 1e-9 relative plus a rounding allowance of
     # 2^-40 (about 4096 ulps, for logs up to 745 in size) per entry of the
-    # pair's total mass, which the oracle sums in decimal.
+    # pair's total mass, which the oracle sums in decimal.  At subnormal
+    # mass that allowance is 0, so the value must be exact there: the two
+    # examples are D_KL = 5e-324 and 1e-323, which the termwise sum once
+    # rounded to 0 by halving each term.
     a, b = pair
     d, want = distance(a, b, KL), brute_kl(a, b)
     assert d >= 0.0

@@ -587,6 +587,25 @@ def test_trace_quantities_match_the_numpy_wrappers_bit_for_bit(stack, layout, no
                 assert g[t, j:j + 1].tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_trace_columns_at_low_rank_match_the_numpy_wrappers_bit_for_bit(rank):
+    # A lone factor's column sums run pairwise over d at rank 1, where d is
+    # the contiguous axis, and sequentially over d from rank 2 on; a block
+    # of several iterates must round as each entry of each iterate does
+    # alone, at the mode sizes around numpy's pairwise block of 8.
+    rng = np.random.default_rng(5)
+    flags = [True, False, True]
+    blocks = [tuple(rng.random((3, d, rank)) * 10.0 ** rng.integers(-3, 4, (3, d, rank))
+                    for d in _TRACE_DIMS) for _ in range(4)]
+    residual_e = [rng.random(3) for _ in blocks]
+    got = solvers._trace_columns(residual_e, blocks, flags)
+    for t, j in itertools.product(range(4), range(3)):
+        entry = [f[j:j + 1] for f in blocks[t]]
+        want = _wrapper_trace_quantities(np.zeros((1, 1)), entry, flags[j])
+        for g, w in zip(got[1:], want[1:]):
+            assert g[t, j:j + 1].tobytes() == w.tobytes()
+
+
 class _CountingNumpy:
     """Stands in for the numpy module and counts each call of a numpy
     function or ufunc method (np.concatenate, np.add.reduce, ...) by name."""
@@ -624,23 +643,46 @@ def test_trace_block_numpy_calls_do_not_grow_with_the_batch(nonneg):
 
 
 @pytest.mark.parametrize(
-    "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
-    ids=["mu", "kl", "als"],
+    "loss, nonneg",
+    [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False), (Loss.FROBENIUS, "mixed")],
+    ids=["mu", "kl", "als", "mixed"],
 )
 def test_trace_blocks_see_only_c_ordered_factor_stacks(monkeypatch, loss, nonneg):
     # _trace_columns reduces every factor stack as a C-ordered array, so
     # every solver must hand it C-ordered stacks, stopped seeds sliced out.
-    seen = []
-    real = solvers._trace_columns
+    # A block holds references to its iterates' stacks, so no update may
+    # write into a recorded stack: each stack's bytes are kept when the
+    # sweep's reconstruction first reads it (the _khatri_rao call of mode 0,
+    # just before the iterate is recorded), and the stack must still hold
+    # them at every later reconstruction and when its block is flushed.
+    # mixed: MU and ALS entries in one batch, whose tails write one fresh
+    # stack per mode update; the entries stop at different iterations.
+    seen, copies = [], {}  # id -> (the stack, its bytes when first recorded)
+    real_kr, real_columns = solvers._khatri_rao, solvers._trace_columns
+
+    def unchanged(f):
+        return copies[id(f)][1] == f.tobytes()
+
+    def copying(factors, n):
+        if n == 0:
+            for f in factors:  # a stack recorded before must not have changed since
+                assert id(f) not in copies or unchanged(f)
+                copies.setdefault(id(f), (f, f.tobytes()))
+        return real_kr(factors, n)
 
     def recording(residual_e, factors, *rest):
-        seen.extend(f.flags.c_contiguous for fs in factors for f in fs)
-        return real(residual_e, factors, *rest)
+        for f in itertools.chain.from_iterable(factors):
+            assert unchanged(f)
+            seen.append(f.flags.c_contiguous)
+        return real_columns(residual_e, factors, *rest)
 
+    monkeypatch.setattr(solvers, "_khatri_rao", copying)
     monkeypatch.setattr(solvers, "_trace_columns", recording)
     noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
-    cfg = FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=3000, tol=1e-6, trace_every=3)
-    batch = solvers.fit_seeds(noise, cfg, [0, 1, 2, 3])
+    flags = [j % 2 == 0 for j in range(4)] if nonneg == "mixed" else [nonneg] * 4
+    cfg = FitConfig(rank=2, loss=loss, max_iters=3000, tol=1e-6, trace_every=3)
+    batch = solvers._fit_batch(noise, cfg, list(zip([0, 1, 2, 3], flags)))
+    assert all(isinstance(r, solvers.FitResult) for r in batch)
     assert len({r.trace.rows[-1].iter for r in batch}) > 1
     assert seen and all(seen)
 
@@ -745,6 +787,26 @@ def test_lapack_solve_matches_the_numpy_wrappers():
         np.linalg.LinAlgError, "Singular matrix")
     # The error rule ends with each call, raised or not.
     assert (np.geterr(), np.geterrcall()) == before
+
+
+def _error_callback(err, flag):
+    pass
+
+
+def test_lapack_solve_restores_the_callers_error_rule():
+    # The wrappers' error rule is bound to _lapack_solve once, as a
+    # decorator; it holds inside each call only, whether the call returns or
+    # raises LinAlgError, and under any rule of the caller's.
+    spd, singular, rhs = 2.0 * np.eye(3), np.zeros((3, 3)), np.ones((3, 2))
+    for rule in ({}, {"all": "raise", "call": None}, {"over": "call", "call": _error_callback}):
+        with np.errstate(**rule):
+            before = np.geterr(), np.geterrcall()
+            assert solvers._lapack_solve(spd, rhs).tobytes() == (0.5 * rhs).tobytes()
+            assert (np.geterr(), np.geterrcall()) == before
+            for probe in (True, False):
+                with pytest.raises(np.linalg.LinAlgError):
+                    solvers._lapack_solve(singular, rhs, probe)
+                assert (np.geterr(), np.geterrcall()) == before
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])

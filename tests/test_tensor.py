@@ -103,6 +103,21 @@ def test_equal_tensors_hash_equal():
     assert pos != DenseTensor([2, 1], [0.0, 1.0])
 
 
+def test_repr_of_a_small_tensor_rebuilds_it_bit_for_bit():
+    # A falsifying example prints as a reproducer: subnormals, -0.0 and the
+    # largest double survive the round trip through repr.
+    small = DenseTensor([2, 3], [5e-324, -0.0, 1.7976931348623157e308, 0.1, 1 / 3, 2.0])
+    assert repr(small) == (
+        "DenseTensor([2, 3], [5e-324, -0.0, 1.7976931348623157e+308, 0.1, "
+        "0.3333333333333333, 2.0])"
+    )
+    rebuilt = eval(repr(small), {"DenseTensor": DenseTensor})
+    assert rebuilt.shape == small.shape and rebuilt.data.tobytes() == small.data.tobytes()
+    assert repr(DenseTensor([1], [0.0])) == "DenseTensor([1], [0.0])"
+    assert repr(DenseTensor.zeros([4, 8])) == "DenseTensor([4, 8], " + repr([0.0] * 32) + ")"
+    assert repr(DenseTensor.zeros([3, 11])) == "DenseTensor(shape=(3, 11))"
+
+
 def test_getitem_bounds():
     t = DenseTensor([2, 2], [1, 2, 3, 4])
     assert t[1, 0] == 3.0
