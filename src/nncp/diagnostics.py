@@ -161,7 +161,7 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     entries = [(seed, family == "nonneg") for family in _FAMILIES for seed in seeds]
     try:
         fits = _fit_batch(a, cfg, entries)
-    except Exception as exc:  # a failure of the whole batch, e.g. its order
+    except Exception as exc:  # a failure of the whole batch, e.g. a MemoryError
         fits = [exc] * len(entries)
     for i, seed in enumerate(seeds):
         for k, family in enumerate(_FAMILIES):

@@ -12,14 +12,11 @@ is +inf when A puts mass where B has none.  That boundary case is encoded as
 the value math.inf rather than an exception, because the interesting
 experiments walk straight toward it.
 
-One private evaluator, built once per target, computes D_KL for a stack of
-arrays.  It has three users: distance as its one-row case, and
-solvers.objective and the MU fits (fit_nncp, fit_seeds) as the KL loss on the
-reconstruction floored at solvers.KL_SOLVER_FLOOR.  Where sum(a) or sum(b)
-leaves the double range, or the one-row value is not 2^30 times the rounding
-error of those sums times the size of the largest log (so it may be off by
-more than 1e-9 relative, or be all rounding, even negative), distance sums
-the terms of D_KL one by one instead.
+Two private evaluators compute D_KL.  distance sums its terms one by one,
+so neither sum(a) nor sum(b) can leave the double range or absorb D_KL.  The
+solver's KL loss (solvers.objective and the MU fits) is a batched one, built
+once per target, on a stack of reconstructions floored at
+solvers.KL_SOLVER_FLOOR.
 """
 
 import enum
@@ -63,8 +60,7 @@ def _kl_rows(a):
 
 def _kl_termwise(a, b):
     """D_KL(a, b) as the sum of its terms a log(a/b) - a + b, for b > 0 on
-    the support of a: the value where sum(a) or sum(b) leaves the range or
-    absorbs D_KL.  Each term is >= 0, so a term that rounds below 0 counts
+    the support of a.  Each term is >= 0, so a term that rounds below 0 counts
     as 0 and the sum exceeds the range only where D_KL does.  Where the
     largest entry is 2^1013 or more, a log(a/b) (|log| < 2^11) could
     overflow where its term does not, so the terms are halved there and the
@@ -96,9 +92,11 @@ def distance(a, b, kind):
     """Proximity of A to B under the given kind; >= 0, and 0 iff A == B.
 
     KL requires A >= 0 and B >= 0; it returns math.inf when some entry has
-    a > 0 but b = 0.  In doubles, KL is 0 for A != B only where D_KL is
-    within a few subnormal steps (4.9e-324 each) of 0, as for entries a and
-    a (1 + t) with a t^2 / 2 that small.  Every kind is math.inf, not an
+    a > 0 but b = 0, and otherwise the sum of D_KL's terms, each computed
+    without cancellation, at any scale in the double range.  In doubles, KL
+    is 0 for A != B only where D_KL is within a few subnormal steps
+    (4.9e-324 each) of 0, as for entries a and a (1 + t) with a t^2 / 2 that
+    small.  Every kind is math.inf, not an
     error, when the value exceeds the double range.
     """
     if a.shape != b.shape:
@@ -109,21 +107,9 @@ def distance(a, b, kind):
         if np.any(b.data < 0):
             raise ValueError("KL requires the second argument to be nonnegative")
         # 0 log 0 = 0 where a = 0; +inf where a > 0 and b = 0.
-        pos = a.data > 0.0
-        if np.any(b.data[pos] == 0.0):
+        if np.any(b.data[a.data > 0.0] == 0.0):
             return math.inf
-        with np.errstate(all="ignore"):
-            d = _kl_rows(a.data)(b.data[None])[0]
-            # The rounding error of sum(a) and sum(b), times the size of the
-            # largest log on the support, which each term's error grows
-            # with; inf if either sum overflows.  d is kept only where that
-            # is below 2^-30 of it, so d is good to about 1e-9 relative.
-            logs = np.abs(np.log(np.concatenate([a.data[pos], b.data[pos]])))
-            err = a.size * 2.0**-52 * float(np.add.reduce(a.data) + np.add.reduce(b.data))
-            err *= 1.0 + np.maximum.reduce(logs, initial=0.0)
-        if not err < 2.0**-30 * d < math.inf:
-            d = _kl_termwise(a.data, b.data)
-        return d
+        return _kl_termwise(a.data, b.data)
     if not isinstance(kind, DivergenceKind):
         raise ValueError(f"unknown divergence kind {kind!r}")
     try:

@@ -26,16 +26,17 @@ The driver fits a batch of stack entries, each a seed and a family (MU or
 ALS; the contrast experiment fits both Frobenius families as one batch).
 Every factor is an (S, d_i, r) stack with one matrix per entry, so one
 matmul, ufunc or LAPACK call serves all S entries, and a single fit is a
-batch of one.  The MU entries come first; only the family tails of an
-update run on their contiguous slices, writing them into one fresh
-C-ordered stack.  Per-entry events (the stop rule, the finiteness of the
-trace, the MU coercivity check, a ridge note, a failed solve) concern one
-entry; an entry that stops or raises leaves the stack and its batch-mates
-carry on, so every per-entry list is sliced with the stacks, and every
-trace row enters through FitTrace.append_block.  An entry's arithmetic
-never mixes with its batch-mates', so it gets the same trace, notes, model
-or exception, byte for byte, in any batch, on every shape (modes of size 1
-and order 1 included).
+batch of one.  The MU entries come first, and one stateless update counts
+the live ones on each call: a one-family stack goes to its family's tail
+whole, a mixed one to both tails on their contiguous slices, written into
+one fresh C-ordered stack.  Per-entry events (a failed start, a signed
+target's for MU included, the stop rule, the finiteness of the trace, the MU
+coercivity check, a ridge note, a failed solve) concern one entry; an entry
+that stops or raises leaves the stack and its batch-mates carry on, so every
+per-entry list is sliced with the stacks, and every trace row enters through
+FitTrace.append_block.  An entry's arithmetic never mixes with its
+batch-mates', so it gets the same trace, notes, model or exception, byte for
+byte, in any batch, on every shape (modes of size 1 and order 1 included).
 
 The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
 are batched matmuls with the Khatri-Rao product K of the factors other than
@@ -99,7 +100,7 @@ from numpy.linalg import _umath_linalg  # the gufuncs np.linalg.cholesky and sol
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _khatri_rao, _nonnegative, _reconstruct, _unfoldings
-from .tensor import _csv_text, _integer, _real, _write_text, norm
+from .tensor import DenseTensor, _csv_text, _integer, _real, _write_text, norm
 
 # Absolute floors: on the MU denominators, the ALS ridge, and the
 # reconstruction inside the solver's KL loss and KL update, where it keeps the
@@ -350,18 +351,18 @@ def _fit_batch(a, cfg, entries):
     what each gives alone, in order (see :func:`fit_seeds`); ``cfg.seed`` and
     ``cfg.nonneg`` are ignored.
 
-    The stacks hold the nonnegative entries first; ``split`` counts the live
-    ones.  A family is a start ``init(a, cfg)`` of one seed's factors, a
-    rescale and a mode-n tail ``update(w, prod, mt, note, fail)`` that returns
-    the new stack (or, given ``out``, writes it there) from its slices of the
-    factor stack ``w``, of the product ``prod`` of the other factors' cached
-    Grams (column sums for KL) and of the MTTKRP ``mt``.  ``note(j, event)``
-    records "<event> on mode n" on the trace of the slice's entry j at the
-    current iteration; ``fail(j, exc)`` ends that entry's fit with ``exc``.
+    The stacks hold the live nonnegative entries first.  A family is a start
+    ``init(a, cfg)`` of one seed's factors, a rescale and a mode-n tail
+    ``tail(w, prod, mt, note, fail)`` that returns the new stack (or, given
+    ``out``, writes it there) from its slices of the factor stack ``w``, of
+    the product ``prod`` of the other factors' cached Grams (column sums for
+    KL) and of the MTTKRP ``mt``.  ``note(j, event)`` records "<event> on
+    mode n" on the trace of the slice's entry j at the current iteration;
+    ``fail(j, exc)`` ends that entry's fit with ``exc``.
     """
+    if not isinstance(a, DenseTensor):
+        raise ValueError(f"the target must be a DenseTensor, got {type(a).__name__}")
     order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
-    if any(flag for _, flag in entries) and np.any(a.data < 0):
-        raise ValueError("fit_nncp requires a nonnegative tensor")
     a_arr = a.as_array()
     unfolded = a_arr.reshape(a.shape[0], -1)  # the mode-0 unfolding, as x0
     a_e = norm(a, "E")
@@ -381,9 +382,8 @@ def _fit_batch(a, cfg, entries):
             out[i] = exc
     if not slots:
         return out
-    split = nonneg.count(True)
-    mu = _mu_update(cfg) if split else None
-    als = _als_update(cfg) if split < len(slots) else None
+    mu = _mu_update(cfg) if True in nonneg else None
+    als = _als_update(cfg) if False in nonneg else None
     factors = [np.stack(stack) for stack in zip(*starts)]
     stats = [_factor_stat(f, kl) for f in factors]
     traces = [FitTrace() for _ in slots]
@@ -401,11 +401,11 @@ def _fit_batch(a, cfg, entries):
         block.clear()
         cols = _trace_columns(res_es, fs, nonneg)
         res_e, dl1, cmax = (c.T.tolist() for c in cols)
-        # The coercivity cap binds the nonnegative entries, the first split.
-        over = (~_within_cap(a_e, cols[1][:, :split], cols[0][:, :split])).T.tolist()
+        over = (~_within_cap(a_e, cols[1], cols[0])).T.tolist()
         for j, seed_objs in enumerate(zip(*objs)):
             n = len(its) - (has_row[-1] is not None and not has_row[-1][j])
-            k = over[j].index(True) if j < split and True in over[j][:n] else None
+            # The coercivity cap binds the nonnegative entries only.
+            k = over[j].index(True) if nonneg[j] and True in over[j][:n] else None
             m = n if k is None else k + 1
             try:
                 traces[j].append_block(
@@ -422,7 +422,6 @@ def _fit_batch(a, cfg, entries):
     def retire():
         """Record the ended entries, drop them from the stacks and the
         per-entry lists, and return the kept entries."""
-        nonlocal kr0, x0, split, update
         for j, res in ended.items():
             out[slots[j]] = res
         keep = [j for j in range(len(slots)) if j not in ended]
@@ -431,22 +430,22 @@ def _fit_batch(a, cfg, entries):
         factors[:] = [f[keep] for f in factors]
         stats[:] = [st[keep] for st in stats]
         ended.clear()
-        kr0, x0, split = kr0[keep], x0[keep], nonneg.count(True)
-        update = mixed if 0 < split < len(slots) else mu if split else als
         return keep
 
     def note(j, event):
         traces[j].note(it, f"{event} on mode {n}")
 
-    def mixed(w, prod, mt, note, fail):
-        """Both families' tails, each writing its slice of one fresh stack."""
-        lo, hi, out = slice(split), slice(split, None), np.empty(w.shape)
-        mu(w[lo], prod[lo], mt[lo], note, fail, out[lo])
+    def update(w, prod, mt):
+        """The live families' tails: one family's returns the new stack; with
+        both, each writes its slice of one fresh stack."""
+        split, fail = nonneg.count(True), ended.__setitem__
+        if split in (0, len(w)):
+            return (mu if split else als)(w, prod, mt, note, fail)
+        lo, hi, new = slice(split), slice(split, None), np.empty(w.shape)
+        mu(w[lo], prod[lo], mt[lo], note, fail, new[lo])
         als(w[hi], prod[hi], mt[hi], lambda j, event: note(split + j, event),
-            lambda j, exc: fail(split + j, exc), out[hi])
-        return out
-
-    update = mixed if 0 < split < len(slots) else mu if split else als
+            lambda j, exc: fail(split + j, exc), new[hi])
+        return new
 
     for it in range(cfg.max_iters + 1):
         if it > 0:
@@ -458,7 +457,7 @@ def _fit_batch(a, cfg, entries):
                 else:
                     mt = unfold[n] @ kr
                 prod = _product_of_others(stats, n)
-                factors[n] = update(factors[n], prod, mt, note, ended.__setitem__)
+                factors[n] = update(factors[n], prod, mt)
                 stats[n] = _factor_stat(factors[n], kl)
                 if ended:
                     flush()
@@ -495,8 +494,11 @@ def _fit_batch(a, cfg, entries):
                         ended[j] = FitResult(model, traces[j], stop, objs[j])
                     except Exception as exc:
                         ended[j] = exc
-        if ended and not retire():
-            return out
+        if ended:
+            keep = retire()
+            if not keep:
+                return out
+            kr0, x0 = kr0[keep], x0[keep]  # the next sweep's mode 0 reads them
     return out
 
 
@@ -507,6 +509,8 @@ def _sort_by_weight(model):
 
 
 def _init_nonneg(a, cfg):
+    if not _nonnegative(a.data):
+        raise ValueError("fit_nncp requires a nonnegative tensor")
     m = random_model(a.shape, cfg.rank, cfg.seed, nonneg=True, e_norm=norm(a, "E") or 1.0)
     return [f * m.delta ** (1.0 / len(a.shape)) for f in m.factors]
 

@@ -238,7 +238,7 @@ def test_kl_rows_keep_their_bits():
     ]
     assert digests == [
         "3f01ee456f6ebb21bfbceebaed50bbc1c0d0a70b116ed715ff89ca599d57bbdd",
-        "657c09e05343c85f6ec8521e9794b4f812a6209d456241b634b0262d70c6390a",
+        "927dc9a442b7b0f41235c3c43c0d143e2bb52661a5ea75f356d281d3cf4d233c",
     ]
 
 
@@ -989,6 +989,21 @@ def test_batch_seed_whose_ridged_solve_fails_ends_alone(monkeypatch):
     assert str(batch[1]) == "Singular matrix"
 
 
+@pytest.mark.parametrize("target", [np.ones((2, 2)), [[1.0]], None])
+def test_a_target_that_is_not_a_tensor_fails_before_any_start(monkeypatch, target):
+    def no_start(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(solvers, "_init_nonneg", no_start)
+    monkeypatch.setattr(solvers, "_init_signed", no_start)
+    name = type(target).__name__
+    for fit, nonneg in [(fit_nncp, True), (fit_cp_unconstrained, False)]:
+        with pytest.raises(ValueError, match=f"the target must be a DenseTensor, got {name}"):
+            fit(target, FitConfig(rank=2, nonneg=nonneg))
+        with pytest.raises(ValueError, match=f"the target must be a DenseTensor, got {name}"):
+            solvers.fit_seeds(target, FitConfig(rank=2, nonneg=nonneg), [0, 1])
+
+
 # --- batches of both families -------------------------------------------------
 
 
@@ -1162,6 +1177,81 @@ def test_np_sqrt_calls_per_fit_scale_with_trace_blocks(monkeypatch, loss, nonneg
         per_fit[iters] = len(calls)
     assert per_fit[6] == per_fit[7]
     assert per_fit[62] == per_fit[63] == per_fit[7] + passes - 1
+
+
+def test_signed_target_fails_only_its_nonnegative_entries():
+    signed = DenseTensor.from_array(np.random.default_rng(8).normal(size=(3, 4, 5)))
+    cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
+    mu, als = assert_mixed_matches_solo(signed, cfg, [0, 1])
+    assert [(type(r), str(r)) for r in mu] == [
+        (ValueError, "fit_nncp requires a nonnegative tensor")
+    ] * 2
+    assert all(type(r) is solvers.FitResult for r in als)
+    assert [str(r) for r in solvers.fit_seeds(signed, cfg, [0, 1, 2])] == [str(mu[0])] * 3
+    with pytest.raises(ValueError, match="fit_nncp requires a nonnegative tensor"):
+        fit_nncp(signed, cfg)
+
+
+def _counted_tails(monkeypatch):
+    """Patch _mu_update and _als_update so that the tails they build count
+    their calls by family and fail on a call with no entries."""
+    calls = collections.Counter()
+    for family, name in [("mu", "_mu_update"), ("als", "_als_update")]:
+        real = getattr(solvers, name)
+
+        def build(cfg, _real=real, _family=family):
+            tail = _real(cfg)
+
+            def counting(w, *args):
+                assert len(w) > 0, _family
+                calls[_family] += 1
+                return tail(w, *args)
+
+            return counting
+
+        monkeypatch.setattr(solvers, name, build)
+    return calls
+
+
+def test_mixed_batch_calls_no_tail_after_its_last_als_entry_ends(monkeypatch):
+    # Every signed start has twin columns scaled by 1e10 in modes 1 and 2, so
+    # each ridged solve of mode 0 fails in the first sweep: the ALS tail
+    # runs once, and the MU tail alone from mode 1 on.
+    real = solvers._init_signed
+
+    def twin_columns(a, cfg):
+        w = real(a, cfg)
+        for m in (1, 2):
+            w[m][:, :] = w[m][:, :1] * 1e10
+        return w
+
+    monkeypatch.setattr(solvers, "_init_signed", twin_columns)
+    calls = _counted_tails(monkeypatch)
+    cfg = FitConfig(rank=2, max_iters=30, tol=0.0)
+    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, 1, 2])
+    assert all(type(r) is np.linalg.LinAlgError for r in als)
+    assert all(type(r) is solvers.FitResult for r in mu)
+    calls.clear()
+    solvers._fit_batch(_NB, cfg, [(s, f) for f in (True, False) for s in (0, 1, 2)])
+    assert calls == {"als": 1, "mu": 3 * 30}
+
+
+def test_mixed_batch_calls_no_tail_after_its_last_mu_entry_ends(monkeypatch):
+    # Nonnegative seeds 1 and 2 violate the tightened cap, each at its own
+    # iteration; with blocks of one row each ends there, so the MU tail runs
+    # for the sweeps up to the later one, and the ALS tail to max_iters.
+    cfg = FitConfig(rank=2, max_iters=300, tol=0.0)
+    last = max(next(r.iter for r in _solo(_NB, cfg, s).trace.rows if r.residual_E < 0.02)
+               for s in (1, 2))
+    monkeypatch.setattr(solvers, "TRACE_BLOCK", 1)
+    _violate_below(monkeypatch, 0.02)
+    calls = _counted_tails(monkeypatch)
+    mu, als = assert_mixed_matches_solo(_NB, cfg, [1, 2])
+    assert all(type(r) is RuntimeError for r in mu)
+    assert all(type(r) is solvers.FitResult for r in als)
+    calls.clear()
+    solvers._fit_batch(_NB, cfg, [(s, f) for f in (True, False) for s in (1, 2)])
+    assert calls == {"mu": 3 * last, "als": 3 * 300}
 
 
 # --- trace blocks -----------------------------------------------------------------
