@@ -20,7 +20,7 @@ import numpy as np
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
 from .solvers import FitConfig, _fit_batch, _within_cap
-from .tensor import _csv_text, _real, _write_text, norm
+from .tensor import _csv_text, _real, _tensor, _write_text, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
 # wraps these module attributes.
@@ -151,7 +151,7 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     it runs alone; a seed whose fit raises, an invalid seed included, gets
     an ERROR row and the others are unaffected.
     """
-    if np.any(a.data < 0):
+    if np.any(_tensor(a, "the target").data < 0):
         raise ValueError("contrast experiment requires a nonnegative tensor")
     thresholds = _thresholds(thresholds)
     seeds = list(seeds)

@@ -96,11 +96,8 @@ def bclr_limit(n=4):
     """The eps -> 0 limit in dimension n: a 0/1 tensor with six unit entries,
     E-norm 6 and rank > 5, so rank-5 fits cannot reach it."""
     n = _integer(n, "n", least=4)
-    basis = np.eye(n)[:, :4]
     total = np.zeros((n,) * 3)
-    for i, j, k in _LIMIT_TERMS:
-        vecs = [basis[:, i - 1], basis[:, j - 1], basis[:, k - 1]]
-        total = total + outer_product(vecs).as_array()
+    total[tuple(np.transpose(_LIMIT_TERMS) - 1)] = 1.0
     return DenseTensor.from_array(total)
 
 

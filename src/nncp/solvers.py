@@ -22,14 +22,13 @@ trace row and the next sweep's first KL update all read that one
 reconstruction.  It caches each factor's Gram (for KL its column sums),
 refreshed after its update.
 
-The driver fits a batch of stack entries, each a seed and a family (MU or
-ALS; the contrast experiment fits both Frobenius families as one batch).
-Every factor is an (S, d_i, r) stack with one matrix per entry, so one
-matmul, ufunc or LAPACK call serves all S entries, and a single fit is a
-batch of one.  The MU entries come first, and one stateless update counts
-the live ones on each call: a one-family stack goes to its family's tail
-whole, a mixed one to both tails on their contiguous slices, written into
-one fresh C-ordered stack.  Per-entry events (a failed start, a signed
+The driver fits a batch of stack entries, each a seed and a family (MU or ALS;
+the contrast experiment fits both Frobenius families as one batch).  Every
+factor is an (S, d_i, r) stack with one matrix per entry, so one matmul, ufunc
+or LAPACK call serves all S entries, and a single fit is a batch of one.  The
+MU entries come first; each mode update passes an all-MU stack to the MU tail
+whole, or else each family's contiguous slice to its tail, which writes it
+into one fresh C-ordered stack.  Per-entry events (a failed start, a signed
 target's for MU included, the stop rule, the finiteness of the trace, the MU
 coercivity check, a ridge note, a failed solve) concern one entry; an entry
 that stops or raises leaves the stack and its batch-mates carry on, so every
@@ -100,7 +99,7 @@ from numpy.linalg import _umath_linalg  # the gufuncs np.linalg.cholesky and sol
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _khatri_rao, _nonnegative, _reconstruct, _unfoldings
-from .tensor import DenseTensor, _csv_text, _integer, _real, _write_text, norm
+from .tensor import _csv_text, _integer, _real, _tensor, _write_text, norm
 
 # Absolute floors: on the MU denominators, the ALS ridge, and the
 # reconstruction inside the solver's KL loss and KL update, where it keeps the
@@ -267,7 +266,7 @@ def objective(a, model, loss, reg_rho=0.0):
     reconstruction floored entrywise, so the floor enters both the logs and
     the sum of X.
     """
-    if tuple(model.shape) != a.shape:
+    if _tensor(a, "the target").shape != tuple(model.shape):
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")
     _check_finite_nonneg("reg_rho", reg_rho, loss)
     if loss is Loss.KL:
@@ -352,23 +351,20 @@ def _fit_batch(a, cfg, entries):
     ``cfg.nonneg`` are ignored.
 
     The stacks hold the live nonnegative entries first.  A family is a start
-    ``init(a, cfg)`` of one seed's factors, a rescale and a mode-n tail
-    ``tail(w, prod, mt, note, fail)`` that returns the new stack (or, given
-    ``out``, writes it there) from its slices of the factor stack ``w``, of
-    the product ``prod`` of the other factors' cached Grams (column sums for
-    KL) and of the MTTKRP ``mt``.  ``note(j, event)`` records "<event> on
-    mode n" on the trace of the slice's entry j at the current iteration;
-    ``fail(j, exc)`` ends that entry's fit with ``exc``.
+    (_init_nonneg or _init_signed) of one seed's factors, a rescale and a
+    mode tail.  An all-MU stack goes to _mu_tail whole; otherwise each tail
+    writes its slice of one fresh stack, and _als_tail returns its ridged and
+    failed entries, which the driver notes or ends at its offset.
     """
-    if not isinstance(a, DenseTensor):
-        raise ValueError(f"the target must be a DenseTensor, got {type(a).__name__}")
+    _tensor(a, "the target")
     order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
     a_arr = a.as_array()
-    unfolded = a_arr.reshape(a.shape[0], -1)  # the mode-0 unfolding, as x0
     a_e = norm(a, "E")
-    kl, loss = cfg.loss is Loss.KL, _loss(unfolded, cfg.loss, cfg.reg_rho)
-    # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support.
+    kl, rho = cfg.loss is Loss.KL, cfg.reg_rho
+    # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support;
+    # the loss and residual_E read unfold[0], whose +0.0s change none of their bits.
     unfold = _unfoldings(a_arr + 0.0 if kl else a_arr)
+    loss = _loss(unfold[0], cfg.loss, rho)
     out = [None] * len(entries)
     slots, nonneg, starts = [], [], []  # slots[j]: the output index of stack entry j
     for i in order:
@@ -382,8 +378,6 @@ def _fit_batch(a, cfg, entries):
             out[i] = exc
     if not slots:
         return out
-    mu = _mu_update(cfg) if True in nonneg else None
-    als = _als_update(cfg) if False in nonneg else None
     factors = [np.stack(stack) for stack in zip(*starts)]
     stats = [_factor_stat(f, kl) for f in factors]
     traces = [FitTrace() for _ in slots]
@@ -432,19 +426,18 @@ def _fit_batch(a, cfg, entries):
         ended.clear()
         return keep
 
-    def note(j, event):
-        traces[j].note(it, f"{event} on mode {n}")
-
     def update(w, prod, mt):
-        """The live families' tails: one family's returns the new stack; with
-        both, each writes its slice of one fresh stack."""
-        split, fail = nonneg.count(True), ended.__setitem__
-        if split in (0, len(w)):
-            return (mu if split else als)(w, prod, mt, note, fail)
-        lo, hi, new = slice(split), slice(split, None), np.empty(w.shape)
-        mu(w[lo], prod[lo], mt[lo], note, fail, new[lo])
-        als(w[hi], prod[hi], mt[hi], lambda j, event: note(split + j, event),
-            lambda j, exc: fail(split + j, exc), new[hi])
+        split = nonneg.count(True)
+        if split == len(w):
+            return _mu_tail(w, prod, mt, kl, rho)
+        new = np.empty(w.shape)
+        if split:
+            _mu_tail(w[:split], prod[:split], mt[:split], kl, rho, new[:split])
+        ridged, failed = _als_tail(w[split:], prod[split:], mt[split:], rho, new[split:])
+        for j in ridged:
+            traces[split + j].note(it, f"ridge jitter on mode {n}")
+        for j, exc in failed:
+            ended[split + j] = exc
         return new
 
     for it in range(cfg.max_iters + 1):
@@ -465,7 +458,7 @@ def _fit_batch(a, cfg, entries):
                         return out
         kr0 = _khatri_rao(factors, 0)
         x0 = _reconstruct(factors[0], kr0)
-        resid = unfolded - x0
+        resid = unfold[0] - x0
         objs = loss(x0, resid, factors)
         last = it == cfg.max_iters
         traced = last or it % cfg.trace_every == 0
@@ -522,18 +515,16 @@ def _init_signed(a, cfg):
     return w
 
 
-def _mu_update(cfg):
-    rho = cfg.reg_rho
-    if cfg.loss is Loss.KL:  # never in a mixed batch: ALS fits the Frobenius loss only
-        return lambda w, prod, mt, note, fail: w * (mt / np.maximum(prod[:, None, :], DEN_FLOOR))
-
-    def frobenius(w, prod, mt, note, fail, out=None):
+def _mu_tail(w, prod, mt, kl, rho, out=None):
+    """The MU update of the stack ``w`` (into ``out`` if given) from ``prod``,
+    the other factors' Grams' product (column sums for KL), and the MTTKRP."""
+    if kl:
+        den = prod[:, None, :]
+    else:
         den = w @ prod
         if rho > 0:
             den = den + rho * w
-        return np.multiply(w, mt / np.maximum(den, DEN_FLOOR), out=out)
-
-    return frobenius
+    return np.multiply(w, mt / np.maximum(den, DEN_FLOOR), out=out)
 
 
 def _singular(err, flag):
@@ -549,35 +540,33 @@ def _lapack_solve(gram, rhs, probe=True, out=None):
     return _umath_linalg.solve(gram, rhs, signature="dd->d", out=out)
 
 
-def _als_update(cfg):
-    rho = cfg.reg_rho
-    eye = np.eye(cfg.rank)
-
-    def als(w, gram, mt, note, fail, out=None):
-        if rho > 0:
-            gram = gram + rho * eye
-        rhs = mt.transpose(0, 2, 1)
-        out = np.empty(w.shape) if out is None else out
-        sol = out.transpose(0, 2, 1)  # the (r, d) solutions land C-ordered as (d, r)
-        try:
-            _lapack_solve(gram, rhs, out=sol)
-        except np.linalg.LinAlgError:
-            # Some seed's normal equations are singular: solve seed by seed.
-            # A Gram that fails the Cholesky probe, or whose solve fails, gets
-            # the ridge RIDGE_JITTER * I; if that fails too, the seed fails (zeros).
-            for j in range(len(gram)):
+def _als_tail(w, gram, mt, rho, out):
+    """Solve the ALS normal equations of the stack ``w`` into ``out``; return
+    the entries that took the ridge and the (entry, LinAlgError) pairs of those
+    whose solve failed."""
+    if rho > 0:
+        gram = gram + rho * np.eye(w.shape[2])
+    rhs = mt.transpose(0, 2, 1)
+    sol = out.transpose(0, 2, 1)  # the (r, d) solutions land C-ordered as (d, r)
+    ridged, failed = [], []
+    try:
+        _lapack_solve(gram, rhs, out=sol)
+    except np.linalg.LinAlgError:
+        # Some seed's normal equations are singular: solve seed by seed.
+        # A Gram that fails the Cholesky probe, or whose solve fails, gets
+        # the ridge RIDGE_JITTER * I; if that fails too, the seed fails (zeros).
+        jitter = RIDGE_JITTER * np.eye(w.shape[2])
+        for j in range(len(gram)):
+            try:
+                sol[j] = _lapack_solve(gram[j], rhs[j])
+            except np.linalg.LinAlgError:
                 try:
-                    sol[j] = _lapack_solve(gram[j], rhs[j])
-                except np.linalg.LinAlgError:
-                    try:
-                        sol[j] = _lapack_solve(gram[j] + RIDGE_JITTER * eye, rhs[j], probe=False)
-                        note(j, "ridge jitter")
-                    except np.linalg.LinAlgError as exc:
-                        sol[j] = 0.0
-                        fail(j, exc)
-        return out
-
-    return als
+                    sol[j] = _lapack_solve(gram[j] + jitter, rhs[j], probe=False)
+                    ridged.append(j)
+                except np.linalg.LinAlgError as exc:
+                    sol[j] = 0.0
+                    failed.append((j, exc))
+    return ridged, failed
 
 
 def _fit_one(a, cfg):

@@ -1193,23 +1193,17 @@ def test_signed_target_fails_only_its_nonnegative_entries():
 
 
 def _counted_tails(monkeypatch):
-    """Patch _mu_update and _als_update so that the tails they build count
-    their calls by family and fail on a call with no entries."""
+    """Patch _mu_tail and _als_tail so that they count their calls by family
+    and fail on a call with no entries."""
     calls = collections.Counter()
-    for family, name in [("mu", "_mu_update"), ("als", "_als_update")]:
-        real = getattr(solvers, name)
+    for family, name in [("mu", "_mu_tail"), ("als", "_als_tail")]:
 
-        def build(cfg, _real=real, _family=family):
-            tail = _real(cfg)
+        def counting(w, *args, _real=getattr(solvers, name), _family=family):
+            assert len(w) > 0, _family
+            calls[_family] += 1
+            return _real(w, *args)
 
-            def counting(w, *args):
-                assert len(w) > 0, _family
-                calls[_family] += 1
-                return tail(w, *args)
-
-            return counting
-
-        monkeypatch.setattr(solvers, name, build)
+        monkeypatch.setattr(solvers, name, counting)
     return calls
 
 
@@ -1298,30 +1292,29 @@ def test_coercivity_violation_ends_its_seed_alone(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", [1, None, 1000], ids=["1", "default", "1000"])
-def test_coercivity_violation_wins_over_a_later_failed_solve(monkeypatch, block):
-    # The violation ends the seed at its first violating row, so a solve that
-    # fails three sweeps later, before the block is flushed, never counts.
+def test_coercivity_violation_wins_over_a_later_nonfinite_objective(monkeypatch, block):
+    # The violation ends the seed at its first violating row, so a NaN
+    # objective three sweeps later, before the block is flushed, never counts.
     cfg = FitConfig(rank=2, max_iters=300, tol=0.0)
     clean = _solo(_NB, cfg, 1)
     first = next(r.iter for r in clean.trace.rows if r.residual_E < 0.02)
-    real = solvers._mu_update
+    real = solvers._loss
 
-    def failing_mu_update(cfg):
-        update, calls = real(cfg), []
+    def late_nan(a0, loss, rho):
+        per_seed, calls = real(a0, loss, rho), []
 
-        def failing(w, prod, mt, note, fail):
-            calls.append(None)
-            if len(calls) == 3 * (first + 2) + 1:  # mode 0 of sweep first + 3
-                fail(0, np.linalg.LinAlgError("forced"))
-            return update(w, prod, mt, note, fail)
+        def poisoned(x, resid, factors):
+            calls.append(None)  # one call per iteration, from iteration 0
+            objs = per_seed(x, resid, factors)
+            return [math.nan] * len(objs) if len(calls) == first + 4 else objs
 
-        return failing
+        return poisoned
 
     if block:
         monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
-    monkeypatch.setattr(solvers, "_mu_update", failing_mu_update)
+    monkeypatch.setattr(solvers, "_loss", late_nan)
     failed = _solo(_NB, cfg, 1)
-    assert (type(failed), str(failed)) == (np.linalg.LinAlgError, "forced")
+    assert (type(failed), str(failed)) == (ValueError, "trace objective must be finite")
     _violate_below(monkeypatch, 0.02)
     violated = _solo(_NB, cfg, 1)
     assert (type(violated), str(violated)) == (RuntimeError, _first_violation(clean, 0.02))
