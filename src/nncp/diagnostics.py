@@ -19,8 +19,8 @@ import numpy as np
 
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
-from .solvers import FitConfig, _fit_batch, _within_cap
-from .tensor import _csv_text, _real, _tensor, _write_text, norm
+from .solvers import FitConfig, FitTrace, _fit_batch, _within_cap
+from .tensor import _csv_text, _instance, _real, _write_text, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
 # wraps these module attributes.
@@ -70,7 +70,7 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     is a DegeneracyThresholds or None (the defaults).
     """
     th = _thresholds(thresholds)
-    cols = trace.columns
+    cols = _instance(trace, "trace", FitTrace).columns
     if not cols.iter:
         raise ValueError("trace is empty")
     a_e, a_f = float(a_norms[0]), float(a_norms[1])
@@ -151,23 +151,20 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     it runs alone; a seed whose fit raises, an invalid seed included, gets
     an ERROR row and the others are unaffected.
     """
-    if np.any(_tensor(a, "the target").data < 0):
+    if np.any(_instance(a, "the target").data < 0):
         raise ValueError("contrast experiment requires a nonnegative tensor")
     thresholds = _thresholds(thresholds)
-    seeds = list(seeds)
     summary = ContrastSummary()
     a_norms = (norm(a, "E"), norm(a, "F"))
     cfg = FitConfig(rank=rank, max_iters=max_iters, tol=0.0)
-    entries = [(seed, family == "nonneg") for family in _FAMILIES for seed in seeds]
+    runs = [(seed, family) for seed in seeds for family in _FAMILIES]
     try:
-        fits = _fit_batch(a, cfg, entries)
+        fits = _fit_batch(a, cfg, [(seed, family == "nonneg") for seed, family in runs])
     except Exception as exc:  # a failure of the whole batch, e.g. a MemoryError
-        fits = [exc] * len(entries)
-    for i, seed in enumerate(seeds):
-        for k, family in enumerate(_FAMILIES):
-            fit = fits[k * len(seeds) + i]
-            row, report = _contrast_row(a, a_norms, seed, family, fit, thresholds)
-            summary.rows.append(row)
-            if report is not None:
-                summary.reports[(seed, family)] = report
+        fits = [exc] * len(runs)
+    for (seed, family), fit in zip(runs, fits):
+        row, report = _contrast_row(a, a_norms, seed, family, fit, thresholds)
+        summary.rows.append(row)
+        if report is not None:
+            summary.reports[(seed, family)] = report
     return summary

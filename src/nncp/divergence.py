@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .tensor import _real, _scaled, _tensor, add_scaled, inner, norm
+from .tensor import _instance, _real, _scaled, add_scaled, inner, norm
 
 
 _TINY = math.ldexp(1.0, -1022)  # the smallest normal double
@@ -99,7 +99,7 @@ def distance(a, b, kind):
     small.  Every kind is math.inf, not an
     error, when the value exceeds the double range.
     """
-    if _tensor(a, "a").shape != _tensor(b, "b").shape:
+    if _instance(a, "a").shape != _instance(b, "b").shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if kind is DivergenceKind.KL:
         if np.any(a.data < 0):
@@ -122,7 +122,7 @@ def distance(a, b, kind):
 def kl_phi(a):
     """Generator of the KL divergence: sum of a log a, with 0 log 0 = 0; inf
     beyond the double range (every term is >= -1/e, so never -inf)."""
-    flat = _tensor(a, "a").data
+    flat = _instance(a, "a").data
     if np.any(flat < 0):
         raise ValueError("kl_phi requires a nonnegative tensor")
     pos = flat[flat > 0.0]
@@ -138,9 +138,9 @@ def bregman_from_phi(a, b, phi_a, phi_b, grad_phi_b):
     phi = 0.5 ||.||_F^2 (gradient B) it gives half the squared F-distance.
     phi_a and phi_b must be finite reals, and a form that is not finite raises.
     """
-    if _tensor(a, "a").shape != _tensor(b, "b").shape:
+    if _instance(a, "a").shape != _instance(b, "b").shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if _tensor(grad_phi_b, "grad_phi_b").shape != b.shape:
+    if _instance(grad_phi_b, "grad_phi_b").shape != b.shape:
         raise ValueError(
             f"gradient shape {grad_phi_b.shape} does not match {b.shape}"
         )

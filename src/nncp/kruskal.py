@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .tensor import DenseTensor, _divided, _frozen, _integer, _json_array, _json_document
-from .tensor import _read_text, _real, _scaled, _shape, _unscaled, _write_text, norm
+from .tensor import _instance, _read_text, _real, _scaled, _shape, _unscaled, _write_text, norm
 
 
 def _nonnegative(*arrays):
@@ -119,7 +119,7 @@ def _reconstruct(w, kr):
 def reconstruct(model):
     """Dense tensor sum_p delta_p * (outer product of factor columns p): the
     one-entry case of the kernels, W^(0) diag(delta) K^T reshaped."""
-    factors = [f[None] for f in model.factors]
+    factors = [f[None] for f in _instance(model, "model", KruskalModel).factors]
     x = _reconstruct(factors[0] * model.delta, _khatri_rao(factors, 0))
     return DenseTensor.from_array(x.reshape(model.shape))
 
@@ -150,7 +150,7 @@ def normalize(model):
     column contribute nothing and are dropped, so r may shrink.  The
     reconstruction is preserved exactly.
     """
-    if not model.nonneg:
+    if not _instance(model, "model", KruskalModel).nonneg:
         raise ValueError("normalize requires a nonnegative model")
     # Per-column sums: np.sum(m, axis=0) rounds differently once d >= 8.
     return _rescale_columns(model, lambda m: np.array([np.sum(c) for c in m.T]))
@@ -164,7 +164,8 @@ def l2_normalize(model):
     """
     # Per-column norms: np.linalg.norm(m, axis=0) sums in another order.
     return _rescale_columns(
-        model, lambda m: np.array([np.linalg.norm(c) for c in m.T])
+        _instance(model, "model", KruskalModel),
+        lambda m: np.array([np.linalg.norm(c) for c in m.T]),
     )
 
 
@@ -175,7 +176,7 @@ def delta_l1_equals_e_norm_check(model):
     the E-norm of a nonnegative rank-1 term with unit-l1 factors is exactly
     its weight, and nonnegativity makes the E-norm additive over components.
     """
-    if not model.normalized:
+    if not _instance(model, "model", KruskalModel).normalized:
         raise ValueError("check requires a normalized nonnegative model")
     return float(_unscaled(*_scaled(model.delta, np.sum))), norm(reconstruct(model), "E")
 
@@ -219,7 +220,7 @@ def to_naive_bayes(model):
     conditional distributions.  Scaling the naive-Bayes joint back by
     ||delta||_1 recovers the model's reconstruction.
     """
-    if not model.normalized:
+    if not _instance(model, "model", KruskalModel).normalized:
         raise ValueError("to_naive_bayes requires a normalized nonnegative model")
     total, e = _scaled(model.delta, np.sum)
     if total <= 0.0:
@@ -261,7 +262,7 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
 def model_to_json(model):
     return json.dumps(
         {
-            "shape": list(model.shape),
+            "shape": list(_instance(model, "model", KruskalModel).shape),
             "delta": model.delta.tolist(),
             "factors": [m.tolist() for m in model.factors],
         }

@@ -30,12 +30,13 @@ MU entries come first; each mode update passes an all-MU stack to the MU tail
 whole, or else each family's contiguous slice to its tail, which writes it
 into one fresh C-ordered stack.  Per-entry events (a failed start, a signed
 target's for MU included, the stop rule, the finiteness of the trace, the MU
-coercivity check, a ridge note, a failed solve) concern one entry; an entry
-that stops or raises leaves the stack and its batch-mates carry on, so every
-per-entry list is sliced with the stacks, and every trace row enters through
-FitTrace.append_block.  An entry's arithmetic never mixes with its
-batch-mates', so it gets the same trace, notes, model or exception, byte for
-byte, in any batch, on every shape (modes of size 1 and order 1 included).
+coercivity check, a ridge note, a failed solve, a model with no normal form)
+concern one entry.  One flush and one retire end every started entry: the
+flush appends its rows through FitTrace.append_block and decides its outcome,
+the retire drops it from every stack and per-entry list, and its batch-mates
+carry on.  An entry's arithmetic never mixes with its batch-mates', so it gets
+the same trace, notes, model or exception, byte for byte, in any batch, on
+every shape (modes of size 1 and order 1 included).
 
 The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
 are batched matmuls with the Khatri-Rao product K of the factors other than
@@ -99,7 +100,7 @@ from numpy.linalg import _umath_linalg  # the gufuncs np.linalg.cholesky and sol
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
 from .kruskal import _khatri_rao, _nonnegative, _reconstruct, _unfoldings
-from .tensor import _csv_text, _integer, _real, _tensor, _write_text, norm
+from .tensor import _csv_text, _instance, _integer, _real, _write_text, norm
 
 # Absolute floors: on the MU denominators, the ALS ridge, and the
 # reconstruction inside the solver's KL loss and KL update, where it keeps the
@@ -233,8 +234,7 @@ def _product_of_others(stats, n):
 
 def _per_seed_sum(x):
     # A reduction over every axis but the first sums each seed's entries in
-    # memory order, as np.sum does for one array; reshape(S, -1) would copy
-    # a transposed stack into another order.
+    # memory order, as np.sum does for one array.
     return np.add.reduce(x, axis=tuple(range(1, x.ndim)))
 
 
@@ -257,6 +257,7 @@ def _loss(a0, loss, rho):
     return per_seed
 
 
+@np.errstate(over="ignore")  # a loss beyond the double range is inf
 def objective(a, model, loss, reg_rho=0.0):
     """Loss of a model against a target tensor.
 
@@ -266,7 +267,7 @@ def objective(a, model, loss, reg_rho=0.0):
     reconstruction floored entrywise, so the floor enters both the logs and
     the sum of X.
     """
-    if _tensor(a, "the target").shape != tuple(model.shape):
+    if _instance(a, "the target").shape != _instance(model, "model", KruskalModel).shape:
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")
     _check_finite_nonneg("reg_rho", reg_rho, loss)
     if loss is Loss.KL:
@@ -298,10 +299,8 @@ def _within_cap(a_e, values, residual_e):
 
 
 def _stacked(arrays):
-    """np.stack(arrays) for arrays of one shape, in one call, C-ordered
-    unless it is a view of a single array."""
-    if len(arrays) == 1:
-        return arrays[0][None]
+    """np.stack(arrays) for arrays of one shape, as one C-ordered
+    np.concatenate."""
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
@@ -345,6 +344,7 @@ def fit_seeds(a, cfg, seeds):
     return _fit_batch(a, cfg, [(seed, cfg.nonneg) for seed in seeds])
 
 
+@np.errstate(over="ignore")  # an objective beyond the double range is inf: its entry ends
 def _fit_batch(a, cfg, entries):
     """Fit the (seed, nonneg) ``entries`` of ``cfg`` as one batch and return
     what each gives alone, in order (see :func:`fit_seeds`); ``cfg.seed`` and
@@ -354,9 +354,11 @@ def _fit_batch(a, cfg, entries):
     (_init_nonneg or _init_signed) of one seed's factors, a rescale and a
     mode tail.  An all-MU stack goes to _mu_tail whole; otherwise each tail
     writes its slice of one fresh stack, and _als_tail returns its ridged and
-    failed entries, which the driver notes or ends at its offset.
+    failed entries, which the driver notes or ends at its offset.  ``flush``
+    is the one place that packages a FitResult or records an error, and
+    ``retire``, which flushes first, the one place that drops an entry.
     """
-    _tensor(a, "the target")
+    _instance(a, "the target")
     order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
     a_arr = a.as_array()
     a_e = norm(a, "E")
@@ -386,18 +388,21 @@ def _fit_batch(a, cfg, entries):
     ended = {}  # stack entry -> its FitResult or exception
 
     def flush():
-        """Append the block's rows to the traces.  An entry is (iteration,
-        objective list, residual_E array, factor stacks, and the stop flags
-        if only the seeds that stop get a row, else None)."""
+        """Append the block's rows to the traces and end entries: by an error,
+        or by a FitResult if the entry stops at the block's last iterate or
+        reaches max_iters.  A block entry is (iteration, objective list,
+        residual_E array, factor stacks, traced, stop flags); an untraced
+        iterate is a row only of the entries that stop there."""
         if not block:
             return
-        its, objs, res_es, fs, has_row = zip(*block)
+        its, objs, res_es, fs, traced, stops = zip(*block)
         block.clear()
         cols = _trace_columns(res_es, fs, nonneg)
         res_e, dl1, cmax = (c.T.tolist() for c in cols)
         over = (~_within_cap(a_e, cols[1], cols[0])).T.tolist()
         for j, seed_objs in enumerate(zip(*objs)):
-            n = len(its) - (has_row[-1] is not None and not has_row[-1][j])
+            stop = stops[-1][j]
+            n = len(its) - (not traced[-1] and not stop)
             # The coercivity cap binds the nonnegative entries only.
             k = over[j].index(True) if nonneg[j] and True in over[j][:n] else None
             m = n if k is None else k + 1
@@ -410,12 +415,17 @@ def _fit_batch(a, cfg, entries):
                         f"coercivity bound violated at iteration {its[k]}: "
                         f"{dl1[j][k]} > {a_e + res_e[j][k]}"
                     )
+                if stop or its[-1] == cfg.max_iters:
+                    raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in fs[-1]])
+                    model = _sort_by_weight((normalize if nonneg[j] else l2_normalize)(raw))
+                    ended[j] = FitResult(model, traces[j], stop, seed_objs[-1])
             except Exception as exc:
                 ended[j] = exc
 
     def retire():
-        """Record the ended entries, drop them from the stacks and the
-        per-entry lists, and return the kept entries."""
+        """Flush the block, record the ended entries, drop them from the
+        stacks and the per-entry lists, and return the kept entries."""
+        flush()
         for j, res in ended.items():
             out[slots[j]] = res
         keep = [j for j in range(len(slots)) if j not in ended]
@@ -452,10 +462,8 @@ def _fit_batch(a, cfg, entries):
                 prod = _product_of_others(stats, n)
                 factors[n] = update(factors[n], prod, mt)
                 stats[n] = _factor_stat(factors[n], kl)
-                if ended:
-                    flush()
-                    if not retire():
-                        return out
+                if ended and not retire():
+                    return out
         kr0 = _khatri_rao(factors, 0)
         x0 = _reconstruct(factors[0], kr0)
         resid = unfold[0] - x0
@@ -473,20 +481,11 @@ def _fit_batch(a, cfg, entries):
         stopping = True in stops
         if traced or stopping:
             res_e = np.add.reduce(np.abs(resid), axis=(1, 2))  # resid is (S, d0, size/d0)
-            block.append((it, objs, res_e, tuple(factors), None if traced else stops))
+            block.append((it, objs, res_e, tuple(factors), traced, stops))
             full = len(block) == TRACE_BLOCK
             # A seed whose objective is not finite ends at this iteration.
             if last or stopping or full or not all(map(math.isfinite, objs)):
                 flush()
-        if last or stopping:
-            for j, stop in enumerate(stops):
-                if (stop or last) and j not in ended:
-                    try:
-                        raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in factors])
-                        model = _sort_by_weight((normalize if nonneg[j] else l2_normalize)(raw))
-                        ended[j] = FitResult(model, traces[j], stop, objs[j])
-                    except Exception as exc:
-                        ended[j] = exc
         if ended:
             keep = retire()
             if not keep:

@@ -50,13 +50,6 @@ def _real(value, what):
     return value
 
 
-def _tensor(t, what):
-    """``t`` if it is a DenseTensor; anything else raises ValueError."""
-    if not isinstance(t, DenseTensor):
-        raise ValueError(f"{what} must be a DenseTensor, got {type(t).__name__}")
-    return t
-
-
 def _shape(shape, what):
     """``shape`` as a tuple of ints, of order >= 1 with every dimension >= 1."""
     shape = tuple(_integer(d, f"{what} dimension") for d in shape)
@@ -159,6 +152,13 @@ class DenseTensor:
         return f"DenseTensor({list(self.shape)}, {self.data.tolist()})"
 
 
+def _instance(value, what, cls=DenseTensor):
+    """``value`` if it is a ``cls``; anything else raises ValueError."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def outer_product(vectors):
     """Outer product of k vectors; entry (j1,...,jk) = x_{j1} y_{j2} ... z_{jk}."""
     if len(vectors) == 0:
@@ -180,7 +180,7 @@ def outer_product(vectors):
 
 def add_scaled(a, b, lam, mu):
     """Entrywise lam*a + mu*b of two same-shape tensors."""
-    if _tensor(a, "a").shape != _tensor(b, "b").shape:
+    if _instance(a, "a").shape != _instance(b, "b").shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     lam, mu = _real(lam, "lam"), _real(mu, "mu")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,13 +222,13 @@ def norm(a, kind):
     :func:`_scaled`: 0 only for the zero tensor, inf only beyond the range."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
-    return float(_unscaled(*_scaled(np.abs(_tensor(a, "a").data), _NORMS[kind])))
+    return float(_unscaled(*_scaled(np.abs(_instance(a, "a").data), _NORMS[kind])))
 
 
 def inner(a, b):
     """Euclidean inner product; inner(A, A) == norm(A, 'F')**2.  A plain sum
     that leaves the double range is redone on :func:`_scaled` operands: never NaN."""
-    if _tensor(a, "a").shape != _tensor(b, "b").shape:
+    if _instance(a, "a").shape != _instance(b, "b").shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.sum(a.data * b.data)
@@ -294,7 +294,7 @@ def _json_document(text, what, fields):
 
 
 def tensor_to_json(a):
-    return json.dumps({"shape": list(_tensor(a, "a").shape), "data": a.data.tolist()})
+    return json.dumps({"shape": list(_instance(a, "a").shape), "data": a.data.tolist()})
 
 
 def tensor_from_json(text):

@@ -46,3 +46,27 @@ def test_a_tensor_argument_that_is_not_a_dense_tensor_raises(entry, value):
     message = f"{what} must be a DenseTensor, got {type(value).__name__}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(value)
+
+
+_M = nncp.random_model([3], 1, seed=0)
+_MODEL_AND_TRACE_ARGUMENTS = {
+    "reconstruct": ("model", "KruskalModel", nncp.reconstruct),
+    "normalize": ("model", "KruskalModel", nncp.normalize),
+    "l2_normalize": ("model", "KruskalModel", nncp.l2_normalize),
+    "to_naive_bayes": ("model", "KruskalModel", nncp.to_naive_bayes),
+    "model_to_json": ("model", "KruskalModel", nncp.model_to_json),
+    "write_model": ("model", "KruskalModel", lambda x: nncp.write_model(x, "unwritten.json")),
+    "delta_l1_equals_e_norm_check": ("model", "KruskalModel", nncp.delta_l1_equals_e_norm_check),
+    "objective": ("model", "KruskalModel", lambda x: nncp.objective(_T, x, nncp.Loss.FROBENIUS)),
+    "detect_degeneracy": ("trace", "FitTrace", lambda x: nncp.detect_degeneracy(x, (1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MODEL_AND_TRACE_ARGUMENTS))
+@pytest.mark.parametrize("value", [np.ones(3), None], ids=["array", "None"])
+def test_a_model_or_trace_argument_of_another_type_raises(entry, value):
+    # Not an AttributeError, nor a shape mismatch naming the array's shape.
+    what, kind, call = _MODEL_AND_TRACE_ARGUMENTS[entry]
+    message = f"{what} must be a {kind}, got {type(value).__name__}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value)

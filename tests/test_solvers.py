@@ -186,6 +186,21 @@ def test_objective_rejects_the_reg_rho_fitconfig_rejects(loss, reg_rho):
         objective(a, m, loss, reg_rho=reg_rho)
 
 
+_OVERFLOWING = [(1e155, False)] + [(s, f) for s in (1e160, 1e200, 1e300) for f in (True, False)]
+
+
+@pytest.mark.parametrize("scale, nonneg", _OVERFLOWING)
+def test_a_frobenius_loss_beyond_the_double_range_ends_the_fit_without_a_warning(scale, nonneg):
+    # Warnings are errors in this suite: a numpy overflow warning would
+    # replace the ValueError (and the objective's inf) with a RuntimeWarning.
+    m = random_model((3, 4, 5), 2, seed=1, e_norm=1)
+    a = DenseTensor.from_array(reconstruct(m).as_array() * scale)
+    fit = fit_nncp if nonneg else fit_cp_unconstrained
+    with pytest.raises(ValueError, match="^trace objective must be finite$"):
+        fit(a, FitConfig(rank=2, nonneg=nonneg))
+    assert objective(a, m, Loss.FROBENIUS) == math.inf
+
+
 def _kl_case(rng, shape, stack=3, zeros=0.0):
     a = rng.uniform(size=shape)
     a[rng.uniform(size=shape) < zeros] = 0.0
@@ -1071,6 +1086,39 @@ def test_mixed_batch_nonfinite_entry_fails_alone(monkeypatch, entry):
     assert _fingerprint(batch[entry]) == _fingerprint(alone)
     for j in set(range(6)) - {entry}:
         assert _fingerprint(batch[j]) == _fingerprint(clean[j])
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+@pytest.mark.parametrize("victim", [0, 3], ids=["nonneg", "signed"])
+def test_mixed_batch_entry_whose_model_fails_to_package_ends_alone(monkeypatch, victim, tol):
+    # One entry's model (MU seed 0 or ALS seed 1) has no normal form when
+    # its fit ends.  With tol > 0 it ends while batch-mates still run, and
+    # entries stop between the traced iterates of trace_every=4, so the
+    # flush that packages them appends stop-only rows.
+    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
+    cfg = FitConfig(rank=2, max_iters=50, tol=tol, trace_every=4)
+    entries = [(seed, nonneg) for seed in (0, 1) for nonneg in (True, False)]
+    clean = [_solo(noise, dataclasses.replace(cfg, nonneg=f), s) for s, f in entries]
+    weights = sorted(clean[victim].model.delta.tolist())
+    message = "no finite normal form: a weight exceeds the double range"
+
+    def failing(real):
+        def normal_form(model):
+            out = real(model)
+            if sorted(out.delta.tolist()) == weights:
+                raise ValueError(message)
+            return out
+
+        return normal_form
+
+    monkeypatch.setattr(solvers, "normalize", failing(solvers.normalize))
+    monkeypatch.setattr(solvers, "l2_normalize", failing(solvers.l2_normalize))
+    batch = solvers._fit_batch(noise, cfg, entries)
+    assert (type(batch[victim]), str(batch[victim])) == (ValueError, message)
+    for j in set(range(4)) - {victim}:
+        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
+    assert any(r.trace.columns.iter[-1] % 4 for r in clean)  # a row off the trace_every grid
+    assert all(r.converged for r in clean) == (tol > 0)
 
 
 def test_mixed_batch_ridge_notes_and_failed_solves_stay_with_their_entry(monkeypatch):
