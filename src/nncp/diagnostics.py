@@ -19,7 +19,7 @@ import numpy as np
 
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
-from .solvers import FitConfig, FitTrace, _fit_batch, _within_cap
+from .solvers import FitConfig, FitTrace, _fit_batch, coercivity_bound
 from .tensor import _csv_text, _instance, _real, _write_text, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
@@ -86,7 +86,7 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     if blowup > th.blowup_ratio and trend <= 1.0 / th.residual_factor:
         verdict = "DEGENERATE"
     else:
-        capped = _within_cap(a_e, np.maximum(cols.delta_l1, comp), np.asarray(res)).all()
+        capped = (np.maximum(cols.delta_l1, comp) <= coercivity_bound(a_e, np.asarray(res))).all()
         verdict = "BOUNDED" if capped else "INCONCLUSIVE"
     return DegeneracyReport(verdict, evidence, blowup, trend)
 

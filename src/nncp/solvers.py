@@ -283,49 +283,35 @@ def objective(a, model, loss, reg_rho=0.0):
     return _loss(a0, loss, reg_rho)(x, a0 - x, factors)[0]
 
 
+@np.errstate(over="ignore")  # a cap beyond the double range is inf
 def coercivity_bound(a_e, residual_e):
     """The cap ||A||_E + ||A - X||_E on ||delta||_1 of a nonnegative iterate,
     given ||A||_E and the iterate's residual_E, plus the rounding slack
-    1e-9 * (1 + cap) that every check of the cap allows."""
+    1e-9 * (1 + cap) that every check ``value <= cap`` allows (never a NaN)."""
     cap = a_e + residual_e
     return cap + 1e-9 * (1.0 + cap)
-
-
-def _within_cap(a_e, values, residual_e):
-    """values <= coercivity_bound(a_e, residual_e), entrywise, for arrays;
-    a NaN on either side is never within the cap."""
-    with np.errstate(over="ignore"):  # a cap beyond the double range is inf
-        return values <= coercivity_bound(a_e, residual_e)
-
-
-def _stacked(arrays):
-    """np.stack(arrays) for arrays of one shape, as one C-ordered
-    np.concatenate."""
-    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
 def _trace_columns(residual_e, factors, nonneg):
     """residual_E, delta_l1 and max_component_F of a block of T traced
     iterates, each a (T, S) array: ``residual_e`` holds the T iterates'
     residual_E arrays, ``factors`` their T tuples of C-ordered factor stacks
-    and ``nonneg`` one bool per entry (delta_l1 multiplies column sums if it
-    is set, else l2-norms).  Each factor is reduced on its own, over d, in
-    the order of a lone column: as the outer axis of its (S, d, T, r) block
-    (one sequential pass of T * r sums), or at rank 1 (pairwise) the inner."""
-    some = True in nonneg
+    and ``nonneg`` one bool per entry (delta_l1 multiplies column sums where
+    it is set, else l2-norms; every entry gets both, selected in place).  Each
+    factor is reduced on its own, over d, in the order of a lone column: as
+    the outer axis of its (S, d, T, r) block (one sequential pass of T * r
+    sums), or at rank 1 (pairwise) the inner."""
     sumsq, sums = [], []
     for fs in zip(*factors):
         s, d, r = fs[0].shape
         base = (np.concatenate(fs, axis=2).reshape(s, d, len(fs), r) if r > 1
-                else _stacked(fs).transpose(1, 2, 0, 3))
+                else np.stack(fs).transpose(1, 2, 0, 3))
         sumsq.append(np.add.reduce(base * base, axis=1))
-        if some:
-            sums.append(np.add.reduce(base, axis=1))
-    comp_f = np.multiply.reduce(np.sqrt(_stacked(sumsq)), axis=0)  # (S, T, r)
-    delta_hat = np.multiply.reduce(_stacked(sums), axis=0) if some else comp_f
-    if some and False in nonneg:
-        delta_hat = np.where(np.reshape(nonneg, (-1, 1, 1)), delta_hat, comp_f)
-    return (_stacked(residual_e), np.add.reduce(delta_hat, axis=2).T,
+        sums.append(np.add.reduce(base, axis=1))
+    comp_f = np.multiply.reduce(np.sqrt(np.stack(sumsq)), axis=0)  # (S, T, r)
+    delta_hat = np.multiply.reduce(np.stack(sums), axis=0)
+    np.copyto(delta_hat, comp_f, where=~np.reshape(nonneg, (-1, 1, 1)))
+    return (np.stack(residual_e), np.add.reduce(delta_hat, axis=2).T,
             np.maximum.reduce(comp_f, axis=2).T)
 
 
@@ -399,7 +385,7 @@ def _fit_batch(a, cfg, entries):
         block.clear()
         cols = _trace_columns(res_es, fs, nonneg)
         res_e, dl1, cmax = (c.T.tolist() for c in cols)
-        over = (~_within_cap(a_e, cols[1], cols[0])).T.tolist()
+        over = (~(cols[1] <= coercivity_bound(a_e, cols[0]))).T.tolist()
         for j, seed_objs in enumerate(zip(*objs)):
             stop = stops[-1][j]
             n = len(its) - (not traced[-1] and not stop)
@@ -491,7 +477,6 @@ def _fit_batch(a, cfg, entries):
             if not keep:
                 return out
             kr0, x0 = kr0[keep], x0[keep]  # the next sweep's mode 0 reads them
-    return out
 
 
 def _sort_by_weight(model):
