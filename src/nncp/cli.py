@@ -86,6 +86,8 @@ def _cmd_pathology(args):
             write_tensor(c, args.c_out)
     elif args.generator == "kl-example":
         a, x = pathologies.kl_counterexample(args.n)
+        if not (args.a_out or args.x_out):
+            raise CliError("kl-example needs --a-out or --x-out")
         if args.a_out:
             write_tensor(a, args.a_out)
         if args.x_out:

@@ -66,14 +66,20 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     every row satisfied the coercivity cap delta_l1, max_component_F <=
     ||A||_E + residual_E, up to the slack of
     :func:`nncp.solvers.coercivity_bound` (so nothing blew up); a NaN in
-    either column fails the cap.  Otherwise INCONCLUSIVE.  ``thresholds``
-    is a DegeneracyThresholds or None (the defaults).
+    either column fails the cap.  Otherwise INCONCLUSIVE.  ``a_norms`` is
+    (||A||_E, ||A||_F), two finite reals >= 0; ``thresholds`` is a
+    DegeneracyThresholds or None (the defaults).
     """
     th = _thresholds(thresholds)
     cols = _instance(trace, "trace", FitTrace).columns
     if not cols.iter:
         raise ValueError("trace is empty")
-    a_e, a_f = float(a_norms[0]), float(a_norms[1])
+    norms = list(a_norms) if np.iterable(a_norms) else []
+    if len(norms) != 2:
+        raise ValueError(f"a_norms must be the pair (||A||_E, ||A||_F), got {a_norms!r}")
+    a_e, a_f = (_real(v, "a_norms") for v in norms)
+    if min(a_e, a_f) < 0:
+        raise ValueError("a_norms must be >= 0")
     res, comp = cols.residual_E, cols.max_component_F
     evidence = tuple(zip(cols.iter, res, comp, cols.delta_l1))
     if comp[-1] == 0.0:

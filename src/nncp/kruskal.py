@@ -237,7 +237,7 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
     """
     shape = _shape(shape, "model")
     r = _integer(r, "r", least=1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     if nonneg:
         if _real(e_norm, "e_norm") < 0:
             raise ValueError("e_norm must be >= 0")

@@ -327,6 +327,7 @@ def fit_seeds(a, cfg, seeds):
     This is the one-family case of the driver :func:`_fit_batch`, which
     also fits both Frobenius families as one batch.
     """
+    cfg = _instance(cfg, "cfg", FitConfig)
     return _fit_batch(a, cfg, [(seed, cfg.nonneg) for seed in seeds])
 
 
@@ -567,7 +568,7 @@ def fit_nncp(a, cfg):
     simplex-normalized nonnegative model, the iteration trace, and a
     convergence flag.  Deterministic given (a, cfg).
     """
-    if not cfg.nonneg:
+    if not _instance(cfg, "cfg", FitConfig).nonneg:
         raise ValueError("fit_nncp requires cfg.nonneg = True")
     return _fit_one(a, cfg)
 
@@ -579,6 +580,6 @@ def fit_cp_unconstrained(a, cfg):
     ridge, noted on the trace.  Returns a model with unit-l2 columns and
     signed weights.  Deterministic given (a, cfg).
     """
-    if cfg.nonneg:
+    if _instance(cfg, "cfg", FitConfig).nonneg:
         raise ValueError("fit_cp_unconstrained requires cfg.nonneg = False")
     return _fit_one(a, cfg)

@@ -48,6 +48,23 @@ def test_a_tensor_argument_that_is_not_a_dense_tensor_raises(entry, value):
         call(value)
 
 
+_CFG_ARGUMENTS = {
+    "fit_nncp": lambda x: nncp.fit_nncp(_T, x),
+    "fit_cp_unconstrained": lambda x: nncp.fit_cp_unconstrained(_T, x),
+    "fit_seeds": lambda x: nncp.fit_seeds(_T, x, [0]),
+    "fit_seeds without seeds": lambda x: nncp.fit_seeds(_T, x, []),
+}
+
+
+@pytest.mark.parametrize("entry", list(_CFG_ARGUMENTS))
+@pytest.mark.parametrize("value", [None, {"rank": 2}], ids=["None", "dict"])
+def test_a_cfg_argument_that_is_not_a_fit_config_raises(entry, value):
+    # Not an AttributeError naming the missing nonneg field.
+    message = f"cfg must be a FitConfig, got {type(value).__name__}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _CFG_ARGUMENTS[entry](value)
+
+
 _M = nncp.random_model([3], 1, seed=0)
 _MODEL_AND_TRACE_ARGUMENTS = {
     "reconstruct": ("model", "KruskalModel", nncp.reconstruct),

@@ -66,6 +66,13 @@ def test_pathology_index_too_large_for_a_float(tmp_path, capsys):
     assert "error: epsilon too small" in capsys.readouterr().err
 
 
+def test_kl_example_without_outputs_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["pathology", "kl-example", "--n", 10]) == 1
+    assert capsys.readouterr().err == "error: kl-example needs --a-out or --x-out\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_divergence_identity(tmp_path, capsys):
     out = tmp_path / "a.json"
     run(["pathology", "bclr-limit", "--out", out])

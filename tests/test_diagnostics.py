@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nncp import solvers
+from nncp import diagnostics, solvers
 from nncp.diagnostics import (
     SUMMARY_HEADER,
     ContrastRow,
@@ -84,6 +84,26 @@ def test_detect_bounded_up_to_the_shared_coercivity_bound():
     for delta_l1, comp_f in ((above, 1.0), (1.0, above), (math.nan, 1.0), (1.0, math.nan)):
         trace = synthetic_trace([(0, 9.0, delta_l1, comp_f, res_e)])
         assert detect_degeneracy(trace, A_NORMS).verdict == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize(
+    "a_norms",
+    [None, (1.0,), (1.0, 2.0, 3.0), (-6.0, -2.0), (6.0, -2.0), (math.nan, math.nan),
+     (math.inf, 1.0), (True, True), ("6", "2")],
+)
+def test_detect_rejects_a_norms_that_are_not_two_finite_reals_at_least_0(a_norms):
+    trace = synthetic_trace([(0, 9.0, 3.0, 1.0, 3.0)])
+    with pytest.raises(ValueError, match="^a_norms must be"):
+        detect_degeneracy(trace, a_norms)
+
+
+def test_detect_with_zero_norms_reads_a_nonzero_component_as_infinite_blowup():
+    # ||A||_F = 0 is valid; a summand left above 0 is an infinite blow-up.
+    trace = synthetic_trace([(0, 9.0, 3.0, 1.0, 3.0), (1, 1.0, 3.0, 1.0, 1.0)])
+    report = detect_degeneracy(trace, (0, 0))
+    assert report.blowup_ratio == math.inf
+    assert report.verdict == "DEGENERATE"
+    assert detect_degeneracy(trace, np.array([0.0, 0.0])) == report
 
 
 def test_detect_empty_trace_raises():
@@ -227,6 +247,45 @@ def test_contrast_per_seed_errors_do_not_abort(monkeypatch):
     assert "boom" in bad[0].error
     ok = [r for r in summary.rows if r.seed == 1 and r.family == "unconstrained"]
     assert ok[0].verdict != "ERROR"
+
+
+def test_contrast_post_fit_failure_is_an_error_row_of_its_fit_alone(monkeypatch):
+    # The reconstruction of the second fit (seed 0, unconstrained) raises
+    # after the fit; that row alone is ERROR, with the reason.
+    a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
+    clean = run_contrast_experiment(a, rank=2, seeds=range(2), max_iters=20)
+    calls = []
+
+    def flaky(model):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("no reconstruction")
+        return reconstruct(model)
+
+    monkeypatch.setattr(diagnostics, "reconstruct", flaky)
+    summary = run_contrast_experiment(a, rank=2, seeds=range(2), max_iters=20)
+    row = summary.rows[1]
+    assert (row.seed, row.family, row.verdict, row.iters, row.error) == (
+        0, "unconstrained", "ERROR", 0, "no reconstruction"
+    )
+    assert all(map(math.isnan, row[3:6]))
+    assert summary.rows[:1] + summary.rows[2:] == clean.rows[:1] + clean.rows[2:]
+    assert set(summary.reports) == set(clean.reports) - {(0, "unconstrained")}
+
+
+def test_contrast_batch_failure_makes_every_row_an_error(monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("batch too large")
+
+    monkeypatch.setattr(diagnostics, "_fit_batch", out_of_memory)
+    summary = run_contrast_experiment(bclr_limit(4), rank=5, seeds=range(3), max_iters=10)
+    assert [(r.seed, r.family) for r in summary.rows] == [
+        (s, f) for s in range(3) for f in ("nonneg", "unconstrained")
+    ]
+    assert {(r.verdict, r.iters, r.error) for r in summary.rows} == {
+        ("ERROR", 0, "batch too large")
+    }
+    assert summary.reports == {}
 
 
 def test_contrast_without_seeds_is_empty():

@@ -374,6 +374,13 @@ def test_random_model_rejects_bad_rank():
         random_model((2, 2), 1, seed=0, e_norm=-1.0)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, True, -1, "x"])
+def test_random_model_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # None would draw OS entropy: the model would not be seed-deterministic.
+    with pytest.raises(ValueError, match="^seed must be"):
+        random_model((2, 2), 1, seed)
+
+
 def test_model_json_round_trip():
     m = random_model((3, 2, 4), 3, seed=4, nonneg=True, e_norm=1.0)
     back = model_from_json(model_to_json(m))

@@ -101,6 +101,9 @@ def test_trace_invariants():
         trace.append_block([0], [4.0], [1.0], [1.0], [1.0])
     with pytest.raises(ValueError):
         trace.append_block([1], [math.inf], [1.0], [1.0], [1.0])
+    with pytest.raises(ValueError, match="trace columns must have equal lengths"):
+        trace.append_block([1, 2], [4.0, 3.0], [1.0, 1.0], [1.0], [1.0, 1.0])
+    assert len(trace) == 1
     # numpy scalars print as plain numbers, as Python floats do
     trace.append_block([np.int64(1)], [np.float64(4.0)], *np.ones((3, 1)))
     csv = trace.to_csv()
