@@ -56,9 +56,9 @@ def _cmd_decompose(args):
     )
     fit = solvers.fit_nncp if args.nonneg else solvers.fit_cp_unconstrained
     result = fit(t, cfg)
-    if args.trace:
+    if args.trace is not None:
         result.trace.write_csv(args.trace)
-    if args.out:
+    if args.out is not None:
         write_model(result.model, args.out)
     print(
         f"final_objective={_fmt(result.final_objective)} "
@@ -71,26 +71,26 @@ def _cmd_pathology(args):
     if args.generator == "bclr":
         tensor, components = pathologies.bclr_a_eps(args.epsilon, args.n)
         write_tensor(tensor, args.out)
-        if args.components:
+        if args.components is not None:
             write_model(components, args.components)
     elif args.generator == "bclr-limit":
         write_tensor(pathologies.bclr_limit(args.n), args.out)
     elif args.generator == "w-seq":
         seq, limit, b, c = pathologies.w_sequence([args.n])
         write_tensor(seq[0], args.out)
-        if args.limit_out:
+        if args.limit_out is not None:
             write_tensor(limit, args.limit_out)
-        if args.b_out:
+        if args.b_out is not None:
             write_tensor(b, args.b_out)
-        if args.c_out:
+        if args.c_out is not None:
             write_tensor(c, args.c_out)
     elif args.generator == "kl-example":
         a, x = pathologies.kl_counterexample(args.n)
-        if not (args.a_out or args.x_out):
+        if args.a_out is None and args.x_out is None:
             raise CliError("kl-example needs --a-out or --x-out")
-        if args.a_out:
+        if args.a_out is not None:
             write_tensor(a, args.a_out)
-        if args.x_out:
+        if args.x_out is not None:
             write_tensor(x, args.x_out)
     return 0
 

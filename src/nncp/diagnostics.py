@@ -20,7 +20,7 @@ import numpy as np
 from .divergence import DivergenceKind, distance
 from .kruskal import reconstruct
 from .solvers import FitConfig, FitTrace, _fit_batch, coercivity_bound
-from .tensor import _csv_text, _instance, _real, _write_text, norm
+from .tensor import _csv_text, _instance, _nonnegative, _real, _sequence, _write_text, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
 # wraps these module attributes.
@@ -43,13 +43,6 @@ class DegeneracyThresholds:
                 raise ValueError(f"{name} must be > 0")
 
 
-def _thresholds(th):
-    """``th``, or the defaults for None; anything else is a ValueError."""
-    if th is not None and not isinstance(th, DegeneracyThresholds):
-        raise ValueError(f"thresholds must be a DegeneracyThresholds or None, got {th!r}")
-    return th or DegeneracyThresholds()
-
-
 @dataclass(frozen=True)
 class DegeneracyReport:
     verdict: str  # DEGENERATE | BOUNDED | INCONCLUSIVE
@@ -70,16 +63,15 @@ def detect_degeneracy(trace, a_norms, thresholds=None):
     (||A||_E, ||A||_F), two finite reals >= 0; ``thresholds`` is a
     DegeneracyThresholds or None (the defaults).
     """
-    th = _thresholds(thresholds)
+    th = _instance(thresholds, "thresholds", DegeneracyThresholds, optional=True)
+    th = th or DegeneracyThresholds()
     cols = _instance(trace, "trace", FitTrace).columns
     if not cols.iter:
         raise ValueError("trace is empty")
-    norms = list(a_norms) if np.iterable(a_norms) else []
+    norms = _sequence(a_norms, "a_norms")
     if len(norms) != 2:
         raise ValueError(f"a_norms must be the pair (||A||_E, ||A||_F), got {a_norms!r}")
-    a_e, a_f = (_real(v, "a_norms") for v in norms)
-    if min(a_e, a_f) < 0:
-        raise ValueError("a_norms must be >= 0")
+    a_e, a_f = (_real(v, "a_norms", least=0) for v in norms)
     res, comp = cols.residual_E, cols.max_component_F
     evidence = tuple(zip(cols.iter, res, comp, cols.delta_l1))
     if comp[-1] == 0.0:
@@ -157,13 +149,13 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     it runs alone; a seed whose fit raises, an invalid seed included, gets
     an ERROR row and the others are unaffected.
     """
-    if np.any(_instance(a, "the target").data < 0):
+    if not _nonnegative(_instance(a, "the target").data):
         raise ValueError("contrast experiment requires a nonnegative tensor")
-    thresholds = _thresholds(thresholds)
+    _instance(thresholds, "thresholds", DegeneracyThresholds, optional=True)
     summary = ContrastSummary()
     a_norms = (norm(a, "E"), norm(a, "F"))
     cfg = FitConfig(rank=rank, max_iters=max_iters, tol=0.0)
-    runs = [(seed, family) for seed in seeds for family in _FAMILIES]
+    runs = [(seed, family) for seed in _sequence(seeds, "seeds") for family in _FAMILIES]
     try:
         fits = _fit_batch(a, cfg, [(seed, family == "nonneg") for seed, family in runs])
     except Exception as exc:  # a failure of the whole batch, e.g. a MemoryError

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .tensor import _instance, _real, _scaled, add_scaled, inner, norm
+from .tensor import _instance, _nonnegative, _real, _scaled, add_scaled, inner, norm
 
 
 _TINY = math.ldexp(1.0, -1022)  # the smallest normal double
@@ -102,10 +102,9 @@ def distance(a, b, kind):
     if _instance(a, "a").shape != _instance(b, "b").shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if kind is DivergenceKind.KL:
-        if np.any(a.data < 0):
-            raise ValueError("KL requires the first argument to be nonnegative")
-        if np.any(b.data < 0):
-            raise ValueError("KL requires the second argument to be nonnegative")
+        for which, x in (("first", a), ("second", b)):
+            if not _nonnegative(x.data):
+                raise ValueError(f"KL requires the {which} argument to be nonnegative")
         # 0 log 0 = 0 where a = 0; +inf where a > 0 and b = 0.
         if np.any(b.data[a.data > 0.0] == 0.0):
             return math.inf
@@ -123,7 +122,7 @@ def kl_phi(a):
     """Generator of the KL divergence: sum of a log a, with 0 log 0 = 0; inf
     beyond the double range (every term is >= -1/e, so never -inf)."""
     flat = _instance(a, "a").data
-    if np.any(flat < 0):
+    if not _nonnegative(flat):
         raise ValueError("kl_phi requires a nonnegative tensor")
     pos = flat[flat > 0.0]
     with np.errstate(over="ignore"):
@@ -141,9 +140,7 @@ def bregman_from_phi(a, b, phi_a, phi_b, grad_phi_b):
     if _instance(a, "a").shape != _instance(b, "b").shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if _instance(grad_phi_b, "grad_phi_b").shape != b.shape:
-        raise ValueError(
-            f"gradient shape {grad_phi_b.shape} does not match {b.shape}"
-        )
+        raise ValueError(f"gradient shape {grad_phi_b.shape} does not match {b.shape}")
     d = _real(phi_a, "phi_a") - _real(phi_b, "phi_b")
     d -= inner(grad_phi_b, add_scaled(a, b, 1.0, -1.0))
     if not math.isfinite(d):

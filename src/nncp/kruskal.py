@@ -13,13 +13,9 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _divided, _frozen, _integer, _json_array, _json_document
-from .tensor import _instance, _read_text, _real, _scaled, _shape, _unscaled, _write_text, norm
-
-
-def _nonnegative(*arrays):
-    """True when no array has a negative entry."""
-    return not any(np.any(x < 0) for x in arrays)
+from .tensor import DenseTensor, _divided, _flag, _frozen, _integer, _json_array, _json_document
+from .tensor import _instance, _nonnegative, _read_text, _real, _scaled, _sequence, _shape
+from .tensor import _unscaled, _write_text, norm
 
 
 def _unit_l1_columns(m):
@@ -40,20 +36,16 @@ class KruskalModel:
     __slots__ = ("shape", "delta", "factors")
 
     def __init__(self, shape, delta, factors):
-        shape = _shape(shape, "model")
+        shape, factors = _shape(shape, "model"), _sequence(factors, "factors")
         if len(factors) != len(shape):
-            raise ValueError(
-                f"expected {len(shape)} factor matrices, got {len(factors)}"
-            )
+            raise ValueError(f"expected {len(shape)} factor matrices, got {len(factors)}")
         delta = _frozen(delta, "delta").reshape(-1)
         r = delta.size
         mats = []
         for i, (f, d) in enumerate(zip(factors, shape)):
             m = _frozen(f, f"factor {i}")
             if m.ndim != 2 or m.shape != (d, r):
-                raise ValueError(
-                    f"factor {i} must have shape ({d}, {r}), got {m.shape}"
-                )
+                raise ValueError(f"factor {i} must have shape ({d}, {r}), got {m.shape}")
             mats.append(m)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "delta", delta)
@@ -192,9 +184,11 @@ class NaiveBayesModel:
     __slots__ = ("_model",)
 
     def __init__(self, prior, conditionals):
+        conditionals = [_frozen(c, f"conditional {i}")
+                        for i, c in enumerate(_sequence(conditionals, "conditionals"))]
         # d_i is the row count; a scalar gets 0, which the model rejects.
-        shape = [np.shape(c)[0] if np.ndim(c) else 0 for c in conditionals]
-        model = KruskalModel(shape, prior, conditionals)
+        shape = [c.shape[0] if c.ndim else 0 for c in conditionals]
+        model = KruskalModel(shape, _frozen(prior, "prior"), conditionals)
         if model.r < 1:
             raise ValueError("prior must be nonempty")
         if not (model.normalized and _unit_l1_columns(model.delta[:, None])):
@@ -238,9 +232,8 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
     shape = _shape(shape, "model")
     r = _integer(r, "r", least=1)
     rng = np.random.default_rng(_integer(seed, "seed", least=0))
-    if nonneg:
-        if _real(e_norm, "e_norm") < 0:
-            raise ValueError("e_norm must be >= 0")
+    if _flag(nonneg, "nonneg"):
+        e_norm = _real(e_norm, "e_norm", least=0)
         factors = []
         for d in shape:
             m = rng.uniform(0.1, 1.0, size=(d, r))
@@ -260,22 +253,17 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
 
 
 def model_to_json(model):
-    return json.dumps(
-        {
-            "shape": list(_instance(model, "model", KruskalModel).shape),
-            "delta": model.delta.tolist(),
-            "factors": [m.tolist() for m in model.factors],
-        }
-    )
+    return json.dumps({"shape": list(_instance(model, "model", KruskalModel).shape),
+                       "delta": model.delta.tolist(),
+                       "factors": [m.tolist() for m in model.factors]})
 
 
 def model_from_json(text):
     shape, delta, factors = _json_document(text, "model", ("shape", "delta", "factors"))
     shape = _json_array(shape, "model shape", integral=True)
     delta = _json_array(delta, "model delta")
-    if type(factors) is not list:
-        raise ValueError("model factors must be a list")
-    factors = [_json_array(f, f"model factor {i}", ndim=2) for i, f in enumerate(factors)]
+    factors = [_json_array(f, f"model factor {i}", ndim=2)
+               for i, f in enumerate(_sequence(factors, "model factors"))]
     return KruskalModel(shape, delta, factors)
 
 

@@ -17,7 +17,7 @@ Three families, all tiny and exactly representable:
 import numpy as np
 
 from .kruskal import KruskalModel
-from .tensor import DenseTensor, _integer, _real, outer_product
+from .tensor import DenseTensor, _integer, _real, _sequence, outer_product
 
 # Basis-vector index triples (1-based) of the six unit terms of the limit.
 _LIMIT_TERMS = [(1, 1, 1), (1, 3, 3), (2, 2, 1), (2, 4, 3), (3, 2, 2), (3, 4, 4)]
@@ -115,7 +115,7 @@ def w_sequence(n_values):
     c = np.zeros((2, 2, 2))
     c[1, 1, 1] = 1.0
     seq = []
-    for n in n_values:
+    for n in _sequence(n_values, "n_values"):
         n = _integer(n, "sequence index", least=1)
         try:
             seq.append(DenseTensor.from_array(a + b * (1.0 / n) + c * (1.0 / (n * n))))

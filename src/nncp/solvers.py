@@ -99,8 +99,9 @@ from numpy.linalg import _umath_linalg  # the gufuncs np.linalg.cholesky and sol
 
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
-from .kruskal import _khatri_rao, _nonnegative, _reconstruct, _unfoldings
-from .tensor import _csv_text, _instance, _integer, _real, _write_text, norm
+from .kruskal import _khatri_rao, _reconstruct, _unfoldings
+from .tensor import _csv_text, _flag, _instance, _integer, _nonnegative, _real, _sequence
+from .tensor import _write_text, norm
 
 # Absolute floors: on the MU denominators, the ALS ridge, and the
 # reconstruction inside the solver's KL loss and KL update, where it keeps the
@@ -135,22 +136,18 @@ class FitConfig:
     def __post_init__(self):
         for name, least in (("rank", 1), ("max_iters", 1), ("trace_every", 1), ("seed", 0)):
             _integer(getattr(self, name), name, least)
-        if not isinstance(self.loss, Loss):
-            raise ValueError(f"loss must be a Loss, got {self.loss!r}")
-        if not isinstance(self.nonneg, (bool, np.bool_)):
-            raise ValueError(f"nonneg must be a bool, got {self.nonneg!r}")
-        _check_finite_nonneg("tol", self.tol)
-        _check_finite_nonneg("reg_rho", self.reg_rho, self.loss)
+        _instance(self.loss, "loss", Loss)
+        _flag(self.nonneg, "nonneg")
+        _real(self.tol, "tol", least=0)
+        _reg_rho(self.reg_rho, self.loss)
         if self.loss is Loss.KL and not self.nonneg:
             raise ValueError("the KL loss requires nonneg=True")
 
 
-def _check_finite_nonneg(name, value, loss=Loss.FROBENIUS):
-    """tol and reg_rho: finite, >= 0, and > 0 only with the Frobenius loss."""
-    if _real(value, name) < 0:
-        raise ValueError(f"{name} must be >= 0")
-    if value > 0 and loss is not Loss.FROBENIUS:
-        raise ValueError(f"{name} > 0 requires the Frobenius loss")
+def _reg_rho(value, loss):
+    """reg_rho: a finite real >= 0, and > 0 only with the Frobenius loss."""
+    if _real(value, "reg_rho", least=0) > 0 and loss is not Loss.FROBENIUS:
+        raise ValueError("reg_rho > 0 requires the Frobenius loss")
 
 
 class TraceRow(NamedTuple):  # one traced iterate; the fields are the CSV columns
@@ -269,7 +266,7 @@ def objective(a, model, loss, reg_rho=0.0):
     """
     if _instance(a, "the target").shape != _instance(model, "model", KruskalModel).shape:
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")
-    _check_finite_nonneg("reg_rho", reg_rho, loss)
+    _reg_rho(reg_rho, loss)
     if loss is Loss.KL:
         if not model.nonneg:
             raise ValueError("KL objective requires a nonnegative model")
@@ -328,7 +325,7 @@ def fit_seeds(a, cfg, seeds):
     also fits both Frobenius families as one batch.
     """
     cfg = _instance(cfg, "cfg", FitConfig)
-    return _fit_batch(a, cfg, [(seed, cfg.nonneg) for seed in seeds])
+    return _fit_batch(a, cfg, [(seed, cfg.nonneg) for seed in _sequence(seeds, "seeds")])
 
 
 @np.errstate(over="ignore")  # an objective beyond the double range is inf: its entry ends

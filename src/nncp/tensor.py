@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import operator
+import os
 
 import numpy as np
 
@@ -20,7 +21,10 @@ NORM_KINDS = ("E", "F", "G")
 def _frozen(values, what):
     """Read-only float64 copy of ``values`` in C order; rejects NaN/Inf.  C
     order makes reshapes views and pins the rounding of strided reductions."""
-    arr = np.array(values, dtype=np.float64, order="C")
+    try:
+        arr = np.array(values, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:  # "ab", a dict, a ragged nesting
+        raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains NaN or Inf")
     arr.flags.writeable = False
@@ -40,23 +44,37 @@ def _integer(value, what, least=None):
     return value
 
 
-def _real(value, what):
-    """``value`` as a float: a real number, not a bool, and finite."""
+def _real(value, what, least=None):
+    """``value`` as a float: a real number, not a bool, finite and >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}")
     return value
 
 
+def _flag(value, what):
+    """``value`` as a bool: True or False, numpy's included; 1 and "no" fail."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _sequence(value, what):
+    """``value`` as a tuple: any iterable but text, a dict or a set (no order)."""
+    if isinstance(value, (str, bytes, dict, set, frozenset)) or not np.iterable(value):
+        raise ValueError(f"{what} must be a sequence, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _shape(shape, what):
-    """``shape`` as a tuple of ints, of order >= 1 with every dimension >= 1."""
-    shape = tuple(_integer(d, f"{what} dimension") for d in shape)
-    if len(shape) < 1:
+    """``shape`` as a tuple of ints >= 1, of order >= 1."""
+    shape = tuple(_integer(d, f"{what} dimension", 1) for d in _sequence(shape, f"{what} shape"))
+    if not shape:
         raise ValueError(f"{what} order must be >= 1")
-    if any(d < 1 for d in shape):
-        raise ValueError(f"all dimensions must be positive, got {shape}")
     return shape
 
 
@@ -73,12 +91,9 @@ class DenseTensor:
     def __init__(self, shape, data):
         shape = _shape(shape, "tensor")
         arr = _frozen(data, "tensor data")
-        expected = math.prod(shape)
-        if arr.size != expected:
-            raise ValueError(
-                f"data length {arr.size} does not match shape {shape} "
-                f"(expected {expected})"
-            )
+        if arr.size != math.prod(shape):
+            raise ValueError(f"data length {arr.size} does not match shape {shape} "
+                             f"(expected {math.prod(shape)})")
         try:
             arr = arr.reshape(shape)
         except ValueError:  # more axes than numpy supports (64 in numpy 2, 32 in 1.x)
@@ -91,7 +106,8 @@ class DenseTensor:
     @classmethod
     def from_array(cls, array):
         """Build from any array-like; copies into an immutable buffer."""
-        return cls(np.shape(array), array)
+        arr = _frozen(array, "tensor data")
+        return cls(arr.shape, arr)
 
     @classmethod
     def zeros(cls, shape):
@@ -124,9 +140,7 @@ class DenseTensor:
         if not isinstance(idx, tuple):
             idx = (idx,)
         if len(idx) != self.order:
-            raise ValueError(
-                f"index length {len(idx)} does not match tensor order {self.order}"
-            )
+            raise ValueError(f"index length {len(idx)} does not match tensor order {self.order}")
         idx = tuple(_integer(j, f"mode {i} index") for i, j in enumerate(idx))
         for i, (j, d) in enumerate(zip(idx, self.shape)):
             if not 0 <= j < d:
@@ -152,16 +166,23 @@ class DenseTensor:
         return f"DenseTensor({list(self.shape)}, {self.data.tolist()})"
 
 
-def _instance(value, what, cls=DenseTensor):
-    """``value`` if it is a ``cls``; anything else raises ValueError."""
-    if not isinstance(value, cls):
-        raise ValueError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+def _instance(value, what, cls=DenseTensor, optional=False):
+    """``value`` if it is a ``cls`` (or None, if ``optional``); else ValueError."""
+    if not (isinstance(value, cls) or optional and value is None):
+        name = cls.__name__ + " or None" * optional
+        raise ValueError(f"{what} must be a {name}, got {type(value).__name__}")
     return value
+
+
+def _nonnegative(*arrays):
+    """True when no array has a negative entry."""
+    return not any(np.any(x < 0) for x in arrays)
 
 
 def outer_product(vectors):
     """Outer product of k vectors; entry (j1,...,jk) = x_{j1} y_{j2} ... z_{jk}."""
-    if len(vectors) == 0:
+    vectors = _sequence(vectors, "vectors")
+    if not vectors:
         raise ValueError("outer_product needs at least one vector")
     arrs = []
     for i, v in enumerate(vectors):
@@ -220,7 +241,7 @@ _NORMS = {"E": np.add.reduce, "G": np.maximum.reduce,
 def norm(a, kind):
     """Entrywise norm: E = sum|.|, F = sqrt(sum .^2), G = max|.|, scaled by
     :func:`_scaled`: 0 only for the zero tensor, inf only beyond the range."""
-    if kind not in NORM_KINDS:
+    if not isinstance(kind, str) or kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
     return float(_unscaled(*_scaled(np.abs(_instance(a, "a").data), _NORMS[kind])))
 
@@ -250,13 +271,21 @@ def _csv_text(header, rows):
     return "\n".join([header, *(line % tuple(row) for row in rows)]) + "\n"
 
 
+def _open(path, mode="r"):
+    """open(path, mode) for a str, bytes or os.PathLike: not an int, which
+    open() would take for a file descriptor and close."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValueError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
+    return open(path, mode)
+
+
 def _write_text(path, text):
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         fh.write(text)
 
 
 def _read_text(path):
-    with open(path) as fh:
+    with _open(path) as fh:
         return fh.read()
 
 
@@ -283,7 +312,7 @@ def _json_document(text, what, fields):
     """The values of ``fields``, each required, in the JSON object ``text``."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, TypeError, RecursionError) as exc:  # not text or UTF-8; too deep
         raise ValueError(f"malformed {what} JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{what} JSON must be an object")

@@ -86,11 +86,7 @@ def test_detect_bounded_up_to_the_shared_coercivity_bound():
         assert detect_degeneracy(trace, A_NORMS).verdict == "INCONCLUSIVE"
 
 
-@pytest.mark.parametrize(
-    "a_norms",
-    [None, (1.0,), (1.0, 2.0, 3.0), (-6.0, -2.0), (6.0, -2.0), (math.nan, math.nan),
-     (math.inf, 1.0), (True, True), ("6", "2")],
-)
+@pytest.mark.parametrize("a_norms", [(1.0,), (1.0, 2.0, 3.0), (6.0, -2.0)])
 def test_detect_rejects_a_norms_that_are_not_two_finite_reals_at_least_0(a_norms):
     trace = synthetic_trace([(0, 9.0, 3.0, 1.0, 3.0)])
     with pytest.raises(ValueError, match="^a_norms must be"):
@@ -122,24 +118,6 @@ def test_detect_custom_thresholds():
     loose = detect_degeneracy(trace, A_NORMS, DegeneracyThresholds(blowup_ratio=3.0))
     assert default.verdict != "DEGENERATE"
     assert loose.verdict == "DEGENERATE"
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"blowup_ratio": math.nan},
-        {"blowup_ratio": math.inf},
-        {"residual_factor": -2.0},
-        {"residual_factor": 0.0},
-    ],
-)
-def test_thresholds_reject_nonfinite_or_nonpositive_fields(bad):
-    # DEGENERATE under the defaults; the bad knob must not turn it into
-    # another verdict or a ZeroDivisionError.
-    trace = synthetic_trace([(0, 16.0, 1.0, 1.0, 4.0), (1, 1.0, 50.0, 50.0, 1.0)])
-    assert detect_degeneracy(trace, (1.0, 1.0)).verdict == "DEGENERATE"
-    with pytest.raises(ValueError, match=next(iter(bad))):
-        detect_degeneracy(trace, (1.0, 1.0), DegeneracyThresholds(**bad))
 
 
 def test_detect_on_real_fits():
@@ -186,15 +164,6 @@ def test_contrast_bclr_small():
     for row in summary.rows:
         if row.family == "nonneg":
             assert row.final_residual_E > 1e-3
-
-
-@pytest.mark.parametrize(
-    "kwargs", [{"rank": 2.5}, {"rank": 0}, {"max_iters": 2.5}, {"max_iters": True}]
-)
-def test_contrast_rejects_invalid_config(kwargs):
-    a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
-    with pytest.raises(ValueError):
-        run_contrast_experiment(a, **{"rank": 2, "seeds": range(2), **kwargs})
 
 
 def test_contrast_rejects_negative_input():
@@ -357,10 +326,3 @@ def test_contrast_rejects_bad_thresholds_before_fitting(monkeypatch, bad):
     monkeypatch.setattr(solvers, "_init_signed", no_fit)
     with pytest.raises(ValueError, match="thresholds must be a DegeneracyThresholds or None"):
         run_contrast_experiment(bclr_limit(4), rank=5, seeds=[0], max_iters=10, thresholds=bad)
-
-
-@pytest.mark.parametrize("bad", [3, 0, {"blowup_ratio": 5.0}, (10.0, 2.0)])
-def test_detect_rejects_bad_thresholds(bad):
-    trace = synthetic_trace([(0, 1.0, 1.0, 1.0, 1.0)])
-    with pytest.raises(ValueError, match="thresholds must be a DegeneracyThresholds or None"):
-        detect_degeneracy(trace, A_NORMS, thresholds=bad)

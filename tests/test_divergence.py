@@ -188,8 +188,6 @@ def test_distance_errors():
         distance(DenseTensor([2], [-1.0, 1.0]), a, KL)
     with pytest.raises(ValueError):
         distance(a, DenseTensor([2], [-1.0, 1.0]), KL)
-    with pytest.raises(ValueError, match="unknown divergence kind 'kl'"):
-        distance(a, a, "kl")
 
 
 def test_nonnegativity_and_sensitivity():

@@ -48,8 +48,6 @@ def test_model_validation():
     for flag in ("nonneg", "normalized"):
         with pytest.raises(TypeError):
             KruskalModel((2,), [1.0], [[[0.5], [0.5]]], **{flag: True})
-    with pytest.raises(ValueError, match=r"all dimensions must be positive, got \(0, 2\)"):
-        KruskalModel((0, 2), [1.0], [np.zeros((0, 1)), np.ones((2, 1))])
     m = small_model()
     with pytest.raises(AttributeError):
         m.delta = np.zeros(1)
@@ -316,7 +314,6 @@ def test_naive_bayes_validation():
     for prior, conditionals in [
         ([1.5, -0.5], [half]),  # signed sum 1, off the simplex
         ([], [np.zeros((2, 0))]),
-        ([np.nan, 1.0], [half]),
         ([1.0], [[0.5, 0.5]]),  # a vector, not a (d, r) matrix
         ([1.0], [0.5]),
         ([1.0], []),
@@ -367,20 +364,6 @@ def test_random_model_nonneg_is_normalized():
     assert e == pytest.approx(6.0, rel=1e-12)
 
 
-def test_random_model_rejects_bad_rank():
-    with pytest.raises(ValueError):
-        random_model((2, 2), 0, seed=0)
-    with pytest.raises(ValueError, match="e_norm must be >= 0"):
-        random_model((2, 2), 1, seed=0, e_norm=-1.0)
-
-
-@pytest.mark.parametrize("seed", [None, 1.5, True, -1, "x"])
-def test_random_model_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
-    # None would draw OS entropy: the model would not be seed-deterministic.
-    with pytest.raises(ValueError, match="^seed must be"):
-        random_model((2, 2), 1, seed)
-
-
 def test_model_json_round_trip():
     m = random_model((3, 2, 4), 3, seed=4, nonneg=True, e_norm=1.0)
     back = model_from_json(model_to_json(m))
@@ -397,9 +380,5 @@ def test_model_json_round_trip():
 
 
 def test_model_json_malformed():
-    with pytest.raises(ValueError, match="malformed model JSON"):
-        model_from_json("not json")
-    with pytest.raises(ValueError):
-        model_from_json("[]")
     with pytest.raises(ValueError):
         model_from_json('{"shape": [2], "delta": [1]}')
