@@ -7,6 +7,7 @@ point.  Exit codes: 0 success, 1 invalid input, 2 internal error.
 """
 
 import argparse
+import os
 import sys
 
 from . import diagnostics, pathologies, solvers
@@ -23,6 +24,14 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
+
+
+def _out(path):
+    """An output path, checked at parse time so that no work runs for a path
+    that cannot be written: not empty, not a directory, in a directory."""
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"cannot write to {path!r}")
+    return path
 
 
 def _fmt(x):
@@ -142,8 +151,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--trace", metavar="OUT_CSV")
-    p.add_argument("--out", metavar="MODEL_JSON")
+    p.add_argument("--trace", type=_out, metavar="OUT_CSV")
+    p.add_argument("--out", type=_out, metavar="MODEL_JSON")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("pathology", help="generate the classic constructions")
@@ -152,24 +161,24 @@ def build_parser():
     g = gen.add_parser("bclr", help="border-rank family member A_eps")
     g.add_argument("--epsilon", required=True, type=float)
     g.add_argument("--n", type=int, default=4)
-    g.add_argument("--out", required=True)
-    g.add_argument("--components", metavar="MODEL_JSON")
+    g.add_argument("--out", required=True, type=_out)
+    g.add_argument("--components", type=_out, metavar="MODEL_JSON")
 
     g = gen.add_parser("bclr-limit", help="rank >= 6 limit tensor")
     g.add_argument("--n", type=int, default=4)
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", required=True, type=_out)
 
     g = gen.add_parser("w-seq", help="2x2x2 sequence member A_n")
     g.add_argument("--n", required=True, type=int)
-    g.add_argument("--out", required=True)
-    g.add_argument("--limit-out")
-    g.add_argument("--b-out")
-    g.add_argument("--c-out")
+    g.add_argument("--out", required=True, type=_out)
+    g.add_argument("--limit-out", type=_out)
+    g.add_argument("--b-out", type=_out)
+    g.add_argument("--c-out", type=_out)
 
     g = gen.add_parser("kl-example", help="KL boundary pair (A, X_n)")
     g.add_argument("--n", required=True, type=int)
-    g.add_argument("--a-out")
-    g.add_argument("--x-out")
+    g.add_argument("--a-out", type=_out)
+    g.add_argument("--x-out", type=_out)
 
     p.set_defaults(func=_cmd_pathology)
 
@@ -180,12 +189,12 @@ def build_parser():
     p.add_argument("--iters", type=int, default=2000)
     # Accepted for compatibility and ignored: the seeds run as one batch.
     p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out)
     p.set_defaults(func=_cmd_degeneracy)
 
     p = sub.add_parser("normalize", help="simplex-normalize a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out)
     p.set_defaults(func=_cmd_normalize)
 
     return parser

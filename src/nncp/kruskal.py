@@ -59,10 +59,6 @@ class KruskalModel:
         return self.delta.size
 
     @property
-    def order(self):
-        return len(self.shape)
-
-    @property
     def nonneg(self):
         return _nonnegative(self.delta, *self.factors)
 
@@ -260,7 +256,6 @@ def model_to_json(model):
 
 def model_from_json(text):
     shape, delta, factors = _json_document(text, "model", ("shape", "delta", "factors"))
-    shape = _json_array(shape, "model shape", integral=True)
     delta = _json_array(delta, "model delta")
     factors = [_json_array(f, f"model factor {i}", ndim=2)
                for i, f in enumerate(_sequence(factors, "model factors"))]

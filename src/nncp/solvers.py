@@ -266,14 +266,12 @@ def objective(a, model, loss, reg_rho=0.0):
     """
     if _instance(a, "the target").shape != _instance(model, "model", KruskalModel).shape:
         raise ValueError(f"shape mismatch: tensor {a.shape} vs model {model.shape}")
-    _reg_rho(reg_rho, loss)
+    _reg_rho(reg_rho, _instance(loss, "loss", Loss))
     if loss is Loss.KL:
         if not model.nonneg:
             raise ValueError("KL objective requires a nonnegative model")
         if not _nonnegative(a.data):
             raise ValueError("KL objective requires a nonnegative tensor")
-    elif loss is not Loss.FROBENIUS:
-        raise ValueError(f"unknown loss {loss!r}")
     a0 = a.as_array().reshape(a.shape[0], -1)
     x = reconstruct(model).as_array().reshape(1, *a0.shape)
     factors = [f[None] for f in model.factors]

@@ -12,18 +12,32 @@ import math
 import numbers
 import operator
 import os
+from collections.abc import Sequence
 
 import numpy as np
 
 NORM_KINDS = ("E", "F", "G")
 
 
+def _reals(values):
+    """True for an ndarray of an integer or float dtype (never walked), a real
+    number that is not a bool, or a sequence (not text) of such values."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, Sequence) and not isinstance(values, (str, bytes)):
+        return all(type(v) in (float, int) or _reals(v) for v in values)
+    return isinstance(values, numbers.Real) and not isinstance(values, (bool, np.bool_))
+
+
 def _frozen(values, what):
-    """Read-only float64 copy of ``values`` in C order; rejects NaN/Inf.  C
-    order makes reshapes views and pins the rounding of strided reductions."""
+    """Read-only float64 copy of ``values`` in C order; rejects anything
+    :func:`_reals` rejects, ragged nestings and NaN/Inf.  C order makes
+    reshapes views and pins the rounding of strided reductions."""
+    if not _reals(values):
+        raise ValueError(f"{what} must be an array of real numbers")
     try:
         arr = np.array(values, dtype=np.float64, order="C")
-    except (TypeError, ValueError) as exc:  # "ab", a dict, a ragged nesting
+    except (ValueError, OverflowError) as exc:  # a ragged nesting; 10**400
         raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains NaN or Inf")
@@ -289,23 +303,15 @@ def _read_text(path):
         return fh.read()
 
 
-def _json_array(value, what, ndim=1, integral=False):
-    """Array of a parsed JSON value that must be a list nested ``ndim`` deep
-    with numbers at the bottom (integers only if ``integral``).  Strings,
-    booleans, null, objects and, for integers, 2.0 or 2.7 are rejected."""
-    kinds = (int,) if integral else (int, float)
+def _json_array(value, what, ndim=1):
+    """A parsed JSON value, unconverted, that must be a list nested exactly
+    ``ndim`` deep; :func:`_frozen` judges the items at the bottom."""
     level = [value]
-    for _ in range(ndim):
-        if any(type(v) is not list for v in level):
+    for depth in range(ndim + 1):
+        if any((type(v) is list) != (depth < ndim) for v in level):
             raise ValueError(f"{what} must be a list nested {ndim} deep")
-        level = [x for v in level for x in v]
-    if any(type(x) not in kinds for x in level):
-        noun = "integers" if integral else "numbers"
-        raise ValueError(f"{what} must hold only {noun}")
-    try:
-        return np.array(value, dtype=np.int64 if integral else np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{what}: {exc}") from exc
+        level = [x for v in level if type(v) is list for x in v]
+    return value
 
 
 def _json_document(text, what, fields):
@@ -328,10 +334,7 @@ def tensor_to_json(a):
 
 def tensor_from_json(text):
     shape, data = _json_document(text, "tensor", ("shape", "data"))
-    return DenseTensor(
-        _json_array(shape, "tensor shape", integral=True),
-        _json_array(data, "tensor data"),
-    )
+    return DenseTensor(shape, _json_array(data, "tensor data"))
 
 
 def write_tensor(a, path):

@@ -41,7 +41,10 @@ def _integers(least):
 
 _NOT_REAL = [(v, "{} must be a real number") for v in (None, "1", True, np.True_, 1j)]
 _NOT_REAL += [(v, "{} must be finite") for v in (math.nan, math.inf, -math.inf)]
-_NOT_ARRAY = (None, "ab", {"a": 1}, [[1.0], [1.0, 2.0]], [math.nan], [1.0, math.inf])
+_NOT_ARRAY = [(v, "{} must be an array of real numbers") for v in (
+    None, "ab", {"a": 1}, [[1.0], [1.0, 2.0]], ["1.5", True], ["2"], [[True]], [1.0, None],
+    np.array([True]), [10**400])]
+_NOT_ARRAY += [(v, "{} contains NaN or Inf") for v in ([math.nan], [1.0, math.inf])]
 _BAD = {
     "tensor": _instances("DenseTensor"),
     "model": _instances("KruskalModel", (None, np.ones(1), nncp.DenseTensor([1], [1.0]))),
@@ -58,7 +61,7 @@ _BAD = {
     "real>0": _NOT_REAL + [(0.0, "{} must be > 0"), (-1.0, "{} must be > 0")],
     "flag": [(v, "{} must be a bool") for v in (None, "no", 1, np.ones(1))],
     "seq": [(v, "{} must be a sequence") for v in (None, 5, True, "ab", {"a": 1}, {1})],
-    "array": [(v, "{} (must be an array of real numbers|contains NaN or Inf)") for v in _NOT_ARRAY],
+    "array": _NOT_ARRAY,
     "path": [(v, "{} must be a str, bytes or os.PathLike") for v in (None, 2.5, ["t.json"], 10**6)],
     "json": [(v, "malformed {} JSON: ") for v in (None, 3, b"\xff", "not json")]
     + [("[]", "{} JSON must be an object"), ("{}", "{} JSON missing field")],
@@ -112,7 +115,7 @@ _API = {  # callable -> {parameter: (kind, valid value[, name in the message])}
     "norm": {"a": _TENSOR, "kind": ("choice", "E", "unknown norm kind")},
     "normalize": {"model": _MODEL},
     "objective": {"a": _TARGET, "model": _MODEL,
-                  "loss": ("choice", nncp.Loss.FROBENIUS, "unknown loss"),
+                  "loss": ("Loss", nncp.Loss.FROBENIUS),
                   "reg_rho": ("real>=0", 0.0)},
     "outer_product": {"vectors": ("seq:array", [[1.0]], "vector(s| 0)")},
     "random_model": {"shape": _MODEL_SHAPE, "r": ("int>=1", 1), "seed": ("int>=0", 0),
@@ -221,6 +224,7 @@ def test_every_bad_cli_value_exits_1_with_one_error_line(command, option, tmp_pa
     nncp.write_tensor(nncp.DenseTensor([2, 2], [1.0, 2.0, 3.0, 4.0]), "t.json")
     nncp.write_model(nncp.random_model([2, 2], 1, 0), "m.json")
     (tmp_path / "bad.json").write_text("{not valid")
+    inputs = sorted(os.listdir(tmp_path))
     options = _CLI[command]
     for bad in _CLI_BAD[options[option][0]]:
         argv = command.split()
@@ -232,6 +236,7 @@ def test_every_bad_cli_value_exits_1_with_one_error_line(command, option, tmp_pa
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert sorted(os.listdir(tmp_path)) == inputs, argv  # nothing is written
 
 
 def test_a_file_descriptor_is_not_a_path_and_stays_open():

@@ -49,6 +49,7 @@ def test_model_validation():
         with pytest.raises(TypeError):
             KruskalModel((2,), [1.0], [[[0.5], [0.5]]], **{flag: True})
     m = small_model()
+    assert repr(m) == "KruskalModel(shape=(2, 2, 2), r=1, nonneg=True, normalized=False)"
     with pytest.raises(AttributeError):
         m.delta = np.zeros(1)
     with pytest.raises(ValueError):

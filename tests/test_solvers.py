@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import re
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -40,13 +41,13 @@ def assert_monotone(trace, slack=1e-10):
         assert cur <= prev + slack
 
 
-def assert_coercivity(trace, a, loss=Loss.FROBENIUS, reg_rho=0.0):
+def assert_coercivity(trace, a, loss=Loss.FROBENIUS):
     a_e = norm(a, "E")
     root_n = math.sqrt(a.size)
     for row in trace.rows:
         cap_e = a_e + row.residual_E
         assert row.delta_l1 <= cap_e + 1e-9 * (1.0 + cap_e)
-        if loss is Loss.FROBENIUS and reg_rho == 0.0:
+        if loss is Loss.FROBENIUS:
             res_f = math.sqrt(row.objective)
             cap_f = a_e + root_n * res_f
             assert row.delta_l1 <= cap_f + 1e-9 * (1.0 + cap_f)
@@ -132,7 +133,7 @@ def test_objective_kl_rejects_signed_model():
     signed_a = DenseTensor.from_array(-a.as_array())
     with pytest.raises(ValueError, match="KL objective requires a nonnegative tensor"):
         objective(signed_a, nonneg, Loss.KL)
-    with pytest.raises(ValueError, match="unknown loss 'kl'"):
+    with pytest.raises(ValueError, match="^loss must be a Loss, got str$"):
         objective(a, nonneg, "kl")
 
 
@@ -311,33 +312,12 @@ def test_fit_nncp_monotone_and_coercive_kl():
     assert all(np.isfinite(r.objective) for r in res.trace.rows)
 
 
-def test_fit_nncp_kl_with_zero_entries_in_target():
-    a = bclr_limit(4)
-    res = fit_nncp(a, FitConfig(rank=5, loss=Loss.KL, max_iters=150, tol=0.0, seed=2))
-    assert_monotone(res.trace)
-    assert all(np.isfinite(r.objective) for r in res.trace.rows)
-
-
 def test_fit_nncp_bclr_limit_residual_floor():
     a = bclr_limit(4)
     for seed in range(3):
         res = fit_nncp(a, FitConfig(rank=5, max_iters=2000, tol=0.0, seed=seed))
         assert res.trace.rows[-1].residual_E > 1e-3
         assert_coercivity(res.trace, a)
-
-
-def test_fit_nncp_naive_bayes_recovery_kl():
-    m = random_model((3, 4, 5), 2, seed=101, nonneg=True, e_norm=1.0)
-    a = reconstruct(m)
-    res = fit_nncp(a, FitConfig(rank=2, loss=Loss.KL, max_iters=30000, tol=1e-13, seed=1))
-    assert res.final_objective <= 1e-8
-
-
-def test_fit_nncp_regularized_monotone():
-    a = reconstruct(random_model((3, 4, 3), 2, seed=17, nonneg=True, e_norm=4.0))
-    res = fit_nncp(a, FitConfig(rank=2, max_iters=300, tol=0.0, reg_rho=0.5, seed=3))
-    assert_monotone(res.trace)
-    assert_coercivity(res.trace, a, reg_rho=0.5)
 
 
 def test_fit_nncp_zero_tensor():
@@ -462,54 +442,119 @@ def test_order_26_fits_and_reconstructs(fit, cfg):
     assert np.max(np.abs(x.as_array() - a.as_array())) <= 1e-6
 
 
-@pytest.mark.parametrize(
-    "fit, loss, nonneg, shape, per_sweep",
-    [
-        (fit_nncp, Loss.FROBENIUS, True, (3, 4, 2), 1),
-        (fit_cp_unconstrained, Loss.FROBENIUS, False, (3, 4, 2), 1),
-        (fit_nncp, Loss.KL, True, (3, 4, 2), 3),
-        (fit_nncp, Loss.KL, True, (2, 3, 2, 2), 4),
-    ],
-)
-def test_reconstructions_per_fit(monkeypatch, fit, loss, nonneg, shape, per_sweep):
-    # One reconstruction per sweep, shared by the objective and the trace
-    # row; KL updates of modes 1..k-1 each need a fresh one.
-    calls = []
-    real = solvers._reconstruct
-
-    def counting(w, kr):
-        calls.append(len(w))
-        return real(w, kr)
-
-    monkeypatch.setattr(solvers, "_reconstruct", counting)
-    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
-    iters = 7
-    fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
-    assert len(calls) == per_sweep * iters + 1
+_FAMILIES = {  # the FitConfig fields that pick each family of fits
+    "mu": {"loss": Loss.FROBENIUS, "nonneg": True},
+    "kl": {"loss": Loss.KL, "nonneg": True},
+    "als": {"loss": Loss.FROBENIUS, "nonneg": False},
+}
 
 
-@pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])
-@pytest.mark.parametrize(
-    "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
-    ids=["mu", "kl", "als"],
-)
-def test_factor_statistics_per_fit(monkeypatch, loss, nonneg, shape):
-    # Each factor's Gram (column sums for KL) is computed once at the start
-    # and once after each of its updates: N per sweep, where recomputing the
-    # other factors' statistics in every mode update would take N(N-1).
-    calls = []
-    stat = solvers._factor_stat
+def _in_family(cfg, family):
+    return dataclasses.replace(cfg, **_FAMILIES[family])
 
-    def counting(f, kl):
-        calls.append(kl)
-        return stat(f, kl)
 
-    monkeypatch.setattr(solvers, "_factor_stat", counting)
-    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
-    iters, n = 7, len(shape)
-    fit = fit_nncp if nonneg else fit_cp_unconstrained
-    fit(a, FitConfig(rank=1, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
-    assert calls == [loss is Loss.KL] * (n + n * iters)
+def _count_calls(monkeypatch, functions):
+    """Patch each (owner, name) of ``functions`` to record the positional
+    arguments of its calls; returns name -> list of argument tuples."""
+    calls = collections.defaultdict(list)
+    for owner, name in functions:
+
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name].append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+_COUNTED = {"_reconstruct": solvers, "_factor_stat": solvers, "log": np, "sqrt": np,
+            "norm": np.linalg, "sum": np, "where": np, "cholesky": np.linalg,
+            "solve": np.linalg}
+
+
+def _calls_per_fit(family, n, r, t):
+    """The calls of each _COUNTED function in one fit of a family with tol=0
+    and t iterations, at rank r, on an order-n target."""
+    kl, als = family == "kl", family == "als"
+    return {
+        # One reconstruction per sweep, shared by the objective and the trace
+        # row; KL updates of modes 1..n-1 each need a fresh one.
+        "_reconstruct": (n if kl else 1) * t + 1,
+        # Each factor's Gram (column sums for KL) is computed once at the start
+        # and once after each of its updates: n per sweep, where recomputing
+        # the other factors' statistics in every mode update would take n(n-1).
+        "_factor_stat": n + n * t,
+        # log a once per fit, then one log of the reconstruction per iteration.
+        "log": 1 + (t + 1) if kl else 0,
+        # The trace quantities take one np.sqrt per block of rows, not one per
+        # row; a block holds at most TRACE_BLOCK iterates.
+        "sqrt": -(-(t + 1) // solvers.TRACE_BLOCK),
+        # np.linalg.norm, np.sum, np.where, np.linalg.cholesky and
+        # np.linalg.solve set up the fit or package its model; none runs per
+        # iteration.
+        "norm": r * n if als else 0,
+        "sum": 0 if als else (r + 1) * n + 1,
+        "where": 0,
+        "cholesky": 0,
+        "solve": 0,
+    }
+
+
+# id -> (shape, random_model seed and e_norm, TRACE_BLOCK).  A block holds at
+# most TRACE_BLOCK iterates, whatever the size of the target.  iterates: in
+# blocks of 8, 7 and 8 rows are one block, 63 and 64 rows eight.  entries: on a
+# 7x7x7 target, 7, 8, 63 and 64 rows each take one block of the default 64.
+_COUNT_TARGETS = {
+    "o1": ((5,), 3, 2.0, None),
+    "o3": ((3, 4, 2), 3, 2.0, None),
+    "o4": ((2, 3, 2, 2), 3, 2.0, None),
+    "iterates": ((3, 4, 5), 77, 3.0, 8),
+    "entries": ((7, 7, 7), 77, 3.0, None),
+}
+
+
+def _call_count_test(names, rank, iteration_counts, cases):
+    """A test that counts the calls of the _COUNTED functions ``names`` in fits
+    at ``rank`` of each (family, target) case, a dict id -> case, for each of
+    the iteration counts, against _calls_per_fit."""
+
+    @pytest.mark.parametrize("case", list(cases.values()), ids=list(cases))
+    def test(monkeypatch, case):
+        family, target = case
+        shape, seed, e_norm, block = _COUNT_TARGETS[target]
+        a = reconstruct(random_model(shape, 2, seed=seed, nonneg=True, e_norm=e_norm))
+        if block:
+            monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
+        calls = _count_calls(monkeypatch, [(_COUNTED[name], name) for name in names])
+        fit = fit_cp_unconstrained if family == "als" else fit_nncp
+        for iters in iteration_counts:
+            calls.clear()
+            fit(a, FitConfig(rank=rank, max_iters=iters, tol=0.0, **_FAMILIES[family]))
+            want = _calls_per_fit(family, len(shape), rank, iters)
+            assert {name: len(calls[name]) for name in names} == {
+                name: want[name] for name in names}, iters
+            assert {kl for _, kl in calls["_factor_stat"]} <= {family == "kl"}
+
+    return test
+
+
+_ORDERS = ("o1", "o3", "o4")
+_IN_EVERY_ORDER = {f"{f}-{o}": (f, o) for f in _FAMILIES for o in _ORDERS}
+test_reconstructions_per_fit = _call_count_test(["_reconstruct"], 2, [7], {
+    # ids as pytest derived them from the test's former parameters
+    "fit_nncp-Loss.FROBENIUS-True-shape0-1": ("mu", "o3"),
+    "fit_cp_unconstrained-Loss.FROBENIUS-False-shape1-1": ("als", "o3"),
+    "fit_nncp-Loss.KL-True-shape2-3": ("kl", "o3"),
+    "fit_nncp-Loss.KL-True-shape3-4": ("kl", "o4"),
+})
+test_factor_statistics_per_fit = _call_count_test(["_factor_stat"], 1, [7], _IN_EVERY_ORDER)
+test_numpy_wrapper_calls_per_fit = _call_count_test(
+    ["norm", "sum", "where", "cholesky", "solve"], 2, [3, 30], _IN_EVERY_ORDER)
+test_np_log_calls_per_kl_fit = _call_count_test(
+    ["log"], 2, [3, 30], {o: ("kl", o) for o in _ORDERS})
+test_np_sqrt_calls_per_fit_scale_with_trace_blocks = _call_count_test(
+    ["sqrt"], 2, [6, 7, 62, 63],
+    {f"{t}-{f}": (f, t) for t in ("iterates", "entries") for f in _FAMILIES})
 
 
 def _wrapper_trace_quantities(resid, factors, nonneg, colsums=None):
@@ -676,51 +721,6 @@ def test_trace_blocks_see_only_c_ordered_factor_stacks(monkeypatch, loss, nonneg
     assert seen and all(seen)
 
 
-# np.linalg.norm, np.sum, np.where, np.linalg.cholesky and np.linalg.solve
-# calls of one fit with tol=0, by solver and order: all of them set up the fit
-# or package its model, none runs per iteration.
-_WRAPPERS = [(np.linalg, "norm"), (np, "sum"), (np, "where"), (np.linalg, "cholesky"),
-             (np.linalg, "solve")]
-_WRAPPER_CALLS = {
-    ("mu", "o1"): {"norm": 0, "sum": 4, "where": 0, "cholesky": 0, "solve": 0},
-    ("mu", "o3"): {"norm": 0, "sum": 10, "where": 0, "cholesky": 0, "solve": 0},
-    ("mu", "o4"): {"norm": 0, "sum": 13, "where": 0, "cholesky": 0, "solve": 0},
-    ("kl", "o1"): {"norm": 0, "sum": 4, "where": 0, "cholesky": 0, "solve": 0},
-    ("kl", "o3"): {"norm": 0, "sum": 10, "where": 0, "cholesky": 0, "solve": 0},
-    ("kl", "o4"): {"norm": 0, "sum": 13, "where": 0, "cholesky": 0, "solve": 0},
-    ("als", "o1"): {"norm": 2, "sum": 0, "where": 0, "cholesky": 0, "solve": 0},
-    ("als", "o3"): {"norm": 6, "sum": 0, "where": 0, "cholesky": 0, "solve": 0},
-    ("als", "o4"): {"norm": 8, "sum": 0, "where": 0, "cholesky": 0, "solve": 0},
-}
-
-
-@pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])
-@pytest.mark.parametrize(
-    "solver, loss, nonneg",
-    [("mu", Loss.FROBENIUS, True), ("kl", Loss.KL, True), ("als", Loss.FROBENIUS, False)],
-    ids=["mu", "kl", "als"],
-)
-def test_numpy_wrapper_calls_per_fit(monkeypatch, solver, loss, nonneg, shape):
-    calls = collections.Counter()
-    for module, name in _WRAPPERS:
-        real = getattr(module, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
-    fit = fit_nncp if nonneg else fit_cp_unconstrained
-    per_fit = []
-    for iters in (3, 30):
-        calls.clear()
-        fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
-        per_fit.append({name: calls[name] for _, name in _WRAPPERS})
-    order = f"o{len(shape)}"
-    assert per_fit[0] == per_fit[1] == _WRAPPER_CALLS[solver, order]
-
-
 def _linalg_outcome(solve, *args):
     """The result's bytes, or the LinAlgError's type and message."""
     try:
@@ -798,25 +798,12 @@ def test_lapack_solve_restores_the_callers_error_rule():
                 assert (np.geterr(), np.geterrcall()) == before
 
 
-@pytest.mark.parametrize("shape", [(5,), (3, 4, 2), (2, 3, 2, 2)], ids=["o1", "o3", "o4"])
-def test_np_log_calls_per_kl_fit(monkeypatch, shape):
-    # log a once per fit, then one log of the reconstruction per iteration.
-    calls = []
-    real = np.log
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "log", counting)
-    a = reconstruct(random_model(shape, 2, seed=3, nonneg=True, e_norm=2.0))
-    for iters in (3, 30):
-        calls.clear()
-        fit_nncp(a, FitConfig(rank=2, loss=Loss.KL, max_iters=iters, tol=0.0))
-        assert len(calls) == 1 + (iters + 1)
-
-
 # --- seed batches ---------------------------------------------------------------
+#
+# The driver fits each entry of a batch, a seed in a family, exactly as it fits
+# alone.  _ISOLATION holds one row per case; one helper runs a row on each
+# layout it applies to: one family through fit_seeds, or both Frobenius
+# families as one _fit_batch.
 
 
 def _fingerprint(result):
@@ -842,140 +829,307 @@ def _solo(a, cfg, seed):
         return exc
 
 
-def assert_batch_matches_solo(a, cfg, seeds):
-    batch = solvers.fit_seeds(a, cfg, seeds)
-    assert len(batch) == len(seeds)
-    for seed, result in zip(seeds, batch):
-        assert _fingerprint(result) == _fingerprint(_solo(a, cfg, seed)), seed
+def assert_batch_matches_solo(a, cfg, seeds, families, fault=None, known=None):
+    """Fit ``seeds`` in each of ``families`` as one batch, and check that each
+    entry, (seed, family) in that order, ends as its solo fit does: one family
+    through fit_seeds, both Frobenius families through _fit_batch, which
+    stacks the MU entries first.  ``fault(monkeypatch, entries)``, if given,
+    is applied anew to the batch and to each solo fit that ``known`` (entry
+    -> solo fit) does not give.  Returns the batch."""
+    entries = [(seed, family) for family in families for seed in seeds]
+    known = known or {}
+
+    def run(fit, *run_entries):
+        with pytest.MonkeyPatch.context() as mp:
+            if fault:
+                fault(mp, run_entries)
+            return fit()
+
+    if len(families) == 1:
+        one = _in_family(cfg, families[0])
+        batch = run(lambda: solvers.fit_seeds(a, one, seeds), *entries)
+    else:
+        stack = [(seed, family != "als") for seed, family in entries]
+        batch = run(lambda: solvers._fit_batch(a, cfg, stack), *entries)
+    assert len(batch) == len(entries)
+    for (seed, family), result in zip(entries, batch):
+        solo = known[seed, family] if (seed, family) in known else run(
+            lambda: _solo(a, _in_family(cfg, family), seed), (seed, family))
+        assert _fingerprint(result) == _fingerprint(solo), (seed, family)
     return batch
 
 
 _NB = reconstruct(random_model((3, 4, 5), 2, seed=77, nonneg=True, e_norm=3.0))
+_NOISE = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        FitConfig(rank=5, max_iters=300, tol=0.0),
-        FitConfig(rank=5, loss=Loss.KL, max_iters=300, tol=0.0),
-        FitConfig(rank=5, nonneg=False, max_iters=300, tol=0.0),
-        FitConfig(rank=5, max_iters=300, tol=0.0, trace_every=7),
-        FitConfig(rank=5, loss=Loss.KL, max_iters=300, tol=0.0, trace_every=7),
-        FitConfig(rank=5, nonneg=False, max_iters=300, tol=0.0, trace_every=7),
-        FitConfig(rank=5, max_iters=300, tol=0.0, reg_rho=0.5),
-        FitConfig(rank=5, nonneg=False, max_iters=300, tol=0.0, reg_rho=0.5),
-    ],
-    ids=["mu", "kl", "als", "mu-every7", "kl-every7", "als-every7", "mu-rho", "als-rho"],
-)
-def test_batch_matches_solo_fits_on_bclr(cfg):
-    assert_batch_matches_solo(bclr_limit(4), cfg, [56, 57, 58, 59, 60, 1020])
+# Faults.  A row's fault is called as fault(monkeypatch, entries, clean) before
+# its batch and before the solo fit of each entry in the row's ``ends``:
+# ``entries`` are the (seed, family) pairs of that fit, ``clean`` maps each
+# entry of the row to its solo fit without the fault.
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        FitConfig(rank=2, max_iters=3000, tol=1e-6),
-        FitConfig(rank=2, loss=Loss.KL, max_iters=3000, tol=1e-7, trace_every=7),
-        FitConfig(rank=2, nonneg=False, max_iters=3000, tol=1e-9),
-    ],
-    ids=["mu", "kl-every7", "als"],
-)
-def test_batch_seeds_stop_at_their_own_iteration(cfg):
-    # A rank-2 fit of uniform noise settles at a positive objective, where
-    # the relative-decrease rule stops each seed at its own iteration.
-    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
-    batch = assert_batch_matches_solo(noise, cfg, list(range(6)))
-    assert all(r.converged for r in batch)
-    assert len({r.trace.rows[-1].iter for r in batch}) > 1
+def _nan_at_call_11(victim):
+    """NaN enters ``victim``'s entry of the 11th Khatri-Rao product: at
+    iteration 4, mode 1 (one product at iteration 0 for the reconstruction,
+    then one per sweep for each of modes 1 and 2 and one for the
+    reconstruction, which mode 0 of the next sweep reuses)."""
 
-
-def test_batch_matches_solo_on_a_mode_of_size_one():
-    # The summation order of each seed's MTTKRP does not depend on the
-    # batch, also where a mode has size 1 and the rank is 1.
-    a = DenseTensor.from_array(np.random.default_rng(1).uniform(size=(1, 2, 2)))
-    cfg = FitConfig(rank=1, loss=Loss.KL, max_iters=1, tol=0.0)
-    assert_batch_matches_solo(a, cfg, [0, 0])
-
-
-def test_batch_takes_numpy_seeds_and_fails_bad_seeds_alone():
-    cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
-    assert_batch_matches_solo(_NB, cfg, np.arange(3))
-    batch = solvers.fit_seeds(_NB, cfg, [0, -1, 2.5, None, 1])
-    assert [type(r) for r in batch[1:4]] == [ValueError] * 3
-    solo = [fit_nncp(_NB, dataclasses.replace(cfg, seed=seed)) for seed in (0, 1)]
-    assert [_fingerprint(r) for r in (batch[0], batch[4])] == [_fingerprint(r) for r in solo]
-
-
-def test_batch_without_seeds_is_empty():
-    assert solvers.fit_seeds(_NB, FitConfig(rank=2), []) == []
-
-
-def test_batch_ridge_notes_stay_with_their_seed(monkeypatch):
-    real = solvers._init_signed
-
-    def zero_column(a, cfg):
-        w = real(a, cfg)
-        if cfg.seed == 2:  # mode 0's Gram is singular from the first sweep on
-            w[-1][:, 1] = 0.0
-        return w
-
-    monkeypatch.setattr(solvers, "_init_signed", zero_column)
-    cfg = FitConfig(rank=2, nonneg=False, max_iters=50, tol=0.0)
-    batch = assert_batch_matches_solo(_NB, cfg, [0, 1, 2, 3])
-    assert [bool(r.trace.notes) for r in batch] == [False, False, True, False]
-    assert (1, "ridge jitter on mode 0") in batch[2].trace.notes
-
-
-@pytest.mark.parametrize("nonneg", [True, False])
-def test_batch_nonfinite_seed_fails_alone(monkeypatch, nonneg):
-    # NaN enters one stack entry's Khatri-Rao product at iteration 4 (mode 1).
-    cfg = FitConfig(rank=2, nonneg=nonneg, max_iters=50, tol=0.0)
-    seeds = [0, 1, 2]
-    clean = [_solo(_NB, cfg, seed) for seed in seeds]
-    real = solvers._khatri_rao
-
-    def poison(entry):
-        calls = []
+    def fault(monkeypatch, entries, clean):
+        j = sorted(entries, key=lambda e: e[1] == "als").index(victim)  # its stack entry
+        real, calls = solvers._khatri_rao, []
 
         def poisoned(factors, n):
             out = real(factors, n)
             calls.append(n)
             if len(calls) == 11:
-                out[entry] = np.nan
+                out[j] = np.nan
             return out
 
         monkeypatch.setattr(solvers, "_khatri_rao", poisoned)
 
-    poison(0)
-    alone = _solo(_NB, cfg, 1)
-    assert isinstance(alone, ValueError)
-    assert str(alone) == "trace objective must be finite"
-    poison(1)
-    batch = solvers.fit_seeds(_NB, cfg, seeds)
-    assert _fingerprint(batch[1]) == _fingerprint(alone)
-    for j in (0, 2):
-        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
+    return fault
 
 
-def test_batch_seed_whose_ridged_solve_fails_ends_alone(monkeypatch):
-    # Seed 1 starts with two identical columns, scaled by 1e10, in modes 1
-    # and 2, so mode 0's Gram stays singular after the 1e-12 ridge: its
-    # ridged solve raises in the first mode update, and fitting seed 1 alone
-    # ends every stack entry there.
+def _singular_starts(monkeypatch, zero_column=(), twin_columns=()):
+    """Signed starts whose mode-0 Gram is singular from the first sweep on: a
+    zero column in the last mode for the seeds in ``zero_column`` (a ridge
+    note every sweep), or, for those in ``twin_columns``, two identical
+    columns scaled by 1e10 in modes 1 and 2, which keep the Gram singular
+    after the 1e-12 ridge, so the ridged solve fails in the first sweep."""
     real = solvers._init_signed
 
-    def twin_columns(a, cfg):
+    def singular(a, cfg):
         w = real(a, cfg)
-        if cfg.seed == 1:
+        if cfg.seed in zero_column:
+            w[-1][:, 1] = 0.0
+        if cfg.seed in twin_columns:
             for m in (1, 2):
                 w[m][:, :] = w[m][:, :1] * 1e10
         return w
 
-    monkeypatch.setattr(solvers, "_init_signed", twin_columns)
-    cfg = FitConfig(rank=2, nonneg=False, max_iters=5, tol=0.0)
-    batch = assert_batch_matches_solo(_NB, cfg, [0, 1, 2])
-    assert [type(r) for r in batch] == [solvers.FitResult, np.linalg.LinAlgError, solvers.FitResult]
-    assert str(batch[1]) == "Singular matrix"
+    monkeypatch.setattr(solvers, "_init_signed", singular)
+
+
+def _violate_below(monkeypatch, residual):
+    """Substitute a coercivity bound that every row whose residual_E is below
+    ``residual`` violates."""
+    real = solvers.coercivity_bound
+
+    def tight(a_e, residual_e):
+        return np.where(np.less(residual_e, residual), -1.0, real(a_e, residual_e))
+
+    monkeypatch.setattr(solvers, "coercivity_bound", tight)
+
+
+def _first_violation(result, residual):
+    """The error that ends ``result``'s fit at its first row below ``residual``."""
+    row = next(r for r in result.trace.rows if r.residual_E < residual)
+    a_e = norm(_NB, "E")
+    return (
+        f"coercivity bound violated at iteration {row.iter}: "
+        f"{row.delta_l1} > {a_e + row.residual_E}"
+    )
+
+
+_NO_NORMAL_FORM = "no finite normal form: a weight exceeds the double range"
+
+
+def _no_normal_form(victim):
+    """``victim``'s model has no normal form when its fit ends: normalize and
+    l2_normalize fail on a model with the weights of its clean fit."""
+
+    def fault(monkeypatch, entries, clean):
+        weights = sorted(clean[victim].model.delta.tolist())
+        for name in ("normalize", "l2_normalize"):
+
+            def normal_form(model, _real=getattr(solvers, name)):
+                out = _real(model)
+                if sorted(out.delta.tolist()) == weights:
+                    raise ValueError(_NO_NORMAL_FORM)
+                return out
+
+            monkeypatch.setattr(solvers, name, normal_form)
+
+    return fault
+
+
+def _capped(clean):
+    """How a nonnegative entry ends under _violate_below(0.02): at its clean
+    fit's first row below 0.02."""
+    return RuntimeError, _first_violation(clean, 0.02)
+
+
+def _outcome(result):
+    """How an entry ended: an exception's type and message, or a FitResult's
+    first note and its stop, "tol" or its last iteration."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    stop = "tol" if result.converged else result.trace.columns.iter[-1]
+    return solvers.FitResult, result.trace.notes[:1], stop
+
+
+class _Row(NamedTuple):
+    """Fits of ``seeds`` on ``target`` with the FitConfig fields ``cfg``, in
+    each of ``layouts``, under ``fault``.  An entry (seed, family) in ``ends``
+    ends as its solo fit under the fault, and as its value says (an _outcome,
+    or a function of the entry's clean fit that gives one); every other entry
+    ends as its clean fit, its solo fit without the fault.  Every clean fit
+    that returns ends with no note, by tol, or at max_iters if tol is 0."""
+
+    target: DenseTensor
+    seeds: object
+    cfg: dict
+    layouts: tuple
+    fault: object = None
+    ends: dict = {}
+    block: object = None  # TRACE_BLOCK, if not the default
+
+
+_LAYOUTS = {"mu": ("mu",), "kl": ("kl",), "als": ("als",), "mixed": ("als", "mu")}
+_BCLR = (bclr_limit(4), [56, 57, 58, 59, 60, 1020])
+_BCLR_CFG = {"rank": 5, "max_iters": 300, "tol": 0.0}
+_FIT_50 = {"rank": 2, "max_iters": 50, "tol": 0.0}
+_BAD_SEEDS = {-1: "seed must be >= 0", 2.5: "seed must be an integer, got 2.5",
+              None: "seed must be an integer, got None"}
+_ISOLATION = {
+    "bclr": _Row(*_BCLR, _BCLR_CFG, _LAYOUTS),
+    "bclr-every7": _Row(*_BCLR, _BCLR_CFG | {"trace_every": 7}, _LAYOUTS),
+    "bclr-rho": _Row(*_BCLR, _BCLR_CFG | {"reg_rho": 0.5}, ("mu", "als", "mixed")),
+    # The summation order of each seed's MTTKRP does not depend on the batch,
+    # also where a mode has size 1 and the rank is 1.
+    "mode-of-size-one": _Row(
+        DenseTensor.from_array(np.random.default_rng(1).uniform(size=(1, 2, 2))), [0, 0],
+        {"rank": 1, "max_iters": 1, "tol": 0.0}, _LAYOUTS),
+    # A rank-2 fit of uniform noise settles at a positive objective, where the
+    # relative-decrease rule stops each entry at its own iteration.
+    **{f"stop-by-tol-{f}": _Row(_NOISE, range(6), {"rank": 2, "max_iters": 3000, **fields}, layouts)
+       for f, layouts, fields in [("mu", ("mu", "mixed"), {"tol": 1e-6}),
+                                  ("kl", ("kl",), {"tol": 1e-7, "trace_every": 7}),
+                                  ("als", ("als",), {"tol": 1e-9})]},
+    # numpy seeds in an ndarray, among seeds that FitConfig rejects.
+    "seeds": _Row(_NB, np.array([np.int64(0), -1, 2.5, None, np.int64(1)], dtype=object),
+                  {"rank": 2, "max_iters": 20, "tol": 0.0}, _LAYOUTS,
+                  ends={(s, f): (ValueError, m) for s, m in _BAD_SEEDS.items() for f in _FAMILIES}),
+    **{f"nan-in-{f}": _Row(_NB, [0, 1, 2], _FIT_50, layouts, _nan_at_call_11((1, f)),
+                           {(1, f): (ValueError, "trace objective must be finite")})
+       for f, layouts in [("mu", ("mu", "mixed")), ("kl", ("kl",)), ("als", ("als", "mixed"))]},
+    # Signed seed 2 starts with a zero column, signed seed 1 with twin columns.
+    **{f"singular-starts-{iters}": _Row(
+        _NB, range(4), _FIT_50 | {"max_iters": iters}, ("als", "mixed"),
+        lambda mp, *_: _singular_starts(mp, zero_column={2}, twin_columns={1}),
+        {(2, "als"): (solvers.FitResult, [(1, "ridge jitter on mode 0")], iters),
+         (1, "als"): (np.linalg.LinAlgError, "Singular matrix")})
+       for iters in (5, 50)},
+    # Within 300 sweeps MU seeds 1 and 2, and every KL seed, bring residual_E
+    # below 0.02, each at its own iteration; MU seeds 0 and 3 do not, and the
+    # signed fits have no cap.
+    **{f"cap-{block or 'default'}": _Row(
+        _NB, range(4), _FIT_50 | {"max_iters": 300}, ("mu", "kl", "mixed"),
+        lambda mp, *_: _violate_below(mp, 0.02),
+        {(1, "mu"): _capped, (2, "mu"): _capped, **{(s, "kl"): _capped for s in range(4)}},
+        block)
+       for block in (1, 7, None)},
+    # One entry's model has no normal form when its fit ends.  With tol > 0 the
+    # entries end at different sweeps, between the traced iterates of
+    # trace_every=4, so the flush that packages them appends stop-only rows;
+    # KL seed 0 stops by tol at iteration 66.
+    **{f"no-normal-form-{f}-{tol}": _Row(
+        _NOISE, [0, 1], {"rank": 2, "max_iters": iters, "tol": tol, "trace_every": 4}, layouts,
+        _no_normal_form((seed, f)), {(seed, f): (ValueError, _NO_NORMAL_FORM)})
+       for f, seed, iters, layouts in [("mu", 0, 50, ("mu", "mixed")), ("kl", 0, 70, ("kl",)),
+                                       ("als", 1, 50, ("als", "mixed"))]
+       for tol in (0.0, 1e-3)},
+}
+
+
+def _assert_isolated(monkeypatch, row, layout):
+    """Run ``row`` of _ISOLATION on ``layout``; check each entry's end."""
+    target, seeds, fields, _, fault, ends, block = _ISOLATION[row]
+    cfg, families = FitConfig(**fields), _LAYOUTS[layout]
+    entries = [(seed, family) for family in families for seed in seeds]
+    clean = {e: _solo(target, _in_family(cfg, e[1]), e[0]) for e in entries} if fault else None
+    if block:
+        monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
+    faulted = fault and (lambda mp, run_entries: fault(mp, run_entries, clean))
+    known = {e: fit for e, fit in (clean or {}).items() if e not in ends}
+    batch = assert_batch_matches_solo(target, cfg, seeds, families, faulted, known)
+    clean = clean or dict(zip(entries, batch))
+    for entry, result in zip(entries, batch):
+        if entry in ends:
+            end = ends[entry]
+            assert _outcome(result) == (end(clean[entry]) if callable(end) else end), entry
+    fits = [r for r in clean.values() if isinstance(r, solvers.FitResult)]
+    stop = "tol" if cfg.tol > 0 else cfg.max_iters
+    assert all(_outcome(r) == (solvers.FitResult, [], stop) for r in fits)
+    last = [r.trace.columns.iter[-1] for r in fits]
+    if cfg.tol > 0:  # each entry stops at its own iteration, not one per family
+        assert len(set(last)) > len(families)
+    if cfg.trace_every > 1:  # an entry ends between traced iterates
+        assert any(it % cfg.trace_every for it in last)
+
+
+_RUN = set()  # the (row, layout) cases that a test below runs
+
+
+def _isolation_test(cases):
+    """A test of the (row, layout) ``cases`` of _ISOLATION: a dict id -> case,
+    or one case, for a test with no parameters."""
+    if isinstance(cases, tuple):
+        _RUN.add(cases)
+
+        def test(monkeypatch):
+            _assert_isolated(monkeypatch, *cases)
+
+        return test
+    _RUN.update(cases.values())
+
+    @pytest.mark.parametrize("case", list(cases.values()), ids=list(cases))
+    def test(monkeypatch, case):
+        _assert_isolated(monkeypatch, *case)
+
+    return test
+
+
+# The cases under the names and ids of the tests they replace, then the rest,
+# so that every row runs on every layout it applies to.
+test_batch_matches_solo_fits_on_bclr = _isolation_test({
+    "mu": ("bclr", "mu"), "kl": ("bclr", "kl"), "als": ("bclr", "als"),
+    "mu-every7": ("bclr-every7", "mu"), "kl-every7": ("bclr-every7", "kl"),
+    "als-every7": ("bclr-every7", "als"), "mu-rho": ("bclr-rho", "mu"),
+    "als-rho": ("bclr-rho", "als"),
+})
+test_mixed_batch_matches_solo_fits_on_bclr = _isolation_test(
+    {"0.0": ("bclr", "mixed"), "0.5": ("bclr-rho", "mixed")})
+test_batch_seeds_stop_at_their_own_iteration = _isolation_test(
+    {"mu": ("stop-by-tol-mu", "mu"), "kl-every7": ("stop-by-tol-kl", "kl"),
+     "als": ("stop-by-tol-als", "als")})
+test_mixed_batch_entries_stop_at_their_own_iteration = _isolation_test(("stop-by-tol-mu", "mixed"))
+test_batch_takes_numpy_seeds_and_fails_bad_seeds_alone = _isolation_test(("seeds", "mu"))
+test_mixed_batch_fails_bad_seeds_alone = _isolation_test(("seeds", "mixed"))
+test_batch_nonfinite_seed_fails_alone = _isolation_test(
+    {"True": ("nan-in-mu", "mu"), "False": ("nan-in-als", "als")})
+test_mixed_batch_nonfinite_entry_fails_alone = _isolation_test(
+    {"nonneg": ("nan-in-mu", "mixed"), "signed": ("nan-in-als", "mixed")})
+test_batch_ridge_notes_stay_with_their_seed = _isolation_test(("singular-starts-50", "als"))
+test_batch_seed_whose_ridged_solve_fails_ends_alone = _isolation_test(("singular-starts-5", "als"))
+test_mixed_batch_ridge_notes_and_failed_solves_stay_with_their_entry = _isolation_test(
+    ("singular-starts-50", "mixed"))
+test_coercivity_violation_ends_its_seed_alone = _isolation_test(
+    {block: (f"cap-{block}", "mu") for block in ("1", "7", "default")})
+test_mixed_batch_coercivity_violation_ends_its_entry_alone = _isolation_test(
+    {block: (f"cap-{block}", "mixed") for block in ("1", "7", "default")})
+test_mixed_batch_entry_whose_model_fails_to_package_ends_alone = _isolation_test(
+    {f"{victim}-{tol}": (f"no-normal-form-{f}-{tol}", "mixed")
+     for victim, f in [("nonneg", "mu"), ("signed", "als")] for tol in (0.0, 1e-3)})
+test_batch_matches_solo_on_a_mode_of_size_one = _isolation_test(("mode-of-size-one", "kl"))
+test_batch_entry_ends_as_it_does_alone = _isolation_test(
+    {f"{row}-{layout}": (row, layout) for row in _ISOLATION for layout in _ISOLATION[row].layouts
+     if (row, layout) not in _RUN})
+
+
+def test_batch_without_seeds_is_empty():
+    assert solvers.fit_seeds(_NB, FitConfig(rank=2), []) == []
 
 
 @pytest.mark.parametrize("target", [np.ones((2, 2)), [[1.0]], None])
@@ -991,149 +1145,6 @@ def test_a_target_that_is_not_a_tensor_fails_before_any_start(monkeypatch, targe
             fit(target, FitConfig(rank=2, nonneg=nonneg))
         with pytest.raises(ValueError, match=f"the target must be a DenseTensor, got {name}"):
             solvers.fit_seeds(target, FitConfig(rank=2, nonneg=nonneg), [0, 1])
-
-
-# --- batches of both families -------------------------------------------------
-
-
-def assert_mixed_matches_solo(a, cfg, seeds):
-    """Fit every seed with both families as one batch, the signed entries
-    listed first (the driver puts the nonnegative ones first in its stacks),
-    and compare each entry with its solo fit.  Returns the nonnegative and
-    the signed results."""
-    entries = [(seed, False) for seed in seeds] + [(seed, True) for seed in seeds]
-    batch = solvers._fit_batch(a, cfg, entries)
-    assert len(batch) == len(entries)
-    for (seed, nonneg), result in zip(entries, batch):
-        solo = _solo(a, dataclasses.replace(cfg, nonneg=nonneg), seed)
-        assert _fingerprint(result) == _fingerprint(solo), (seed, nonneg)
-    return batch[len(seeds):], batch[:len(seeds)]
-
-
-@pytest.mark.parametrize("reg_rho", [0.0, 0.5])
-def test_mixed_batch_matches_solo_fits_on_bclr(reg_rho):
-    cfg = FitConfig(rank=5, max_iters=300, tol=0.0, reg_rho=reg_rho)
-    assert_mixed_matches_solo(bclr_limit(4), cfg, [56, 57, 58, 59, 60, 1020])
-
-
-def test_mixed_batch_fails_bad_seeds_alone():
-    cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
-    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, -1, 1])
-    for results in (mu, als):
-        assert [type(r) for r in results] == [solvers.FitResult, ValueError, solvers.FitResult]
-
-
-def test_mixed_batch_entries_stop_at_their_own_iteration():
-    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
-    cfg = FitConfig(rank=2, max_iters=3000, tol=1e-6)
-    mu, als = assert_mixed_matches_solo(noise, cfg, list(range(4)))
-    assert all(r.converged for r in mu + als)
-    assert len({r.trace.rows[-1].iter for r in mu + als}) > 2
-
-
-@pytest.mark.parametrize("entry", [1, 4], ids=["nonneg", "signed"])
-def test_mixed_batch_nonfinite_entry_fails_alone(monkeypatch, entry):
-    # NaN enters one stack entry's Khatri-Rao product at iteration 4 (mode
-    # 1); the stack holds nonnegative seeds 0-2, then signed seeds 0-2, so
-    # either entry is seed 1.
-    cfg = FitConfig(rank=2, max_iters=50, tol=0.0)
-    clean = sum(assert_mixed_matches_solo(_NB, cfg, [0, 1, 2]), [])
-    real = solvers._khatri_rao
-
-    def poison(j):
-        calls = []
-
-        def poisoned(factors, n):
-            out = real(factors, n)
-            calls.append(n)
-            if len(calls) == 11:
-                out[j] = np.nan
-            return out
-
-        monkeypatch.setattr(solvers, "_khatri_rao", poisoned)
-
-    poison(0)
-    alone = _solo(_NB, dataclasses.replace(cfg, nonneg=entry < 3), 1)
-    assert (type(alone), str(alone)) == (ValueError, "trace objective must be finite")
-    poison(entry)
-    batch = solvers._fit_batch(_NB, cfg, [(s, f) for f in (True, False) for s in (0, 1, 2)])
-    assert _fingerprint(batch[entry]) == _fingerprint(alone)
-    for j in set(range(6)) - {entry}:
-        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
-
-
-@pytest.mark.parametrize("tol", [0.0, 1e-3])
-@pytest.mark.parametrize("victim", [0, 3], ids=["nonneg", "signed"])
-def test_mixed_batch_entry_whose_model_fails_to_package_ends_alone(monkeypatch, victim, tol):
-    # One entry's model (MU seed 0 or ALS seed 1) has no normal form when
-    # its fit ends.  With tol > 0 it ends while batch-mates still run, and
-    # entries stop between the traced iterates of trace_every=4, so the
-    # flush that packages them appends stop-only rows.
-    noise = DenseTensor.from_array(np.random.default_rng(3).uniform(size=(3, 4, 5)))
-    cfg = FitConfig(rank=2, max_iters=50, tol=tol, trace_every=4)
-    entries = [(seed, nonneg) for seed in (0, 1) for nonneg in (True, False)]
-    clean = [_solo(noise, dataclasses.replace(cfg, nonneg=f), s) for s, f in entries]
-    weights = sorted(clean[victim].model.delta.tolist())
-    message = "no finite normal form: a weight exceeds the double range"
-
-    def failing(real):
-        def normal_form(model):
-            out = real(model)
-            if sorted(out.delta.tolist()) == weights:
-                raise ValueError(message)
-            return out
-
-        return normal_form
-
-    monkeypatch.setattr(solvers, "normalize", failing(solvers.normalize))
-    monkeypatch.setattr(solvers, "l2_normalize", failing(solvers.l2_normalize))
-    batch = solvers._fit_batch(noise, cfg, entries)
-    assert (type(batch[victim]), str(batch[victim])) == (ValueError, message)
-    for j in set(range(4)) - {victim}:
-        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
-    assert any(r.trace.columns.iter[-1] % 4 for r in clean)  # a row off the trace_every grid
-    assert all(r.converged for r in clean) == (tol > 0)
-
-
-def test_mixed_batch_ridge_notes_and_failed_solves_stay_with_their_entry(monkeypatch):
-    # Signed seed 2 starts with a zero column (ridge notes from the first
-    # sweep on); signed seed 1 with twin columns scaled by 1e10 in modes 1
-    # and 2, so its ridged solve of mode 0 fails in the first sweep.
-    real = solvers._init_signed
-
-    def singular_starts(a, cfg):
-        w = real(a, cfg)
-        if cfg.seed == 2:
-            w[-1][:, 1] = 0.0
-        if cfg.seed == 1:
-            for m in (1, 2):
-                w[m][:, :] = w[m][:, :1] * 1e10
-        return w
-
-    monkeypatch.setattr(solvers, "_init_signed", singular_starts)
-    cfg = FitConfig(rank=2, max_iters=50, tol=0.0)
-    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, 1, 2, 3])
-    assert not any(r.trace.notes for r in mu)
-    kinds = [solvers.FitResult, np.linalg.LinAlgError, solvers.FitResult, solvers.FitResult]
-    assert [type(r) for r in als] == kinds
-    assert [bool(r.trace.notes) for r in als[2:]] == [True, False]
-    assert (1, "ridge jitter on mode 0") in als[2].trace.notes
-
-
-@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
-def test_mixed_batch_coercivity_violation_ends_its_entry_alone(monkeypatch, block):
-    # As in test_coercivity_violation_ends_its_seed_alone: nonnegative seeds
-    # 1 and 2 violate the tightened cap; the signed fits have no cap.
-    cfg = FitConfig(rank=2, max_iters=300, tol=0.0)
-    clean = [_solo(_NB, cfg, seed) for seed in (1, 2)]
-    if block:
-        monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
-    _violate_below(monkeypatch, 0.02)
-    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, 1, 2, 3])
-    kinds = [solvers.FitResult, RuntimeError, RuntimeError, solvers.FitResult]
-    assert [type(r) for r in mu] == kinds
-    assert [str(r) for r in mu[1:3]] == [_first_violation(c, 0.02) for c in clean]
-    assert all(type(r) is solvers.FitResult for r in als)
 
 
 @pytest.mark.parametrize("trace_every", [1, 7])
@@ -1166,90 +1177,42 @@ def test_every_trace_row_enters_through_append(monkeypatch, loss, nonneg, trace_
     assert len({r.trace.rows[-1].iter for r in batch}) > 1
 
 
-@pytest.mark.parametrize(
-    "loss, nonneg", [(Loss.FROBENIUS, True), (Loss.KL, True), (Loss.FROBENIUS, False)],
-    ids=["mu", "kl", "als"],
-)
-@pytest.mark.parametrize("bound", ["iterates", "entries"])
-def test_np_sqrt_calls_per_fit_scale_with_trace_blocks(monkeypatch, loss, nonneg, bound):
-    # The trace quantities take one np.sqrt per block of rows, not one per
-    # row.  A block holds at most TRACE_BLOCK iterates, whatever the size of
-    # the target.  iterates: in blocks of 8, 7 and 8 rows are one block, 63
-    # and 64 rows eight.  entries: on a 7x7x7 target, 7, 8, 63 and 64 rows
-    # each take one block of the default 64.
-    calls = []
-    real = np.sqrt
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "sqrt", counting)
-    if bound == "iterates":
-        monkeypatch.setattr(solvers, "TRACE_BLOCK", 8)
-        a, passes = _NB, 8
-    else:
-        a = reconstruct(random_model((7, 7, 7), 2, seed=77, nonneg=True, e_norm=3.0))
-        passes = 1
-    fit = fit_nncp if nonneg else fit_cp_unconstrained
-    per_fit = {}
-    for iters in (6, 7, 62, 63):
-        calls.clear()
-        fit(a, FitConfig(rank=2, loss=loss, nonneg=nonneg, max_iters=iters, tol=0.0))
-        per_fit[iters] = len(calls)
-    assert per_fit[6] == per_fit[7]
-    assert per_fit[62] == per_fit[63] == per_fit[7] + passes - 1
-
 
 def test_signed_target_fails_only_its_nonnegative_entries():
     signed = DenseTensor.from_array(np.random.default_rng(8).normal(size=(3, 4, 5)))
     cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
-    mu, als = assert_mixed_matches_solo(signed, cfg, [0, 1])
-    assert [(type(r), str(r)) for r in mu] == [
+    batch = assert_batch_matches_solo(signed, cfg, [0, 1], ["als", "mu"])
+    assert [(type(r), str(r)) for r in batch[2:]] == [
         (ValueError, "fit_nncp requires a nonnegative tensor")
     ] * 2
-    assert all(type(r) is solvers.FitResult for r in als)
-    assert [str(r) for r in solvers.fit_seeds(signed, cfg, [0, 1, 2])] == [str(mu[0])] * 3
+    assert all(type(r) is solvers.FitResult for r in batch[:2])
+    assert [str(r) for r in solvers.fit_seeds(signed, cfg, [0, 1, 2])] == [str(batch[2])] * 3
     with pytest.raises(ValueError, match="fit_nncp requires a nonnegative tensor"):
         fit_nncp(signed, cfg)
 
 
-def _counted_tails(monkeypatch):
-    """Patch _mu_tail and _als_tail so that they count their calls by family
-    and fail on a call with no entries."""
-    calls = collections.Counter()
-    for family, name in [("mu", "_mu_tail"), ("als", "_als_tail")]:
+_TAILS = [(solvers, "_mu_tail"), (solvers, "_als_tail")]
 
-        def counting(w, *args, _real=getattr(solvers, name), _family=family):
-            assert len(w) > 0, _family
-            calls[_family] += 1
-            return _real(w, *args)
 
-        monkeypatch.setattr(solvers, name, counting)
-    return calls
+def _tail_calls(calls):
+    """The MU and ALS tail calls counted by _count_calls; none may have no entries."""
+    assert all(len(w) for w, *_ in calls["_mu_tail"] + calls["_als_tail"])
+    return len(calls["_mu_tail"]), len(calls["_als_tail"])
 
 
 def test_mixed_batch_calls_no_tail_after_its_last_als_entry_ends(monkeypatch):
-    # Every signed start has twin columns scaled by 1e10 in modes 1 and 2, so
-    # each ridged solve of mode 0 fails in the first sweep: the ALS tail
-    # runs once, and the MU tail alone from mode 1 on.
-    real = solvers._init_signed
-
-    def twin_columns(a, cfg):
-        w = real(a, cfg)
-        for m in (1, 2):
-            w[m][:, :] = w[m][:, :1] * 1e10
-        return w
-
-    monkeypatch.setattr(solvers, "_init_signed", twin_columns)
-    calls = _counted_tails(monkeypatch)
+    # Every signed start has twin columns, so each ridged solve of mode 0
+    # fails in the first sweep: the ALS tail runs once, and the MU tail alone
+    # from mode 1 on.
+    _singular_starts(monkeypatch, twin_columns=range(3))
+    calls = _count_calls(monkeypatch, _TAILS)
     cfg = FitConfig(rank=2, max_iters=30, tol=0.0)
-    mu, als = assert_mixed_matches_solo(_NB, cfg, [0, 1, 2])
-    assert all(type(r) is np.linalg.LinAlgError for r in als)
-    assert all(type(r) is solvers.FitResult for r in mu)
+    batch = assert_batch_matches_solo(_NB, cfg, [0, 1, 2], ["als", "mu"])
+    assert all(type(r) is np.linalg.LinAlgError for r in batch[:3])
+    assert all(type(r) is solvers.FitResult for r in batch[3:])
     calls.clear()
     solvers._fit_batch(_NB, cfg, [(s, f) for f in (True, False) for s in (0, 1, 2)])
-    assert calls == {"als": 1, "mu": 3 * 30}
+    assert _tail_calls(calls) == (3 * 30, 1)
 
 
 def test_mixed_batch_calls_no_tail_after_its_last_mu_entry_ends(monkeypatch):
@@ -1261,56 +1224,16 @@ def test_mixed_batch_calls_no_tail_after_its_last_mu_entry_ends(monkeypatch):
                for s in (1, 2))
     monkeypatch.setattr(solvers, "TRACE_BLOCK", 1)
     _violate_below(monkeypatch, 0.02)
-    calls = _counted_tails(monkeypatch)
-    mu, als = assert_mixed_matches_solo(_NB, cfg, [1, 2])
-    assert all(type(r) is RuntimeError for r in mu)
-    assert all(type(r) is solvers.FitResult for r in als)
+    calls = _count_calls(monkeypatch, _TAILS)
+    batch = assert_batch_matches_solo(_NB, cfg, [1, 2], ["als", "mu"])
+    assert all(type(r) is RuntimeError for r in batch[2:])
+    assert all(type(r) is solvers.FitResult for r in batch[:2])
     calls.clear()
     solvers._fit_batch(_NB, cfg, [(s, f) for f in (True, False) for s in (1, 2)])
-    assert calls == {"mu": 3 * last, "als": 3 * 300}
+    assert _tail_calls(calls) == (3 * last, 3 * 300)
 
 
 # --- trace blocks -----------------------------------------------------------------
-
-
-def _violate_below(monkeypatch, residual):
-    """Substitute a coercivity bound that every row whose residual_E is below
-    ``residual`` violates."""
-    real = solvers.coercivity_bound
-
-    def tight(a_e, residual_e):
-        return np.where(np.less(residual_e, residual), -1.0, real(a_e, residual_e))
-
-    monkeypatch.setattr(solvers, "coercivity_bound", tight)
-
-
-def _first_violation(result, residual):
-    """The error that ends ``result``'s fit at its first row below ``residual``."""
-    row = next(r for r in result.trace.rows if r.residual_E < residual)
-    a_e = norm(_NB, "E")
-    return (
-        f"coercivity bound violated at iteration {row.iter}: "
-        f"{row.delta_l1} > {a_e + row.residual_E}"
-    )
-
-
-@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
-def test_coercivity_violation_ends_its_seed_alone(monkeypatch, block):
-    # Seeds 1 and 2 bring residual_E below 0.02 within 300 sweeps, each at
-    # its own iteration; seeds 0 and 3 do not.
-    cfg = FitConfig(rank=2, max_iters=300, tol=0.0)
-    seeds = [0, 1, 2, 3]
-    clean = [_solo(_NB, cfg, seed) for seed in seeds]
-    if block:
-        monkeypatch.setattr(solvers, "TRACE_BLOCK", block)
-    _violate_below(monkeypatch, 0.02)
-    batch = assert_batch_matches_solo(_NB, cfg, seeds)
-    kinds = [solvers.FitResult, RuntimeError, RuntimeError, solvers.FitResult]
-    assert [type(r) for r in batch] == kinds
-    for j in (1, 2):
-        assert str(batch[j]) == _first_violation(clean[j], 0.02)
-    for j in (0, 3):
-        assert _fingerprint(batch[j]) == _fingerprint(clean[j])
 
 
 @pytest.mark.parametrize("block", [1, None, 1000], ids=["1", "default", "1000"])
@@ -1342,27 +1265,17 @@ def test_coercivity_violation_wins_over_a_later_nonfinite_objective(monkeypatch,
     assert (type(violated), str(violated)) == (RuntimeError, _first_violation(clean, 0.02))
 
 
+
 @pytest.mark.parametrize("nonneg", [True, False])
 def test_nonfinite_objective_ends_the_seed_at_its_iteration(monkeypatch, nonneg):
-    # NaN enters the Khatri-Rao product of mode 1 at iteration 4 (the 11th:
-    # one at iteration 0 for the reconstruction, then one per sweep for each
-    # of modes 1 and 2 and one for the reconstruction, which mode 0 of the
-    # next sweep reuses).  The fit ends there, after that sweep's three
-    # Khatri-Rao products, not at the end of its trace block.
-    calls = []
-    real = solvers._khatri_rao
-
-    def poisoned(factors, n):
-        out = real(factors, n)
-        calls.append(n)
-        if len(calls) == 11:
-            out[:] = np.nan
-        return out
-
-    monkeypatch.setattr(solvers, "_khatri_rao", poisoned)
+    # The fit ends at iteration 4, after that sweep's three Khatri-Rao
+    # products (13 in all), not at the end of its trace block.
+    entry = (1, "mu" if nonneg else "als")
+    _nan_at_call_11(entry)(monkeypatch, [entry], None)
+    calls = _count_calls(monkeypatch, [(solvers, "_khatri_rao")])
     result = _solo(_NB, FitConfig(rank=2, nonneg=nonneg, max_iters=50, tol=0.0), 1)
     assert (type(result), str(result)) == (ValueError, "trace objective must be finite")
-    assert len(calls) == 13
+    assert len(calls["_khatri_rao"]) == 13
 
 
 @settings(database=None, deadline=None, max_examples=30)

@@ -291,10 +291,9 @@ def test_json_malformed_inputs():
         tensor_from_json('{"shape": [2]}')
     with pytest.raises(ValueError):
         tensor_from_json('{"shape": [2], "data": [1, 2, 3]}')
-    with pytest.raises(ValueError, match="^tensor shape: "):
-        tensor_from_json('{"shape": [%d], "data": [1.0]}' % 10**30)
     # Shapes whose size overflows int64 are compared exactly.
     for doc in (
+        '{"shape": [%d], "data": [1.0]}' % 10**30,
         '{"shape": [9223372036854775807, 2], "data": [1.0]}',
         '{"shape": [4294967296, 4294967296], "data": []}',
     ):
