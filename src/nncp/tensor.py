@@ -32,7 +32,8 @@ def _reals(values):
 def _frozen(values, what):
     """Read-only float64 copy of ``values`` in C order; rejects anything
     :func:`_reals` rejects, ragged nestings and NaN/Inf.  C order makes
-    reshapes views and pins the rounding of strided reductions."""
+    reshapes views and pins the rounding of strided reductions.  A view of
+    the read-only copy is returned: its writeable flag cannot be set again."""
     if not _reals(values):
         raise ValueError(f"{what} must be an array of real numbers")
     try:
@@ -42,7 +43,7 @@ def _frozen(values, what):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains NaN or Inf")
     arr.flags.writeable = False
-    return arr
+    return arr.view()
 
 
 def _integer(value, what, least=None):
@@ -119,9 +120,12 @@ class DenseTensor:
 
     @classmethod
     def from_array(cls, array):
-        """Build from any array-like; copies into an immutable buffer."""
+        """Build from any array-like; copies once into an immutable buffer."""
         arr = _frozen(array, "tensor data")
-        return cls(arr.shape, arr)
+        _shape(arr.shape, "tensor")  # order >= 1, no dimension of 0
+        tensor = cls.__new__(cls)
+        object.__setattr__(tensor, "_array", arr)
+        return tensor
 
     @classmethod
     def zeros(cls, shape):

@@ -1,4 +1,6 @@
-"""Slow, loop-based reference implementations used as independent oracles.
+"""Slow, loop-based reference implementations used as independent oracles,
+and the one implementation of each paper invariant that the tests check on
+fit traces.
 
 Everything here works entry by entry in plain Python floats (brute_kl in
 decimal arithmetic), deliberately avoiding the vectorized code paths under
@@ -81,3 +83,47 @@ def brute_kl(a, b):
 def max_abs_diff(tensor, entries):
     """Largest |tensor[idx] - entries[idx]| over a dict oracle."""
     return max(abs(tensor[idx] - val) for idx, val in entries.items())
+
+
+# --- the paper's invariants over a fit trace ------------------------------------
+# Each takes a trace's columns (FitTrace.columns, or any object with the
+# columns it names) and returns the iterations that break the invariant, so a
+# trace that keeps it gives [].  A NaN breaks every invariant.
+
+
+def objective_rises(cols, slack=1e-10):
+    """Iterations whose objective exceeds the previous row's by more than ``slack``."""
+    obj = cols.objective
+    return [it for it, prev, cur in zip(cols.iter[1:], obj, obj[1:]) if not cur <= prev + slack]
+
+
+def _above_cap(value, cap):
+    return not value <= cap + 1e-9 * (1.0 + cap)
+
+
+def over_cap(cols, a_e, names=("delta_l1",)):
+    """Iterations where the largest of the ``names`` columns exceeds the
+    coercivity cap ||A||_E + residual_E, up to the rounding slack 1e-9 (1 + cap)."""
+    out = []
+    for i, residual in enumerate(cols.residual_E):
+        if _above_cap(max(getattr(cols, name)[i] for name in names), a_e + residual):
+            out.append(cols.iter[i])
+    return out
+
+
+def over_frobenius_cap(cols, a_e, size):
+    """Iterations where delta_l1 exceeds the sqrt(N)-weakened cap ||A||_E +
+    sqrt(N) sqrt(objective), N = ``size``, with the slack of over_cap.
+    For a Frobenius fit with reg_rho = 0 the objective is residual_F^2 and
+    residual_E <= sqrt(N) residual_F, so the cap follows from the coercivity cap."""
+    root_n = math.sqrt(size)
+    return [it for it, obj, d in zip(cols.iter, cols.objective, cols.delta_l1)
+            if _above_cap(d, a_e + root_n * math.sqrt(obj))]
+
+
+def mass_drift(cols, a_e):
+    """Iterations after the first row where delta_l1 is off ||A||_E by more
+    than 1e-12 relative: every KL multiplicative update makes sum X = ||A||_E,
+    so ||delta||_1 = ||X||_E = ||A||_E."""
+    return [it for it, d in zip(cols.iter[1:], cols.delta_l1[1:])
+            if not abs(d - a_e) <= 1e-12 * a_e]

@@ -16,8 +16,9 @@ from nncp.diagnostics import run_contrast_experiment
 from nncp.divergence import DivergenceKind, distance
 from nncp.kruskal import KruskalModel, normalize, random_model, reconstruct
 from nncp.pathologies import bclr_a_eps, bclr_limit, kl_counterexample, w_sequence
-from nncp.solvers import FitConfig, Loss, fit_cp_unconstrained, fit_nncp
-from nncp.tensor import add_scaled, inner, norm, outer_product
+from nncp.solvers import FitConfig, Loss, TraceRow, fit_cp_unconstrained, fit_nncp
+from nncp.tensor import DenseTensor, add_scaled, inner, norm, outer_product
+from oracles import mass_drift, objective_rises, over_cap, over_frobenius_cap
 
 # Pinned seed window for the contrast regression (criterion 8).  Roughly half
 # of all ALS runs on this tensor lock onto a bounded local minimum instead of
@@ -140,8 +141,6 @@ def test_criterion_02_hoelder_and_cauchy_schwarz():
         shape = shapes[i % len(shapes)]
         a_arr = rng.standard_normal(shape)
         b_arr = rng.standard_normal(shape)
-        from nncp.tensor import DenseTensor
-
         a = DenseTensor.from_array(a_arr)
         b = DenseTensor.from_array(b_arr)
         ip = abs(inner(a, b))
@@ -224,21 +223,6 @@ def test_criterion_06_sequence_identity():
     _ok(6, "A_n = A + B/n + C/n^2 and the E-gap formula exact to 1e-15")
 
 
-def _check_coercivity(a, cfg, result):
-    a_e = norm(a, "E")
-    root_n = math.sqrt(a.size)
-    violations = 0
-    for row in result.trace.rows:
-        cap_e = a_e + row.residual_E
-        if row.delta_l1 > cap_e + 1e-9 * (1.0 + cap_e):
-            violations += 1
-        if cfg.loss is Loss.FROBENIUS and cfg.reg_rho == 0.0:
-            cap_f = a_e + root_n * math.sqrt(row.objective)
-            if row.delta_l1 > cap_f + 1e-9 * (1.0 + cap_f):
-                violations += 1
-    return violations, len(result.trace.rows)
-
-
 def test_criterion_07_coercivity(bclr, contrast, rank1_runs, kl_runs, extra_fits):
     # Every traced iterate of every nonnegative fit obeys
     # ||delta||_1 <= ||A||_E + residual_E, which (residual_E <= sqrt(N) *
@@ -246,29 +230,29 @@ def test_criterion_07_coercivity(bclr, contrast, rank1_runs, kl_runs, extra_fits
     # runs the cap is also checked directly from the traced objective.
     # KL fits also keep the mass: every KL multiplicative update makes
     # sum X = ||A||_E, so ||delta||_1 = ||X||_E = ||A||_E after iteration 0.
-    violations = 0
+    # The contrast sweep's nonneg fits are checked on their evidence, where
+    # the largest summand obeys the same cap.
+    violations = []
     rows = 0
     mass_rows = 0
     for a, cfg, result in [*rank1_runs, *kl_runs, *extra_fits]:
-        v, n = _check_coercivity(a, cfg, result)
-        violations += v
-        rows += n
+        a_e, cols = norm(a, "E"), result.trace.columns
+        violations += over_cap(cols, a_e)
+        if cfg.loss is Loss.FROBENIUS and cfg.reg_rho == 0.0:
+            violations += over_frobenius_cap(cols, a_e, a.size)
+        rows += len(cols.iter)
     for a, _, result in kl_runs:
-        a_e = norm(a, "E")
-        for row in result.trace.rows[1:]:
-            assert abs(row.delta_l1 - a_e) <= 1e-12 * a_e, row.iter
-            mass_rows += 1
+        cols = result.trace.columns
+        assert mass_drift(cols, norm(a, "E")) == []
+        mass_rows += len(cols.iter) - 1
     summary, _ = contrast
-    a_e = norm(bclr, "E")
-    for (seed, family), report in summary.reports.items():
-        if family != "nonneg":
-            continue
-        for it, residual, max_comp, delta_l1 in report.evidence:
-            rows += 1
-            cap = a_e + residual
-            if max(delta_l1, max_comp) > cap + 1e-9 * (1.0 + cap):
-                violations += 1
-    assert violations == 0
+    for (_, family), report in summary.reports.items():
+        if family == "nonneg":
+            it, res, comp, d_l1 = zip(*report.evidence)
+            evidence = TraceRow(it, (), d_l1, comp, res)
+            violations += over_cap(evidence, norm(bclr, "E"), ["delta_l1", "max_component_F"])
+            rows += len(it)
+    assert violations == []
     _ok(7, f"coercivity bound held at all {rows} traced iterates, 0 violations; "
            f"KL mass identity held at {mass_rows}")
 
@@ -315,9 +299,7 @@ def test_criterion_09_kl_counterexample():
 def test_criterion_10_monotonicity(rank1_runs, kl_runs, extra_fits, unconstrained_fits):
     checked = 0
     for _, _, result in [*rank1_runs, *kl_runs, *extra_fits, *unconstrained_fits]:
-        objs = [r.objective for r in result.trace.rows]
-        for prev, cur in zip(objs, objs[1:]):
-            assert cur <= prev + 1e-10
+        assert objective_rises(result.trace.columns) == []
         checked += 1
     _ok(10, f"objective nonincreasing (slack 1e-10/step) across {checked} fits, "
             f"both losses")
@@ -325,7 +307,7 @@ def test_criterion_10_monotonicity(rank1_runs, kl_runs, extra_fits, unconstraine
 
 def test_criterion_11_generative_recovery(rank1_runs, kl_runs):
     rank1_hits = sum(
-        result.trace.rows[-1].residual_E <= 1e-6 * norm(a, "E")
+        result.trace.columns.residual_E[-1] <= 1e-6 * norm(a, "E")
         for a, _, result in rank1_runs
     )
     kl_hits = sum(result.final_objective <= 1e-8 for _, _, result in kl_runs)

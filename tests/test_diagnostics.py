@@ -14,13 +14,7 @@ from nncp.diagnostics import (
 )
 from nncp.kruskal import random_model, reconstruct
 from nncp.pathologies import bclr_limit, w_sequence
-from nncp.solvers import (
-    FitConfig,
-    FitTrace,
-    coercivity_bound,
-    fit_cp_unconstrained,
-    fit_nncp,
-)
+from nncp.solvers import FitTrace, coercivity_bound
 from nncp.tensor import DenseTensor, norm
 
 
@@ -120,17 +114,6 @@ def test_detect_custom_thresholds():
     assert loose.verdict == "DEGENERATE"
 
 
-def test_detect_on_real_fits():
-    a = bclr_limit(4)
-    norms = (norm(a, "E"), norm(a, "F"))
-    res = fit_nncp(a, FitConfig(rank=5, max_iters=500, tol=0.0, seed=0))
-    assert detect_degeneracy(res.trace, norms).verdict == "BOUNDED"
-    res = fit_cp_unconstrained(
-        a, FitConfig(rank=5, nonneg=False, max_iters=2000, tol=0.0, seed=0)
-    )
-    assert detect_degeneracy(res.trace, norms).verdict == "DEGENERATE"
-
-
 def test_contrast_on_exact_rank2():
     a = reconstruct(random_model((3, 3, 3), 2, seed=55, nonneg=True, e_norm=4.0))
     summary = run_contrast_experiment(a, rank=2, seeds=range(5), max_iters=2000)
@@ -156,19 +139,7 @@ def test_contrast_on_w_limit():
     assert summary.verdict_counts("unconstrained") == {"DEGENERATE": 10}
 
 
-def test_contrast_bclr_small():
-    a = bclr_limit(4)
-    summary = run_contrast_experiment(a, rank=5, seeds=range(3), max_iters=2000)
-    assert summary.verdict_counts("nonneg") == {"BOUNDED": 3}
-    assert summary.verdict_counts("unconstrained").get("DEGENERATE", 0) >= 1
-    for row in summary.rows:
-        if row.family == "nonneg":
-            assert row.final_residual_E > 1e-3
-
-
 def test_contrast_rejects_negative_input():
-    from nncp.tensor import DenseTensor
-
     with pytest.raises(ValueError):
         run_contrast_experiment(
             DenseTensor([2], [1.0, -1.0]), rank=1, seeds=[0]

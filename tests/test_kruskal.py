@@ -332,6 +332,9 @@ def test_naive_bayes_owns_its_arrays():
     assert nb.conditionals[0].tolist() == [[0.5, 0.1], [0.5, 0.9]]
     assert nb.r == 2
     assert not any(a.flags.writeable for a in (nb.prior, *nb.conditionals))
+    for arr in (nb.prior, *nb.conditionals):
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+            arr.flags.writeable = True
     with pytest.raises(AttributeError):
         nb.prior = [1.0]
 

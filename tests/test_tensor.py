@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,9 +79,21 @@ def test_immutability():
         assert arr.flags.c_contiguous and not arr.flags.writeable
         assert not t.data.flags.writeable
         assert arr.tolist() == f.tolist()
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+            arr.flags.writeable = True
     m = KruskalModel((4, 3, 3), f[0], [f, f[:3].T, f[:3]])
     for arr in (m.delta, *m.factors):
         assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+            arr.flags.writeable = True
+
+
+def test_from_array_copies_its_input_once():
+    x = np.arange(8000.0).reshape(20, 20, 20)
+    with mock.patch.object(np, "array", wraps=np.array) as copies:
+        t = DenseTensor.from_array(x)
+    assert copies.call_count == 1
+    assert t.as_array().tobytes() == x.tobytes()
 
 
 def test_equal_tensors_hash_equal():
