@@ -228,8 +228,9 @@ def random_model(shape, r, seed, nonneg=True, e_norm=1.0):
     shape = _shape(shape, "model")
     r = _integer(r, "r", least=1)
     rng = np.random.default_rng(_integer(seed, "seed", least=0))
-    if _flag(nonneg, "nonneg"):
-        e_norm = _real(e_norm, "e_norm", least=0)
+    nonneg = _flag(nonneg, "nonneg")
+    e_norm = _real(e_norm, "e_norm", least=0)
+    if nonneg:
         factors = []
         for d in shape:
             m = rng.uniform(0.1, 1.0, size=(d, r))

@@ -14,7 +14,13 @@ import pytest
 
 from nncp.diagnostics import run_contrast_experiment
 from nncp.divergence import DivergenceKind, distance
-from nncp.kruskal import KruskalModel, normalize, random_model, reconstruct
+from nncp.kruskal import (
+    KruskalModel,
+    delta_l1_equals_e_norm_check,
+    normalize,
+    random_model,
+    reconstruct,
+)
 from nncp.pathologies import bclr_a_eps, bclr_limit, kl_counterexample, w_sequence
 from nncp.solvers import FitConfig, Loss, TraceRow, fit_cp_unconstrained, fit_nncp
 from nncp.tensor import DenseTensor, add_scaled, inner, norm, outer_product
@@ -118,8 +124,8 @@ def unconstrained_fits(bclr):
 def test_criterion_01_norm_multiplicativity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1001)
-    for _ in range(500):
-        k = int(rng.integers(3, 5))
+    for i in range(550):  # the last 50 tuples are of order 2
+        k = int(rng.integers(3, 5)) if i < 500 else 2
         vectors = [rng.standard_normal(int(rng.integers(2, 7))) for _ in range(k)]
         t = outer_product(vectors)
         e = math.prod(float(np.sum(np.abs(v))) for v in vectors)
@@ -130,7 +136,7 @@ def test_criterion_01_norm_multiplicativity():
         assert abs(norm(t, "G") - g) <= 1e-12 * g
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    _ok(1, f"norm multiplicativity on 500 tuples, rel 1e-12 ({elapsed:.2f}s)")
+    _ok(1, f"norm multiplicativity on 550 tuples (50 of order 2), rel 1e-12 ({elapsed:.2f}s)")
 
 
 def test_criterion_02_hoelder_and_cauchy_schwarz():
@@ -169,10 +175,14 @@ def test_criterion_03_simplex_normalization():
         assert gap <= 1e-12 * scale
         d_l1 = float(np.sum(normed.delta))
         assert abs(d_l1 - norm(t_norm, "E")) <= 1e-10
+    for seed in range(10):
+        m = random_model((3, 4, 5), 3, seed=seed, nonneg=True, e_norm=2.5)
+        d_l1, e = delta_l1_equals_e_norm_check(m)
+        assert abs(d_l1 - e) <= 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _ok(3, f"normalization preserves reconstruction and the weight identity "
-           f"on 200 models ({elapsed:.2f}s)")
+           f"on 200 models, the identity check on 10 random models ({elapsed:.2f}s)")
 
 
 def test_criterion_04_bclr_self_consistency(bclr):
@@ -204,12 +214,12 @@ def test_criterion_04_bclr_self_consistency(bclr):
 
 
 def test_criterion_05_rank5_witness():
-    for eps in (1.0, 0.1, 0.01):
+    for eps in (1.0, 0.1, 0.01, 0.5, 1e-3):
         tensor, components = bclr_a_eps(eps)
         assert components.r == 5
         recon = reconstruct(components)
         assert np.max(np.abs(tensor.as_array() - recon.as_array())) <= 1e-12
-    _ok(5, "5-component model reconstructs A_eps at eps in {1, 0.1, 0.01}")
+    _ok(5, "5-component model reconstructs A_eps at eps in {1, 0.1, 0.01, 0.5, 1e-3}")
 
 
 def test_criterion_06_sequence_identity():
@@ -220,7 +230,8 @@ def test_criterion_06_sequence_identity():
         assert np.max(np.abs(a_n.as_array() - combo.as_array())) <= 1e-15
         gap = distance(a_n, a, DivergenceKind.E_NORM)
         assert abs(gap - (3.0 / n + 1.0 / (n * n))) <= 1e-15
-    _ok(6, "A_n = A + B/n + C/n^2 and the E-gap formula exact to 1e-15")
+        assert float(np.min(a_n.as_array())) >= 0.0
+    _ok(6, "A_n = A + B/n + C/n^2 >= 0 and the E-gap formula exact to 1e-15")
 
 
 def test_criterion_07_coercivity(bclr, contrast, rank1_runs, kl_runs, extra_fits):

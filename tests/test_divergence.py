@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nncp.divergence import DivergenceKind, bregman_from_phi, distance, kl_phi
-from nncp.pathologies import kl_counterexample, w_sequence
+from nncp.pathologies import kl_counterexample
 from nncp.tensor import DenseTensor, add_scaled, norm
 from oracles import brute_kl
 
@@ -117,20 +117,6 @@ def test_kl_boundary_pair_value():
     assert d == pytest.approx((1 + 0.1) ** 3 - 1, abs=1e-12)
     assert d == pytest.approx(brute_kl(a, x10), abs=1e-14)
     assert d == pytest.approx(0.331, abs=1e-12)
-
-
-def test_distance_e_norm_on_sequence():
-    # A_n - A = B/n + C/n^2: three entries of 1/n plus one of 1/n^2
-    seq, a, _, _ = w_sequence([10])
-    d = distance(seq[0], a, DivergenceKind.E_NORM)
-    assert d == pytest.approx(3 / 10 + 1 / 100, abs=1e-15)
-
-
-def test_distance_matches_brute_kl_randomly():
-    for seed in range(10):
-        a = positive_tensor(seed)
-        b = positive_tensor(seed + 50)
-        assert distance(a, b, KL) == pytest.approx(brute_kl(a, b), rel=1e-12)
 
 
 def test_distance_kl_matches_brute_kl_across_the_range():

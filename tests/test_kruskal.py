@@ -13,7 +13,7 @@ from nncp.kruskal import (
     reconstruct,
     to_naive_bayes,
 )
-from nncp.tensor import DenseTensor, norm
+from nncp.tensor import norm
 from oracles import brute_reconstruct, max_abs_diff
 
 
@@ -166,18 +166,6 @@ def test_rescale_reaches_a_finite_normal_form(rescale, delta, factors, weight, c
     assert [f[:, 0].tolist() for f in out.factors] == columns
 
 
-def test_normalize_preserves_reconstruction_randomly():
-    for seed in range(20):
-        m = random_model((3, 4, 5), 4, seed=seed, nonneg=True, e_norm=3.0)
-        # scramble scale so normalize has work to do
-        factors = [f * (1.5 + i) for i, f in enumerate(m.factors)]
-        scrambled = KruskalModel(m.shape, m.delta, factors)
-        t0 = reconstruct(scrambled)
-        t1 = reconstruct(normalize(scrambled))
-        g = norm(t0, "G")
-        assert np.max(np.abs(t0.as_array() - t1.as_array())) <= 1e-12 * (1 + g)
-
-
 def test_delta_l1_identity_worked_example():
     d, e = delta_l1_equals_e_norm_check(normalize(small_model()))
     assert d == pytest.approx(4.0, abs=1e-14)
@@ -187,13 +175,6 @@ def test_delta_l1_identity_worked_example():
 def test_delta_l1_identity_rank_zero():
     m = KruskalModel((2, 2), [], [np.zeros((2, 0)), np.zeros((2, 0))])
     assert delta_l1_equals_e_norm_check(m) == (0.0, 0.0)
-
-
-def test_delta_l1_identity_random():
-    for seed in range(10):
-        m = random_model((3, 4, 5), 3, seed=seed, nonneg=True, e_norm=2.5)
-        d, e = delta_l1_equals_e_norm_check(m)
-        assert abs(d - e) <= 1e-10
 
 
 def test_delta_l1_identity_requires_normalized():
@@ -358,6 +339,9 @@ def test_random_model_determinism_and_seeds():
     assert a.delta.tolist() != c.delta.tolist() or any(
         f.tolist() != g.tolist() for f, g in zip(a.factors, c.factors)
     )
+    for bad in ("x", np.nan):  # a signed model does not read e_norm, but checks it
+        with pytest.raises(ValueError, match="^e_norm must be"):
+            random_model((2, 2), 1, 0, nonneg=False, e_norm=bad)
 
 
 def test_random_model_nonneg_is_normalized():

@@ -12,7 +12,7 @@ from nncp.pathologies import (
     kl_counterexample,
     w_sequence,
 )
-from nncp.tensor import add_scaled, norm, tensor_to_json
+from nncp.tensor import norm, tensor_to_json
 
 EPS_GRID = (1.0, 0.5, 0.1, 1e-2, 1e-3)
 
@@ -34,14 +34,6 @@ def test_generators_keep_their_bits():
     for n in (4, 6):
         h.update(tensor_to_json(bclr_limit(n)).encode())
     assert h.hexdigest() == "e37d9807c20f6f19c14151035c4a65c4c626486a7af5e150b131de1c9acea999"
-
-
-def test_dual_construction_agreement():
-    for eps in EPS_GRID:
-        tensor, components = bclr_a_eps(eps)
-        assert components.r == 5
-        recon = reconstruct(components)
-        assert np.max(np.abs(tensor.as_array() - recon.as_array())) <= 1e-12
 
 
 def test_dual_construction_agreement_padded_dimension():
@@ -82,17 +74,6 @@ def test_a_eps_converges_to_limit():
     assert g_prev < 2e-3
 
 
-def test_convergence_rate_is_linear_in_eps():
-    a = bclr_limit(4)
-    eps_values = (1e-1, 1e-2, 1e-3, 1e-4)
-    gaps = []
-    for eps in eps_values:
-        tensor, _ = bclr_a_eps(eps)
-        gaps.append(distance(tensor, a, DivergenceKind.G_NORM))
-    slope = np.polyfit(np.log(eps_values), np.log(gaps), 1)[0]
-    assert 0.8 <= slope <= 1.2
-
-
 def test_gap_bounded_by_slope_estimate():
     a = bclr_limit(4)
 
@@ -126,17 +107,6 @@ def test_w_sequence_displayed_entries():
         assert float(np.min(t.as_array())) >= 0.0
     assert norm(b, "E") == 3.0
     assert norm(c, "E") == 1.0
-
-
-def test_w_sequence_identity_exact():
-    ns = (1, 2, 10, 100)
-    seq, a, b, c = w_sequence(ns)
-    for a_n, n in zip(seq, ns):
-        combo = add_scaled(add_scaled(a, b, 1.0, 1.0 / n), c, 1.0, 1.0 / (n * n))
-        assert np.max(np.abs(a_n.as_array() - combo.as_array())) <= 1e-15
-        gap = distance(a_n, a, DivergenceKind.E_NORM)
-        assert abs(gap - (3.0 / n + 1.0 / (n * n))) <= 1e-15
-        assert float(np.min(a_n.as_array())) >= 0.0
 
 
 def test_w_sequence_rejects_bad_index():

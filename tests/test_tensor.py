@@ -256,30 +256,6 @@ def test_inner_matches_brute_force_and_symmetry():
         inner(a, DenseTensor([2], [1, 2]))
 
 
-def test_multiplicativity_on_rank_one():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        k = rng.integers(2, 5)
-        vectors = [rng.standard_normal(rng.integers(2, 6)) for _ in range(k)]
-        t = outer_product(vectors)
-        e = math.prod(float(np.sum(np.abs(v))) for v in vectors)
-        f = math.prod(float(np.linalg.norm(v)) for v in vectors)
-        g = math.prod(float(np.max(np.abs(v))) for v in vectors)
-        assert abs(norm(t, "E") - e) <= 1e-12 * e
-        assert abs(norm(t, "F") - f) <= 1e-12 * f
-        assert abs(norm(t, "G") - g) <= 1e-12 * g
-
-
-def test_cauchy_schwarz_and_hoelder():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        a = DenseTensor.from_array(rng.standard_normal((2, 3, 2)))
-        b = DenseTensor.from_array(rng.standard_normal((2, 3, 2)))
-        ip = abs(inner(a, b))
-        assert ip <= norm(a, "F") * norm(b, "F")
-        assert ip <= norm(a, "E") * norm(b, "G")
-
-
 def test_norm_ordering():
     rng = np.random.default_rng(31)
     for _ in range(50):
