@@ -12,7 +12,7 @@ import sys
 
 from . import diagnostics, pathologies, solvers
 from .divergence import DivergenceKind, distance
-from .kruskal import normalize, read_model, write_model
+from .kruskal import KruskalModel, normalize, read_model, write_model
 from .solvers import FitConfig, Loss
 from .tensor import norm, read_tensor, write_tensor
 
@@ -78,29 +78,19 @@ def _cmd_decompose(args):
 
 def _cmd_pathology(args):
     if args.generator == "bclr":
-        tensor, components = pathologies.bclr_a_eps(args.epsilon, args.n)
-        write_tensor(tensor, args.out)
-        if args.components is not None:
-            write_model(components, args.components)
+        outputs = zip(pathologies.bclr_a_eps(args.epsilon, args.n), (args.out, args.components))
     elif args.generator == "bclr-limit":
-        write_tensor(pathologies.bclr_limit(args.n), args.out)
+        outputs = [(pathologies.bclr_limit(args.n), args.out)]
     elif args.generator == "w-seq":
         seq, limit, b, c = pathologies.w_sequence([args.n])
-        write_tensor(seq[0], args.out)
-        if args.limit_out is not None:
-            write_tensor(limit, args.limit_out)
-        if args.b_out is not None:
-            write_tensor(b, args.b_out)
-        if args.c_out is not None:
-            write_tensor(c, args.c_out)
-    elif args.generator == "kl-example":
-        a, x = pathologies.kl_counterexample(args.n)
+        outputs = [(seq[0], args.out), (limit, args.limit_out), (b, args.b_out), (c, args.c_out)]
+    else:
+        outputs = zip(pathologies.kl_counterexample(args.n), (args.a_out, args.x_out))
         if args.a_out is None and args.x_out is None:
             raise CliError("kl-example needs --a-out or --x-out")
-        if args.a_out is not None:
-            write_tensor(a, args.a_out)
-        if args.x_out is not None:
-            write_tensor(x, args.x_out)
+    for value, path in outputs:
+        if path is not None:
+            (write_model if isinstance(value, KruskalModel) else write_tensor)(value, path)
     return 0
 
 

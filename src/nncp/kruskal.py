@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .tensor import DenseTensor, _divided, _flag, _frozen, _integer, _json_array, _json_document
+from .tensor import DenseTensor, _divided, _flag, _frozen, _integer, _json_document
 from .tensor import _instance, _nonnegative, _read_text, _real, _scaled, _sequence, _shape
 from .tensor import _unscaled, _write_text, norm
 
@@ -257,8 +257,8 @@ def model_to_json(model):
 
 def model_from_json(text):
     shape, delta, factors = _json_document(text, "model", ("shape", "delta", "factors"))
-    delta = _json_array(delta, "model delta")
-    factors = [_json_array(f, f"model factor {i}", ndim=2)
+    delta = _frozen(delta, "model delta", ndim=1)
+    factors = [_frozen(f, f"model factor {i}", ndim=2)
                for i, f in enumerate(_sequence(factors, "model factors"))]
     return KruskalModel(shape, delta, factors)
 

@@ -19,31 +19,38 @@ import numpy as np
 NORM_KINDS = ("E", "F", "G")
 
 
-def _reals(values):
+def _reals(values, depth=64):
     """True for an ndarray of an integer or float dtype (never walked), a real
-    number that is not a bool, or a sequence (not text) of such values."""
+    number that is not a bool, or a sequence (not text) of such values nested
+    at most ``depth`` (numpy's axis limit) deep: a list that holds itself fails."""
     if isinstance(values, np.ndarray):
         return values.dtype.kind in "iuf"
     if isinstance(values, Sequence) and not isinstance(values, (str, bytes)):
-        return all(type(v) in (float, int) or _reals(v) for v in values)
+        return depth > 0 and all(type(v) in (float, int) or _reals(v, depth - 1) for v in values)
     return isinstance(values, numbers.Real) and not isinstance(values, (bool, np.bool_))
 
 
-def _frozen(values, what):
-    """Read-only float64 copy of ``values`` in C order; rejects anything
-    :func:`_reals` rejects, ragged nestings and NaN/Inf.  C order makes
-    reshapes views and pins the rounding of strided reductions.  A view of
-    the read-only copy is returned: its writeable flag cannot be set again."""
+def _frozen(values, what, ndim=None):
+    """Float64 C-ordered copy of ``values`` over an immutable ``bytes`` buffer,
+    so no level of its base chain can be made writeable; such an array is
+    shared, not copied.  Rejects what :func:`_reals` rejects, ragged nestings,
+    NaN/Inf and, given ``ndim`` (a JSON format's depth), other axis counts.
+    C order makes reshapes views and pins the rounding of strided reductions."""
     if not _reals(values):
         raise ValueError(f"{what} must be an array of real numbers")
-    try:
-        arr = np.array(values, dtype=np.float64, order="C")
-    except (ValueError, OverflowError) as exc:  # a ragged nesting; 10**400
-        raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
+    base = arr = values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not (isinstance(base, bytes) and arr.dtype == np.float64 and arr.flags.c_contiguous):
+        try:
+            arr = np.array(values, dtype=np.float64, order="C")
+        except (ValueError, OverflowError) as exc:  # a ragged nesting; 10**400
+            raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{what} must be a list nested {ndim} deep")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains NaN or Inf")
-    arr.flags.writeable = False
-    return arr.view()
+    return arr if arr is values else np.frombuffer(arr.tobytes()).reshape(arr.shape)
 
 
 def _integer(value, what, least=None):
@@ -120,7 +127,7 @@ class DenseTensor:
 
     @classmethod
     def from_array(cls, array):
-        """Build from any array-like; copies once into an immutable buffer."""
+        """Build from any array-like, copied once into an immutable buffer or shared."""
         arr = _frozen(array, "tensor data")
         _shape(arr.shape, "tensor")  # order >= 1, no dimension of 0
         tensor = cls.__new__(cls)
@@ -307,17 +314,6 @@ def _read_text(path):
         return fh.read()
 
 
-def _json_array(value, what, ndim=1):
-    """A parsed JSON value, unconverted, that must be a list nested exactly
-    ``ndim`` deep; :func:`_frozen` judges the items at the bottom."""
-    level = [value]
-    for depth in range(ndim + 1):
-        if any((type(v) is list) != (depth < ndim) for v in level):
-            raise ValueError(f"{what} must be a list nested {ndim} deep")
-        level = [x for v in level if type(v) is list for x in v]
-    return value
-
-
 def _json_document(text, what, fields):
     """The values of ``fields``, each required, in the JSON object ``text``."""
     try:
@@ -338,7 +334,7 @@ def tensor_to_json(a):
 
 def tensor_from_json(text):
     shape, data = _json_document(text, "tensor", ("shape", "data"))
-    return DenseTensor(shape, _json_array(data, "tensor data"))
+    return DenseTensor(shape, _frozen(data, "tensor data", ndim=1))
 
 
 def write_tensor(a, path):

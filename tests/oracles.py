@@ -1,6 +1,6 @@
 """Slow, loop-based reference implementations used as independent oracles,
-and the one implementation of each paper invariant that the tests check on
-fit traces.
+the one implementation of each paper invariant that the tests check on fit
+traces, and the one probe of an immutable array.
 
 Everything here works entry by entry in plain Python floats (brute_kl in
 decimal arithmetic), deliberately avoiding the vectorized code paths under
@@ -127,3 +127,17 @@ def mass_drift(cols, a_e):
     so ||delta||_1 = ||X||_E = ||A||_E."""
     return [it for it, d in zip(cols.iter[1:], cols.delta_l1[1:])
             if not abs(d - a_e) <= 1e-12 * a_e]
+
+
+def thawed(arr):
+    """The levels of ``arr``'s ``.base`` chain, ``arr`` first, whose writeable
+    flag can be set to True; none for an array that cannot be written through."""
+    levels = []
+    while hasattr(arr, "flags"):
+        try:
+            arr.flags.writeable = True
+            levels.append(arr)
+        except ValueError:
+            pass
+        arr = arr.base
+    return levels

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import inspect
 import math
 import os
@@ -41,9 +42,11 @@ def _integers(least):
 
 _NOT_REAL = [(v, "{} must be a real number") for v in (None, "1", True, np.True_, 1j)]
 _NOT_REAL += [(v, "{} must be finite") for v in (math.nan, math.inf, -math.inf)]
+_DEEP, _LOOP = functools.reduce(lambda x, _: [x], range(3000), [1.0]), []
+_LOOP.append(_LOOP)  # a list that contains itself
 _NOT_ARRAY = [(v, "{} must be an array of real numbers") for v in (
     None, "ab", {"a": 1}, [[1.0], [1.0, 2.0]], ["1.5", True], ["2"], [[True]], [1.0, None],
-    np.array([True]), [10**400])]
+    np.array([True]), [10**400], _DEEP, _LOOP)]
 _NOT_ARRAY += [(v, "{} contains NaN or Inf") for v in ([math.nan], [1.0, math.inf])]
 _BAD = {
     "tensor": _instances("DenseTensor"),

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from nncp.kruskal import (
     to_naive_bayes,
 )
 from nncp.tensor import norm
-from oracles import brute_reconstruct, max_abs_diff
+from oracles import brute_reconstruct, max_abs_diff, thawed
 
 
 def small_model():
@@ -307,15 +309,16 @@ def test_naive_bayes_validation():
 def test_naive_bayes_owns_its_arrays():
     prior = np.array([0.25, 0.75])
     cond = np.array([[0.5, 0.1], [0.5, 0.9]])
-    nb = NaiveBayesModel(prior, [cond, np.full((4, 2), 0.25)])
+    with mock.patch.object(np, "array", wraps=np.array) as copies:
+        nb = NaiveBayesModel(prior, [cond, np.full((4, 2), 0.25)])
+    assert copies.call_count == 3  # each input once; the model shares the copies
     prior[0] = cond[0, 0] = np.nan
     assert nb.prior.tolist() == [0.25, 0.75]
     assert nb.conditionals[0].tolist() == [[0.5, 0.1], [0.5, 0.9]]
     assert nb.r == 2
-    assert not any(a.flags.writeable for a in (nb.prior, *nb.conditionals))
-    for arr in (nb.prior, *nb.conditionals):
-        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
-            arr.flags.writeable = True
+    assert not any(thawed(a) for a in (nb.prior, *nb.conditionals))
+    m = random_model((3, 4), 2, seed=0)
+    assert all(c is f for c, f in zip(to_naive_bayes(m).conditionals, m.factors, strict=True))
     with pytest.raises(AttributeError):
         nb.prior = [1.0]
 

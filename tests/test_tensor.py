@@ -15,7 +15,7 @@ from nncp.tensor import (
     tensor_from_json,
     tensor_to_json,
 )
-from oracles import brute_inner, brute_norms, brute_outer, max_abs_diff
+from oracles import brute_inner, brute_norms, brute_outer, max_abs_diff, thawed
 
 
 def test_construction_validates_shape_and_length():
@@ -74,18 +74,18 @@ def test_immutability():
     assert hash(u) == before
     # F-ordered input still gives read-only C-ordered storage.
     f = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    # No level of any .base chain can be made writeable, so nothing can be
+    # written through one: not after hashing, and not into a model's sign.
     for t in (DenseTensor((4, 3), f), DenseTensor.from_array(f)):
+        before = hash(t)
         arr = t.as_array()
-        assert arr.flags.c_contiguous and not arr.flags.writeable
-        assert not t.data.flags.writeable
-        assert arr.tolist() == f.tolist()
-        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
-            arr.flags.writeable = True
+        assert arr.flags.c_contiguous and arr.tolist() == f.tolist()
+        assert not thawed(arr) and not thawed(t.data)
+        assert hash(t) == before
     m = KruskalModel((4, 3, 3), f[0], [f, f[:3].T, f[:3]])
     for arr in (m.delta, *m.factors):
-        assert arr.flags.c_contiguous and not arr.flags.writeable
-        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
-            arr.flags.writeable = True
+        assert arr.flags.c_contiguous and not thawed(arr)
+    assert m.nonneg
 
 
 def test_from_array_copies_its_input_once():
@@ -293,23 +293,33 @@ def test_json_malformed_inputs():
 _MODEL = {"shape": [2], "delta": [1.0], "factors": [[[0.5], [0.5]]]}
 
 
-@pytest.mark.parametrize(
-    "reader, doc",
-    [
-        (tensor_from_json, {"shape": [2], "data": ["1.5", 2]}),
-        (tensor_from_json, {"shape": [True, 2], "data": [1, 2]}),
-        (tensor_from_json, {"shape": {"2": 0}, "data": [1, 2]}),
-        (tensor_from_json, {"shape": [2.7], "data": [1, 2]}),
-        (model_from_json, {**_MODEL, "delta": ["1.5"]}),
-        (model_from_json, {**_MODEL, "shape": [True], "factors": [[[1.0]]]}),
-        (model_from_json, {**_MODEL, "shape": {"2": 0}}),
-        (model_from_json, {**_MODEL, "shape": [2.7]}),
-        (model_from_json, {**_MODEL, "factors": [[["0.5"], [0.5]]]}),
-        (model_from_json, {**_MODEL, "factors": {"0": [[0.5], [0.5]]}}),
-    ],
-)
-def test_json_readers_reject_non_numbers(reader, doc):
-    with pytest.raises(ValueError):
+_JSON_CASES = [  # (reader, document, message); the ids are reader-doc<row>
+    (tensor_from_json, {"shape": [2], "data": ["1.5", 2]},
+     "tensor data must be an array of real numbers"),
+    (tensor_from_json, {"shape": [True, 2], "data": [1, 2]}, "tensor dimension must be an integer"),
+    (tensor_from_json, {"shape": {"2": 0}, "data": [1, 2]}, "tensor shape must be a sequence"),
+    (tensor_from_json, {"shape": [2.7], "data": [1, 2]}, "tensor dimension must be an integer"),
+    (model_from_json, {**_MODEL, "delta": ["1.5"]}, "model delta must be an array of real numbers"),
+    (model_from_json, {**_MODEL, "shape": [True], "factors": [[[1.0]]]},
+     "model dimension must be an integer"),
+    (model_from_json, {**_MODEL, "shape": {"2": 0}}, "model shape must be a sequence"),
+    (model_from_json, {**_MODEL, "shape": [2.7]}, "model dimension must be an integer"),
+    (model_from_json, {**_MODEL, "factors": [[["0.5"], [0.5]]]},
+     "model factor 0 must be an array of real numbers"),
+    (model_from_json, {**_MODEL, "factors": {"0": [[0.5], [0.5]]}},
+     "model factors must be a sequence"),
+    (tensor_from_json, {"shape": [2], "data": [[1, 2]]},
+     "tensor data must be a list nested 1 deep"),
+    (model_from_json, {**_MODEL, "delta": [[1.0]]}, "model delta must be a list nested 1 deep"),
+    (model_from_json, {**_MODEL, "factors": [[[[0.5]], [[0.5]]]]},
+     "model factor 0 must be a list nested 2 deep"),
+]
+
+
+@pytest.mark.parametrize("reader, doc, message", _JSON_CASES,
+                         ids=[f"{c[0].__name__}-doc{i}" for i, c in enumerate(_JSON_CASES)])
+def test_json_readers_reject_non_numbers(reader, doc, message):
+    with pytest.raises(ValueError, match="^" + message):
         reader(json.dumps(doc))
 
 
