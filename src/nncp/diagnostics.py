@@ -39,8 +39,7 @@ class DegeneracyThresholds:
 
     def __post_init__(self):
         for name in ("blowup_ratio", "residual_factor"):
-            if not _real(getattr(self, name), name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            _real(getattr(self, name), name, above=0)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def reconstruct(model):
     one-entry case of the kernels, W^(0) diag(delta) K^T reshaped."""
     factors = [f[None] for f in _instance(model, "model", KruskalModel).factors]
     x = _reconstruct(factors[0] * model.delta, _khatri_rao(factors, 0))
-    return DenseTensor.from_array(x.reshape(model.shape))
+    return DenseTensor(model.shape, x)
 
 
 def _rescale_columns(model, column_scales):

@@ -67,9 +67,7 @@ def bclr_a_eps(epsilon, n=4):
     reconstructing the model must reproduce the tensor; tests use this as the
     construction's self-oracle.
     """
-    epsilon = _real(epsilon, "epsilon")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
+    epsilon = _real(epsilon, "epsilon", above=0)
     if np.isinf(1.0 / epsilon):
         raise ValueError("epsilon too small for a float reciprocal")
     n = _integer(n, "n", least=4)

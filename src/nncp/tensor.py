@@ -66,8 +66,8 @@ def _integer(value, what, least=None):
     return value
 
 
-def _real(value, what, least=None):
-    """``value`` as a float: a real number, not a bool, finite and >= ``least``."""
+def _real(value, what, least=None, above=None):
+    """``value`` as a float: a real number, not a bool, finite, >= ``least``, > ``above``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     value = float(value)
@@ -75,6 +75,8 @@ def _real(value, what, least=None):
         raise ValueError(f"{what} must be finite")
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}")
+    if above is not None and not value > above:
+        raise ValueError(f"{what} must be > {above}")
     return value
 
 
@@ -127,12 +129,9 @@ class DenseTensor:
 
     @classmethod
     def from_array(cls, array):
-        """Build from any array-like, copied once into an immutable buffer or shared."""
+        """Build from any array-like through the constructor: one immutable copy, or shared."""
         arr = _frozen(array, "tensor data")
-        _shape(arr.shape, "tensor")  # order >= 1, no dimension of 0
-        tensor = cls.__new__(cls)
-        object.__setattr__(tensor, "_array", arr)
-        return tensor
+        return cls(arr.shape, arr)
 
     @classmethod
     def zeros(cls, shape):
@@ -215,13 +214,13 @@ def outer_product(vectors):
         if a.size == 0:
             raise ValueError(f"vector {i} is empty")
         arrs.append(a)
-    out = arrs[0]
+    out = arrs[0]  # flat, the last vector's index fastest: numpy's axis limit never bites
     with np.errstate(over="ignore", invalid="ignore"):
         for a in arrs[1:]:
-            out = np.multiply.outer(out, a)
+            out = np.multiply.outer(out, a).reshape(-1)
     if not np.all(np.isfinite(out)):
         raise ValueError("the outer product is not finite")
-    return DenseTensor.from_array(out)
+    return DenseTensor([a.size for a in arrs], out)
 
 
 def add_scaled(a, b, lam, mu):

@@ -311,8 +311,6 @@ def test_fit_als_validation():
     a = rank1_target(seed=1)
     with pytest.raises(ValueError):
         fit_cp_unconstrained(a, FitConfig(rank=1, nonneg=True))
-    with pytest.raises(ValueError):
-        fit_cp_unconstrained(a, FitConfig(rank=1, nonneg=False, loss=Loss.KL))
 
 
 def test_fit_als_bclr_degenerate_path():

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nncp.kruskal import KruskalModel, model_from_json
+from nncp.kruskal import KruskalModel, model_from_json, random_model, reconstruct
 from nncp.tensor import (
     DenseTensor,
     add_scaled,
@@ -41,15 +41,18 @@ def _numpy_axis_limit():
 
 def test_order_above_numpys_axis_limit_fails_at_the_tensor():
     # One axis more than numpy supports is the tensor's own error, whether
-    # the shape comes to the constructor or through JSON.
+    # the shape comes to the constructor, through JSON, from an outer product
+    # or from a reconstruction.
     top = _numpy_axis_limit()
     assert DenseTensor([1] * top, [2.0]).order == top
     for order in sorted({top + 1, 65}):
-        with pytest.raises(ValueError, match=f"^tensor order {order} exceeds"):
-            DenseTensor([1] * order, [1.0])
         doc = json.dumps({"shape": [1] * order, "data": [1.0]})
-        with pytest.raises(ValueError, match=f"^tensor order {order} exceeds"):
-            tensor_from_json(doc)
+        for build in (lambda: DenseTensor([1] * order, [1.0]),
+                      lambda: tensor_from_json(doc),
+                      lambda: outer_product([[1.0]] * order),
+                      lambda: reconstruct(random_model((1,) * order, 1, 0))):
+            with pytest.raises(ValueError, match=f"^tensor order {order} exceeds"):
+                build()
 
 
 def test_order_one_tensor_allowed():
@@ -102,6 +105,9 @@ def test_equal_tensors_hash_equal():
     assert len({pos, neg}) == 1
     assert math.copysign(1.0, neg[0]) == -1.0  # the stored data keeps its sign
     assert pos != DenseTensor([2, 1], [0.0, 1.0])
+    # Against anything that is not a tensor, == defers to the other side.
+    assert DenseTensor([1], [1.0]) != 1.0
+    assert (DenseTensor([1], [1.0]) == [1.0]) is False
 
 
 def test_repr_of_a_small_tensor_rebuilds_it_bit_for_bit():
