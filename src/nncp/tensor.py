@@ -30,27 +30,28 @@ def _reals(values, depth=64):
     return isinstance(values, numbers.Real) and not isinstance(values, (bool, np.bool_))
 
 
+class _Judged(bytes):
+    """The buffer of each array :func:`_frozen` returns; a view's base is the array."""
+
+
 def _frozen(values, what, ndim=None):
-    """Float64 C-ordered copy of ``values`` over an immutable ``bytes`` buffer,
-    so no level of its base chain can be made writeable; such an array is
-    shared, not copied.  Rejects what :func:`_reals` rejects, ragged nestings,
-    NaN/Inf and, given ``ndim`` (a JSON format's depth), other axis counts.
-    C order makes reshapes views and pins the rounding of strided reductions."""
+    """A float64 C-ordered copy of ``values`` (reshapes are views, strided sums
+    round alike) over an immutable :class:`_Judged` buffer that no base level can
+    thaw; such an array is shared as it is.  Rejects what :func:`_reals` rejects,
+    ragged nestings, NaN/Inf and, given ``ndim`` (a JSON depth), other axis counts."""
+    if isinstance(getattr(values, "base", None), _Judged):
+        return values
     if not _reals(values):
         raise ValueError(f"{what} must be an array of real numbers")
-    base = arr = values
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if not (isinstance(base, bytes) and arr.dtype == np.float64 and arr.flags.c_contiguous):
-        try:
-            arr = np.array(values, dtype=np.float64, order="C")
-        except (ValueError, OverflowError) as exc:  # a ragged nesting; 10**400
-            raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
+    try:
+        arr = np.array(values, dtype=np.float64, order="C")
+    except (ValueError, OverflowError) as exc:  # a ragged nesting; 10**400
+        raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{what} must be a list nested {ndim} deep")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains NaN or Inf")
-    return arr if arr is values else np.frombuffer(arr.tobytes()).reshape(arr.shape)
+    return np.ndarray(arr.shape, buffer=_Judged(arr))
 
 
 def _integer(value, what, least=None):

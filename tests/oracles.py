@@ -61,6 +61,22 @@ def brute_reconstruct(model):
     return out
 
 
+def cancellation(model):
+    """kappa_E = ||X||_E / sum_k |delta_k| prod_n ||w_k^(n)||_1 of the model's
+    reconstruction X, by explicit loops over its entries and rank-1 terms: 1
+    where no terms cancel (the paper's identity ||delta||_1 = ||X||_E for every
+    normalized nonnegative model), towards 0 as they do; 1.0 for a model whose
+    terms carry no mass, one with no components included."""
+    mass = 0.0
+    for p in range(model.r):
+        term = abs(float(model.delta[p]))
+        for f in model.factors:
+            term *= sum(abs(x) for x in f[:, p].tolist())
+        mass += term
+    e_norm = sum(abs(x) for x in brute_reconstruct(model).values())
+    return e_norm / mass if mass else 1.0
+
+
 def brute_kl(a, b):
     """Termwise generalized KL divergence; +inf on unmatched support.  Each
     term x ln(x/y) + (y - x) is evaluated in 60-digit decimal arithmetic from

@@ -6,6 +6,7 @@ seed lists are deterministic, so reruns must reproduce them byte for byte.
 """
 
 import hashlib
+import itertools
 import math
 import time
 
@@ -20,11 +21,12 @@ from nncp.kruskal import (
     normalize,
     random_model,
     reconstruct,
+    to_naive_bayes,
 )
 from nncp.pathologies import bclr_a_eps, bclr_limit, kl_counterexample, w_sequence
 from nncp.solvers import FitConfig, Loss, TraceRow, fit_cp_unconstrained, fit_nncp
 from nncp.tensor import DenseTensor, add_scaled, inner, norm, outer_product
-from oracles import mass_drift, objective_rises, over_cap, over_frobenius_cap
+from oracles import cancellation, mass_drift, objective_rises, over_cap, over_frobenius_cap
 
 # Pinned seed window for the contrast regression (criterion 8).  Roughly half
 # of all ALS runs on this tensor lock onto a bounded local minimum instead of
@@ -157,7 +159,8 @@ def test_criterion_02_hoelder_and_cauchy_schwarz():
     _ok(2, f"Cauchy-Schwarz and Hoelder on 500 pairs, no violations ({elapsed:.2f}s)")
 
 
-def test_criterion_03_simplex_normalization():
+def test_criterion_03_simplex_normalization(rank1_runs, kl_runs, extra_fits,
+                                             unconstrained_fits):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1003)
     for _ in range(200):
@@ -179,10 +182,17 @@ def test_criterion_03_simplex_normalization():
         m = random_model((3, 4, 5), 3, seed=seed, nonneg=True, e_norm=2.5)
         d_l1, e = delta_l1_equals_e_norm_check(m)
         assert abs(d_l1 - e) <= 1e-10
+    # The identity on fitted models: no nonnegative fit's terms cancel.
+    nonneg = [result.model for _, _, result in [*rank1_runs, *kl_runs, *extra_fits]]
+    drift = max(abs(cancellation(m) - 1.0) for m in nonneg)
+    assert len(nonneg) == 26 and drift <= 1e-12
+    signed = ", ".join(f"{cancellation(result.model):.3g}" for _, _, result in unconstrained_fits)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _ok(3, f"normalization preserves reconstruction and the weight identity "
-           f"on 200 models, the identity check on 10 random models ({elapsed:.2f}s)")
+           f"on 200 models, the identity check on 10 random models, kappa_E within "
+           f"{drift:.1e} of 1 on {len(nonneg)} nonnegative fits; the signed fits' "
+           f"kappa_E {signed} ({elapsed:.2f}s)")
 
 
 def test_criterion_04_bclr_self_consistency(bclr):
@@ -324,8 +334,23 @@ def test_criterion_11_generative_recovery(rank1_runs, kl_runs):
     kl_hits = sum(result.final_objective <= 1e-8 for _, _, result in kl_runs)
     assert rank1_hits >= 9
     assert kl_hits >= 9
+    # Each fit's naive-Bayes parameters against its generator's, up to the
+    # order of the two components: max abs error over the prior and conditionals.
+    errors, bounded = {}, 0
+    for (data_seed, _), (_, _, result) in zip(KL_SEEDS, kl_runs, strict=True):
+        fit = to_naive_bayes(result.model)
+        true = to_naive_bayes(random_model((3, 4, 5), 2, data_seed, nonneg=True, e_norm=1.0))
+        pairs = list(zip((fit.prior, *fit.conditionals), (true.prior, *true.conditionals)))
+        errors[data_seed] = min(max(float(np.max(np.abs(x[..., list(order)] - y)))
+                                    for x, y in pairs)
+                                for order in itertools.permutations(range(2)))
+        if result.final_objective <= 1e-12:
+            assert errors[data_seed] <= 100 * math.sqrt(result.final_objective)
+            bounded += 1
     _ok(11, f"rank-1 recovery {rank1_hits}/10, KL naive-Bayes recovery "
-            f"{kl_hits}/10 (>= 9 required)")
+            f"{kl_hits}/10 (>= 9 required); naive-Bayes error <= 100 sqrt(objective) "
+            f"on the {bounded} fits with objective <= 1e-12, seed 100 error "
+            f"{errors[100]:.2g} at objective {kl_runs[0][2].final_objective:.3g}")
 
 
 def test_criterion_12_determinism(bclr, contrast, rank1_runs, kl_runs):

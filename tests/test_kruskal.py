@@ -309,16 +309,21 @@ def test_naive_bayes_validation():
 def test_naive_bayes_owns_its_arrays():
     prior = np.array([0.25, 0.75])
     cond = np.array([[0.5, 0.1], [0.5, 0.9]])
-    with mock.patch.object(np, "array", wraps=np.array) as copies:
+    with (mock.patch.object(np, "array", wraps=np.array) as copies,
+          mock.patch.object(np, "isfinite", wraps=np.isfinite) as passes):
         nb = NaiveBayesModel(prior, [cond, np.full((4, 2), 0.25)])
-    assert copies.call_count == 3  # each input once; the model shares the copies
+    # Each input is copied and judged once; the model shares the copies.
+    assert copies.call_count == passes.call_count == 3
     prior[0] = cond[0, 0] = np.nan
     assert nb.prior.tolist() == [0.25, 0.75]
     assert nb.conditionals[0].tolist() == [[0.5, 0.1], [0.5, 0.9]]
     assert nb.r == 2
     assert not any(thawed(a) for a in (nb.prior, *nb.conditionals))
     m = random_model((3, 4), 2, seed=0)
-    assert all(c is f for c, f in zip(to_naive_bayes(m).conditionals, m.factors, strict=True))
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as passes:
+        nb = to_naive_bayes(m)
+    assert passes.call_count == 1  # the new prior alone
+    assert all(c is f for c, f in zip(nb.conditionals, m.factors, strict=True))
     with pytest.raises(AttributeError):
         nb.prior = [1.0]
 

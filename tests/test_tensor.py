@@ -89,14 +89,24 @@ def test_immutability():
     for arr in (m.delta, *m.factors):
         assert arr.flags.c_contiguous and not thawed(arr)
     assert m.nonneg
+    # An array over a caller's bytes was not judged by nncp: it is judged and copied.
+    b = np.frombuffer(np.arange(6.0).tobytes())
+    assert not np.shares_memory(DenseTensor.from_array(b).as_array(), b)
+    with pytest.raises(ValueError, match="^tensor data contains NaN or Inf"):
+        DenseTensor.from_array(np.frombuffer(np.array([math.nan]).tobytes()))
 
 
 def test_from_array_copies_its_input_once():
     x = np.arange(8000.0).reshape(20, 20, 20)
-    with mock.patch.object(np, "array", wraps=np.array) as copies:
+    with (mock.patch.object(np, "array", wraps=np.array) as copies,
+          mock.patch.object(np, "isfinite", wraps=np.isfinite) as passes):
         t = DenseTensor.from_array(x)
-    assert copies.call_count == 1
+    assert copies.call_count == passes.call_count == 1  # the constructor shares the copy
     assert t.as_array().tobytes() == x.tobytes()
+    text = tensor_to_json(t)
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as passes:
+        assert tensor_from_json(text) == t
+    assert passes.call_count == 1
 
 
 def test_equal_tensors_hash_equal():
