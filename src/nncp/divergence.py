@@ -50,10 +50,10 @@ def _kl_rows(a):
         # take() keeps each row contiguous, so it sums as a flat array does;
         # on a support of every entry each row of b already is its take().
         # log a - log b rather than log(a/b): the ratio can overflow when b is
-        # tiny.  The last add is on Python floats.
+        # tiny.  The last add is one IEEE add per row, as on Python floats.
         bv = b if everywhere else b.take(pos, axis=1)
-        terms = np.add.reduce(av * (log_a - np.log(bv)), axis=1).tolist()
-        return [m + t for m, t in zip((np.add.reduce(b, axis=1) - a_sum).tolist(), terms)]
+        terms = np.add.reduce(av * (log_a - np.log(bv)), axis=1)
+        return ((np.add.reduce(b, axis=1) - a_sum) + terms).tolist()
 
     return rows
 

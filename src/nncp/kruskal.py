@@ -10,6 +10,7 @@ unit-E-norm model into a naive-Bayes joint distribution.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -83,18 +84,29 @@ def _unfoldings(arr):
     return [np.moveaxis(arr, n, 0).reshape(d, -1) for n, d in enumerate(arr.shape)]
 
 
-def _khatri_rao(factors, n):
+def _gather_rows(shape, n):
+    """For each mode other than n, in order, the index of its row in each row
+    of :func:`_khatri_rao` (the last mode fastest), as a contiguous array (a
+    take over strided indices is slower); none at order 1."""
+    dims = shape[:n] + shape[n + 1:]
+    if not dims:
+        return []
+    return [np.ascontiguousarray(i) for i in np.unravel_index(np.arange(math.prod(dims)), dims)]
+
+
+def _khatri_rao(factors, n, rows):
     """The (S, size/d_n, r) Khatri-Rao product of the stacks other than
-    factors[n], its rows running over those modes in order, the last
-    fastest; of no stacks (order 1), a row of ones."""
+    factors[n], given their :func:`_gather_rows`: each stack's rows gathered
+    with one take and multiplied in place in mode order, the same products,
+    bit for bit, as broadcasting each stack against the running product; of
+    no stacks (order 1), a row of ones."""
     others = factors[:n] + factors[n + 1:]
     if not others:
         s, _, r = factors[n].shape
         return np.ones((s, 1, r))
-    kr = others[0]
-    for f in others[1:]:
-        s, d, r = f.shape
-        kr = (kr[:, :, None, :] * f[:, None, :, :]).reshape(s, kr.shape[1] * d, r)
+    kr = others[0].take(rows[0], axis=1)
+    for f, i in zip(others[1:], rows[1:]):
+        kr *= f.take(i, axis=1)
     return kr
 
 
@@ -108,7 +120,8 @@ def reconstruct(model):
     """Dense tensor sum_p delta_p * (outer product of factor columns p): the
     one-entry case of the kernels, W^(0) diag(delta) K^T reshaped."""
     factors = [f[None] for f in _instance(model, "model", KruskalModel).factors]
-    x = _reconstruct(factors[0] * model.delta, _khatri_rao(factors, 0))
+    kr = _khatri_rao(factors, 0, _gather_rows(model.shape, 0))
+    x = _reconstruct(factors[0] * model.delta, kr)
     return DenseTensor(model.shape, x)
 
 

@@ -20,15 +20,18 @@ and owns the sweeps, the stop rule, the trace rows, the coercivity check and
 the packaging.  The driver reconstructs X once per sweep; the objective, the
 trace row and the next sweep's first KL update all read that one
 reconstruction.  It caches each factor's Gram (for KL its column sums),
-refreshed after its update.
+refreshed after its update.  For KL the reconstruction is floored at
+KL_SOLVER_FLOOR once, in place, after the residual is taken, and each KL
+ratio A/X is written over its own fresh reconstruction.
 
 The driver fits a batch of stack entries, each a seed and a family (MU or ALS;
 the contrast experiment fits both Frobenius families as one batch).  Every
 factor is an (S, d_i, r) stack with one matrix per entry, so one matmul, ufunc
 or LAPACK call serves all S entries, and a single fit is a batch of one.  The
 MU entries come first; each mode update passes an all-MU stack to the MU tail
-whole, or else each family's contiguous slice to its tail, which writes it
-into one fresh C-ordered stack.  Per-entry events (a failed start, a signed
+directly, or else each family's contiguous slice to its tail, which writes it
+into one fresh C-ordered stack.  The MU tail divides and multiplies in place
+into the fresh MTTKRP.  Per-entry events (a failed start, a signed
 target's for MU included, the stop rule, the finiteness of the trace, the MU
 coercivity check, a ridge note, a failed solve, a model with no normal form)
 concern one entry.  One flush and one retire end every started entry: the
@@ -41,7 +44,10 @@ every shape (modes of size 1 and order 1 included).
 The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
 are batched matmuls with the Khatri-Rao product K of the factors other than
 W^(n), one fixed-shape product per stack entry whatever S is, so the batch
-never changes a seed's summation order.  Each mode update builds its K once;
+never changes a seed's summation order.  K is gathered: each other factor's
+rows are taken along index arrays built once per fit and multiplied in place
+in mode order, the same products, bit for bit, as broadcasting each factor
+against the running product.  Each mode update builds its K once;
 its MTTKRP (matricized tensor times Khatri-Rao product) is A_(n) @ K, the
 unfoldings A_(n) built once per fit.  The reconstruction after a sweep is
 W^(0) K^T, whose K the next mode-0 update reuses; it and the residual stay
@@ -84,8 +90,10 @@ X_(n) = W^(n) K^T (K the Khatri-Rao product of the other factors):
   KL:         W^(n) <- W^(n) * ((A/X)_(n) K) / (1_(n) K),
               1_(n) K the product of the other factors' column sums.
 
-Both denominators are floored at 1e-12; each mode update majorizes its block
-subproblem, so full sweeps decrease the loss (to floor-level slack).
+Both denominators are floored at 1e-12 (the KL one as the (S, r) product,
+before it broadcasts over the rows); each mode update majorizes its block
+subproblem, so full sweeps decrease the loss (to floor-level slack).  The KL
+update of mode n is the EM step of the naive-Bayes prior and conditional n.
 """
 
 import enum
@@ -99,7 +107,7 @@ from numpy.linalg import _umath_linalg  # the gufuncs np.linalg.cholesky and sol
 
 from .divergence import _kl_rows
 from .kruskal import KruskalModel, l2_normalize, normalize, random_model, reconstruct
-from .kruskal import _khatri_rao, _reconstruct, _unfoldings
+from .kruskal import _gather_rows, _khatri_rao, _reconstruct, _unfoldings
 from .tensor import _csv_text, _flag, _instance, _integer, _nonnegative, _real, _sequence
 from .tensor import _write_text, norm
 
@@ -221,14 +229,6 @@ def _factor_stat(f, kl):
     return np.add.reduce(f, axis=1) if kl else np.ascontiguousarray(f.transpose(0, 2, 1)) @ f
 
 
-def _product_of_others(stats, n):
-    others = stats[:n] + stats[n + 1:]
-    out = others[0] if others else np.ones_like(stats[n])
-    for st in others[1:]:
-        out = out * st
-    return out
-
-
 def _per_seed_sum(x):
     # A reduction over every axis but the first sums each seed's entries in
     # memory order, as np.sum does for one array.
@@ -238,14 +238,13 @@ def _per_seed_sum(x):
 def _loss(a0, loss, rho):
     """The loss against the mode-0 unfolding ``a0`` of the target as
     ``f(x, resid, factors)``, one float per seed, for stacks ``x`` and
-    ``resid`` of mode-0 unfoldings; KL is D_KL(a, max(x, KL_SOLVER_FLOOR))
-    with a's terms fixed."""
+    ``resid`` of mode-0 unfoldings; KL is D_KL(a, x) with a's terms fixed, of
+    an ``x`` already floored at KL_SOLVER_FLOOR."""
     if loss is Loss.KL:
         kl_rows = _kl_rows(a0)
+        return lambda x, resid, factors: kl_rows(x.reshape(len(x), -1))
 
     def per_seed(x, resid, factors):
-        if loss is Loss.KL:
-            return kl_rows(np.maximum(x.reshape(len(x), -1), KL_SOLVER_FLOOR))
         val = _per_seed_sum(resid * resid)
         if rho > 0:
             val = val + rho * sum(_per_seed_sum(f * f) for f in factors)
@@ -275,7 +274,8 @@ def objective(a, model, loss, reg_rho=0.0):
     a0 = a.as_array().reshape(a.shape[0], -1)
     x = reconstruct(model).as_array().reshape(1, *a0.shape)
     factors = [f[None] for f in model.factors]
-    return _loss(a0, loss, reg_rho)(x, a0 - x, factors)[0]
+    # The KL loss reads X floored; the Frobenius loss reads only the residual.
+    return _loss(a0, loss, reg_rho)(np.maximum(x, KL_SOLVER_FLOOR), a0 - x, factors)[0]
 
 
 @np.errstate(over="ignore")  # a cap beyond the double range is inf
@@ -345,6 +345,10 @@ def _fit_batch(a, cfg, entries):
     a_arr = a.as_array()
     a_e = norm(a, "E")
     kl, rho = cfg.loss is Loss.KL, cfg.reg_rho
+    max_iters, tol, trace_every = cfg.max_iters, cfg.tol, cfg.trace_every
+    modes = range(a_arr.ndim)
+    rows = [_gather_rows(a_arr.shape, n) for n in modes]  # of each mode's Khatri-Rao product
+    others = [[i for i in modes if i != n] for n in modes]
     # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support;
     # the loss and residual_E read unfold[0], whose +0.0s change none of their bits.
     unfold = _unfoldings(a_arr + 0.0 if kl else a_arr)
@@ -397,7 +401,7 @@ def _fit_batch(a, cfg, entries):
                         f"coercivity bound violated at iteration {its[k]}: "
                         f"{dl1[j][k]} > {a_e + res_e[j][k]}"
                     )
-                if stop or its[-1] == cfg.max_iters:
+                if stop or its[-1] == max_iters:
                     raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in fs[-1]])
                     model = _sort_by_weight((normalize if nonneg[j] else l2_normalize)(raw))
                     ended[j] = FitResult(model, traces[j], stop, seed_objs[-1])
@@ -419,9 +423,9 @@ def _fit_batch(a, cfg, entries):
         return keep
 
     def update(w, prod, mt):
+        """The update of a stack with ALS entries: each family's tail writes
+        its slice of one fresh stack."""
         split = nonneg.count(True)
-        if split == len(w):
-            return _mu_tail(w, prod, mt, kl, rho)
         new = np.empty(w.shape)
         if split:
             _mu_tail(w[:split], prod[:split], mt[:split], kl, rho, new[:split])
@@ -432,37 +436,47 @@ def _fit_batch(a, cfg, entries):
             ended[split + j] = exc
         return new
 
-    for it in range(cfg.max_iters + 1):
+    for it in range(max_iters + 1):
         if it > 0:
-            for n in range(len(factors)):
-                kr = kr0 if n == 0 else _khatri_rao(factors, n)
-                if kl:  # (A/X)_(n) K, with X_(n) = W^(n) K^T
-                    x = x0 if n == 0 else _reconstruct(factors[n], kr)
-                    mt = (unfold[n] / np.maximum(x, KL_SOLVER_FLOOR)) @ kr
+            for n in modes:
+                kr = kr0 if n == 0 else _khatri_rao(factors, n, rows[n])
+                if kl:  # (A/X)_(n) K, X_(n) = W^(n) K^T floored; the ratio overwrites X
+                    x = x0
+                    if n:
+                        x = _reconstruct(factors[n], kr)
+                        np.maximum(x, KL_SOLVER_FLOOR, out=x)
+                    mt = np.divide(unfold[n], x, out=x) @ kr
                 else:
                     mt = unfold[n] @ kr
-                prod = _product_of_others(stats, n)
-                factors[n] = update(factors[n], prod, mt)
+                rest = others[n]
+                prod = stats[rest[0]] if rest else np.ones_like(stats[n])
+                for i in rest[1:]:
+                    prod = prod * stats[i]
+                w = factors[n]  # the MU entries come first: an all-MU stack ends with one
+                factors[n] = _mu_tail(w, prod, mt, kl, rho) if nonneg[-1] else update(w, prod, mt)
                 stats[n] = _factor_stat(factors[n], kl)
                 if ended and not retire():
                     return out
-        kr0 = _khatri_rao(factors, 0)
+        kr0 = _khatri_rao(factors, 0, rows[0])
         x0 = _reconstruct(factors[0], kr0)
         resid = unfold[0] - x0
+        if kl:  # the loss and the next sweep's mode-0 ratio read X floored
+            np.maximum(x0, KL_SOLVER_FLOOR, out=x0)
         objs = loss(x0, resid, factors)
-        last = it == cfg.max_iters
-        traced = last or it % cfg.trace_every == 0
+        last = it == max_iters
+        traced = last or it % trace_every == 0
         # Relative decrease over the trailing window; a full window starts
         # with the objectives of iteration it - STOP_WINDOW.
         stops = [False] * len(objs)
-        if cfg.tol > 0:
+        if tol > 0:
             if len(window) == STOP_WINDOW:
                 ref = window.pop(0)
-                stops = [(r - o) / max(abs(r), 1e-300) < cfg.tol for r, o in zip(ref, objs)]
+                stops = [(r - o) / max(abs(r), 1e-300) < tol for r, o in zip(ref, objs)]
             window.append(objs)
         stopping = True in stops
         if traced or stopping:
-            res_e = np.add.reduce(np.abs(resid), axis=(1, 2))  # resid is (S, d0, size/d0)
+            # resid is (S, d0, size/d0); the loss has read it
+            res_e = np.add.reduce(np.abs(resid, out=resid), axis=(1, 2))
             block.append((it, objs, res_e, tuple(factors), traced, stops))
             full = len(block) == TRACE_BLOCK
             # A seed whose objective is not finite ends at this iteration.
@@ -496,15 +510,18 @@ def _init_signed(a, cfg):
 
 
 def _mu_tail(w, prod, mt, kl, rho, out=None):
-    """The MU update of the stack ``w`` (into ``out`` if given) from ``prod``,
-    the other factors' Grams' product (column sums for KL), and the MTTKRP."""
-    if kl:
-        den = prod[:, None, :]
+    """The MU update of the stack ``w`` from ``prod``, the other factors'
+    Grams' product (column sums for KL), and the fresh MTTKRP ``mt``, which it
+    overwrites: the new stack is ``out`` if given, else ``mt``."""
+    if kl:  # the (S, r) product is floored before it broadcasts over d
+        den = np.maximum(prod, DEN_FLOOR)[:, None, :]
     else:
         den = w @ prod
         if rho > 0:
             den = den + rho * w
-    return np.multiply(w, mt / np.maximum(den, DEN_FLOOR), out=out)
+        np.maximum(den, DEN_FLOOR, out=den)
+    np.divide(mt, den, out=mt)
+    return np.multiply(w, mt, out=mt if out is None else out)
 
 
 def _singular(err, flag):

@@ -31,27 +31,35 @@ def _reals(values, depth=64):
 
 
 class _Judged(bytes):
-    """The buffer of each array :func:`_frozen` returns; a view's base is the array."""
+    """The buffer of each array :func:`_judged` returns; a view's base is the array."""
+
+
+def _judged(arr):
+    """An immutable copy of the float64 C-ordered array ``arr`` over a
+    :class:`_Judged` buffer that no base level can thaw, which :func:`_frozen`
+    shares as it is: only for an array whose entries are known to be finite."""
+    return np.ndarray(arr.shape, buffer=_Judged(arr))
 
 
 def _frozen(values, what, ndim=None):
     """A float64 C-ordered copy of ``values`` (reshapes are views, strided sums
-    round alike) over an immutable :class:`_Judged` buffer that no base level can
-    thaw; such an array is shared as it is.  Rejects what :func:`_reals` rejects,
-    ragged nestings, NaN/Inf and, given ``ndim`` (a JSON depth), other axis counts."""
+    round alike) made by :func:`_judged`; such an array is shared as it is.
+    Rejects what :func:`_reals` rejects, ragged nestings, NaN/Inf and, given
+    ``ndim`` (a JSON depth), other axis counts."""
     if isinstance(getattr(values, "base", None), _Judged):
         return values
     if not _reals(values):
         raise ValueError(f"{what} must be an array of real numbers")
-    try:
-        arr = np.array(values, dtype=np.float64, order="C")
+    try:  # copy=None: a float64 C-ordered array is copied once, by _judged
+        arr = np.array(values, dtype=np.float64, order="C", copy=None)
     except (ValueError, OverflowError) as exc:  # a ragged nesting; 10**400
         raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{what} must be a list nested {ndim} deep")
-    if not np.all(np.isfinite(arr)):
+    frozen = _judged(arr)  # judge the stored copy: arr may still be the caller's array
+    if not np.all(np.isfinite(frozen)):
         raise ValueError(f"{what} contains NaN or Inf")
-    return np.ndarray(arr.shape, buffer=_Judged(arr))
+    return frozen
 
 
 def _integer(value, what, least=None):
@@ -221,7 +229,7 @@ def outer_product(vectors):
             out = np.multiply.outer(out, a).reshape(-1)
     if not np.all(np.isfinite(out)):
         raise ValueError("the outer product is not finite")
-    return DenseTensor([a.size for a in arrs], out)
+    return DenseTensor([a.size for a in arrs], _judged(out))
 
 
 def add_scaled(a, b, lam, mu):
@@ -233,7 +241,7 @@ def add_scaled(a, b, lam, mu):
         out = lam * a.as_array() + mu * b.as_array()
     if not np.all(np.isfinite(out)):
         raise ValueError("the combination lam*a + mu*b is not finite")
-    return DenseTensor.from_array(out)
+    return DenseTensor(a.shape, _judged(out))
 
 
 def _scaled(x, reduction, axis=None):

@@ -96,6 +96,56 @@ def brute_kl(a, b):
     return float(total)
 
 
+def em_naive_bayes(a, prior, conditionals, sweeps):
+    """The generalized KL divergence D_KL(A, max(X, 1e-300)) of the tensor A
+    from its naive-Bayes model X, at the start and after each of ``sweeps``
+    EM sweeps, by explicit loops over the entries and the classes.
+
+    X[j] = sum_p prior[p] prod_i conditionals[i][j_i][p]: ``prior`` holds the
+    r class weights (expected class counts, summing to the mass of X) and
+    conditional i is a column-stochastic d_i x r matrix.  A sweep visits the
+    modes in order.  At mode n the E-step takes the posterior of each class
+    given entry j from the current parameters, and the M-step sets the prior
+    and conditional n (the others held) from the expected counts A[j] times
+    those posteriors, so sum X = sum A after every mode.  This is the KL
+    multiplicative update of mode n read in the model's own parameters."""
+    shape, r = a.shape, len(prior)
+    prior = [float(p) for p in prior]
+    cond = [[[float(x) for x in row] for row in c] for c in conditionals]
+    data = {idx: a[idx] for idx in indices(shape)}
+
+    def terms(idx):  # prior[p] prod_i cond[i][j_i][p] for each class p
+        out = []
+        for p in range(r):
+            t = prior[p]
+            for i, j in enumerate(idx):
+                t *= cond[i][j][p]
+            out.append(t)
+        return out
+
+    def divergence():
+        total = 0.0
+        for idx, x_a in data.items():
+            x = max(sum(terms(idx)), 1e-300)
+            total += x_a * (math.log(x_a) - math.log(x)) - x_a + x if x_a > 0.0 else x
+        return total
+
+    out = [divergence()]
+    for _ in range(sweeps):
+        for n, d in enumerate(shape):
+            counts = [[0.0] * r for _ in range(d)]  # expected counts of (j_n, class)
+            for idx, x_a in data.items():
+                if x_a > 0.0:  # an entry with no mass has no expected counts
+                    t = terms(idx)
+                    x = sum(t)
+                    for p in range(r):
+                        counts[idx[n]][p] += x_a * t[p] / x
+            prior = [sum(row[p] for row in counts) for p in range(r)]
+            cond[n] = [[row[p] / prior[p] for p in range(r)] for row in counts]
+        out.append(divergence())
+    return out
+
+
 def max_abs_diff(tensor, entries):
     """Largest |tensor[idx] - entries[idx]| over a dict oracle."""
     return max(abs(tensor[idx] - val) for idx, val in entries.items())

@@ -249,8 +249,8 @@ def test_contrast_nonfinite_seed_is_the_only_error(monkeypatch):
     real = solvers._khatri_rao
     calls = []
 
-    def poisoned(factors, n):
-        out = real(factors, n)
+    def poisoned(factors, n, rows):
+        out = real(factors, n, rows)
         calls.append(n)
         if len(calls) == 11:  # stack entries 0-2 are the nonneg fits
             out[1] = np.nan

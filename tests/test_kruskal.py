@@ -15,6 +15,7 @@ from nncp.kruskal import (
     reconstruct,
     to_naive_bayes,
 )
+from nncp.kruskal import _gather_rows, _khatri_rao
 from nncp.tensor import norm
 from oracles import brute_reconstruct, max_abs_diff, thawed
 
@@ -80,6 +81,43 @@ def test_reconstruct_matches_brute_force():
         entries = brute_reconstruct(m)
         scale = max(1.0, norm(t, "G"))
         assert max_abs_diff(t, entries) <= 1e-12 * scale
+
+
+def _broadcast_khatri_rao(factors, n):
+    """The Khatri-Rao product of the stacks other than factors[n] by
+    broadcasting each against the running product: the reference that the
+    gather kernel must match bit for bit."""
+    others = factors[:n] + factors[n + 1:]
+    if not others:
+        s, _, r = factors[n].shape
+        return np.ones((s, 1, r))
+    kr = others[0]
+    for f in others[1:]:
+        s, d, r = f.shape
+        kr = (kr[:, :, None, :] * f[:, None, :, :]).reshape(s, kr.shape[1] * d, r)
+    return kr
+
+
+@pytest.mark.parametrize("stack", [1, 5])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("shape", [(4,), (3, 1), (1, 4), (2, 3, 4), (3, 1, 2), (2, 3, 1, 4)])
+def test_gather_khatri_rao_matches_the_broadcast_products_bit_for_bit(shape, rank, stack):
+    # Entries from about 1e-250 to 1e100 and -0.0s: products of up to three
+    # underflow to subnormals and zeros but never overflow.  The same products
+    # in the same order give the same bits, and the result is C-ordered as the
+    # MTTKRP and reconstruction matmuls read it.
+    rng = np.random.default_rng(len(shape) * 100 + rank * 10 + stack)
+    factors = []
+    for d in shape:
+        scale = 10.0 ** rng.integers(-250, 100, (stack, d, rank))
+        f = rng.standard_normal((stack, d, rank)) * scale
+        f[rng.random(f.shape) < 0.2] = -0.0
+        factors.append(f)
+    for n in range(len(shape)):
+        got = _khatri_rao(factors, n, _gather_rows(shape, n))
+        want = _broadcast_khatri_rao(factors, n)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_normalize_worked_example():

@@ -29,7 +29,7 @@ from nncp.solvers import (
     objective,
 )
 from nncp.tensor import DenseTensor, norm
-from oracles import brute_kl, mass_drift, objective_rises
+from oracles import brute_kl, em_naive_bayes, mass_drift, objective_rises
 
 
 def rank1_target(seed, shape=(4, 5, 3), e_norm=5.0):
@@ -190,8 +190,8 @@ def _distance_kl(a_arr, x):
 def test_kl_rows_match_the_termwise_oracle(case):
     a_arr, xhat = _kl_cases()[case]
     a = DenseTensor.from_array(a_arr)
-    floored = np.maximum(xhat, KL_SOLVER_FLOOR)
-    got = solvers._loss(a_arr, Loss.KL, 0.0)(xhat, a_arr - xhat, None)
+    floored = np.maximum(xhat, KL_SOLVER_FLOOR)  # the driver floors X for the loss
+    got = solvers._loss(a_arr, Loss.KL, 0.0)(floored, a_arr - xhat, None)
     want = [brute_kl(a, DenseTensor.from_array(x)) for x in floored]
     assert got == pytest.approx(want, rel=1e-12)
     got = [_distance_kl(a_arr, x) for x in xhat]
@@ -205,7 +205,8 @@ def test_kl_rows_keep_their_bits():
     # distance (inf included).
     floored, unfloored = [], []
     for a_arr, xhat in _kl_cases().values():
-        floored += solvers._loss(a_arr, Loss.KL, 0.0)(xhat, a_arr - xhat, None)
+        floored += solvers._loss(a_arr, Loss.KL, 0.0)(
+            np.maximum(xhat, KL_SOLVER_FLOOR), a_arr - xhat, None)
         unfloored += [_distance_kl(a_arr, x) for x in xhat]
     digests = [
         hashlib.sha256("\n".join(v.hex() for v in values).encode()).hexdigest()
@@ -225,6 +226,31 @@ def test_kl_updates_keep_the_mass_of_a_target_with_zeros(rank):
     a = DenseTensor.from_array(arr)
     res = fit_nncp(a, FitConfig(rank=rank, loss=Loss.KL, max_iters=300, tol=0.0))
     assert mass_drift(res.trace.columns, norm(a, "E")) == []
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_kl_fit_is_em_for_the_naive_bayes_model(data):
+    # The KL multiplicative update of a mode is the EM step of the prior and
+    # that mode's conditional, so fit_nncp's KL objectives follow the
+    # explicit-loop EM oracle from the fit's own start (random_model as
+    # _init_nonneg draws it), and every update keeps the mass of the target.
+    # The solver's D_KL adds sum(x) - sum(a) to the log terms, so its rounding
+    # is relative to ||A||_E: the bound is 2e-12 relative to the larger of the
+    # objective and ||A||_E.
+    order = data.draw(st.integers(1, 4), label="order")
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+    size = math.prod(shape)
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.01, 4.0)), min_size=size, max_size=size)
+    a = DenseTensor(shape, data.draw(entries.filter(any), label="target"))
+    rank = data.draw(st.integers(1, 3), label="rank")
+    seed = data.draw(st.integers(0, 99), label="seed")
+    sweeps, a_e = 30, norm(a, "E")
+    fit = fit_nncp(a, FitConfig(rank=rank, loss=Loss.KL, max_iters=sweeps, tol=0.0, seed=seed))
+    start = random_model(shape, rank, seed, nonneg=True, e_norm=a_e)
+    want = em_naive_bayes(a, start.delta, start.factors, sweeps)
+    assert list(fit.trace.columns.objective) == pytest.approx(want, rel=2e-12, abs=2e-12 * a_e)
+    assert mass_drift(fit.trace.columns, a_e) == []
 
 
 def test_kl_fit_attains_the_boundary_infimum():
@@ -634,12 +660,12 @@ def test_trace_blocks_see_only_c_ordered_factor_stacks(monkeypatch, loss, nonneg
     def unchanged(f):
         return copies[id(f)][1] == f.tobytes()
 
-    def copying(factors, n):
+    def copying(factors, n, rows):
         if n == 0:
             for f in factors:  # a stack recorded before must not have changed since
                 assert id(f) not in copies or unchanged(f)
                 copies.setdefault(id(f), (f, f.tobytes()))
-        return real_kr(factors, n)
+        return real_kr(factors, n, rows)
 
     def recording(residual_e, factors, *rest):
         for f in itertools.chain.from_iterable(factors):
@@ -816,8 +842,8 @@ def _nan_at_call_11(victim):
         j = sorted(entries, key=lambda e: e[1] == "als").index(victim)  # its stack entry
         real, calls = solvers._khatri_rao, []
 
-        def poisoned(factors, n):
-            out = real(factors, n)
+        def poisoned(factors, n, rows):
+            out = real(factors, n, rows)
             calls.append(n)
             if len(calls) == 11:
                 out[j] = np.nan

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -107,6 +108,25 @@ def test_from_array_copies_its_input_once():
     with mock.patch.object(np, "isfinite", wraps=np.isfinite) as passes:
         assert tensor_from_json(text) == t
     assert passes.call_count == 1
+    # A float64 C-ordered array is not copied by np.array, only into the
+    # immutable buffer, so the peak is that buffer and the temporary bytes
+    # CPython builds it from: 2 copies' worth, not 3.
+    big = np.arange(2.0**16)
+    tracemalloc.start()
+    try:
+        t = DenseTensor.from_array(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.data.tobytes() == big.tobytes() and peak < 2.5 * big.nbytes
+    # A result its maker has judged is not judged again by the constructor:
+    # one pass per vector and one of the product; one of the combination.
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as passes:
+        o = outer_product([[1.0, 2.0], [3.0], [4.0, 5.0]])
+    assert passes.call_count == 4
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as passes:
+        difference = add_scaled(o, o, 1.0, -1.0)
+    assert passes.call_count == 1 and difference == DenseTensor.zeros(o.shape)
 
 
 def test_equal_tensors_hash_equal():
