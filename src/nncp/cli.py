@@ -182,7 +182,7 @@ def build_parser():
     p.add_argument("--out", required=True, type=_out)
     p.set_defaults(func=_cmd_degeneracy)
 
-    p = sub.add_parser("normalize", help="simplex-normalize a model file")
+    p = sub.add_parser("normalize", help="simplex-normalize a model file, by descending weight")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, type=_out)
     p.set_defaults(func=_cmd_normalize)

@@ -12,6 +12,7 @@ iterate respected the coercivity cap that nonnegative fits must obey
 
 import collections
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -142,10 +143,10 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     family), in seed order.  Requires a nonnegative target (the nonnegative
     family demands it); an invalid rank or budget raises ValueError from
     FitConfig, and ``thresholds`` other than None or a DegeneracyThresholds
-    raises ValueError, both before any fit runs.  Both families fit every
-    seed as one batch (:func:`nncp.solvers._fit_batch`), each fit exactly as
-    it runs alone; a seed whose fit raises, an invalid seed included, gets
-    an ERROR row and the others are unaffected.
+    raises ValueError, both before any fit runs, as does a repeated seed.
+    Both families fit every seed as one batch (:func:`nncp.solvers._fit_batch`),
+    each fit exactly as it runs alone; a seed whose fit raises, an invalid seed
+    included, gets an ERROR row and the others are unaffected.
     """
     if not _nonnegative(_instance(a, "the target").data):
         raise ValueError("contrast experiment requires a nonnegative tensor")
@@ -153,7 +154,11 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     summary = ContrastSummary()
     a_norms = (norm(a, "E"), norm(a, "F"))
     cfg = FitConfig(rank=rank, max_iters=max_iters, tol=0.0)
-    runs = [(seed, family) for seed in _sequence(seeds, "seeds") for family in _FAMILIES]
+    seeds = _sequence(seeds, "seeds")
+    keys = [seed for seed in seeds if isinstance(seed, Hashable)]  # the others fail alone
+    if len(set(keys)) < len(keys):  # a repeat would share its key in ``reports``
+        raise ValueError("seeds must not repeat")
+    runs = [(seed, family) for seed in seeds for family in _FAMILIES]
     try:
         fits = _fit_batch(a, cfg, [(seed, family == "nonneg") for seed, family in runs])
     except Exception as exc:  # a failure of the whole batch, e.g. a MemoryError

@@ -127,9 +127,10 @@ def reconstruct(model):
 
 def _rescale_columns(model, column_scales):
     """Divide each factor m by its column scales ``column_scales(m)`` and
-    multiply them into delta, dropping components with a zero weight or a
-    zero scale.  Weights stay mantissas and exponents (tensor._scaled) up to one
-    last np.ldexp: only a weight beyond the double range raises ValueError."""
+    multiply them into delta, dropping components with a zero weight or a zero
+    scale and ordering the rest by descending |weight|, stably.  Weights stay
+    mantissas and exponents (tensor._scaled) up to one last np.ldexp: only a
+    weight beyond the double range raises ValueError."""
     delta, e = np.frexp(model.delta)
     parts = [_scaled(m, column_scales, axis=0) for m in model.factors]
     keep = np.logical_and.reduce([delta != 0.0] + [s != 0.0 for s, _ in parts])
@@ -140,7 +141,8 @@ def _rescale_columns(model, column_scales):
     delta = _unscaled(delta, e)
     if not np.isfinite(delta).all():
         raise ValueError("no finite normal form: a weight exceeds the double range")
-    return KruskalModel(model.shape, delta, factors)
+    order = np.argsort(-np.abs(delta), kind="stable")
+    return KruskalModel(model.shape, delta[order], [f[:, order] for f in factors])
 
 
 def normalize(model):
@@ -148,8 +150,9 @@ def normalize(model):
 
     Every factor column is rescaled to unit l1-norm and the scales are
     absorbed into the weights.  Components with zero weight or a zero factor
-    column contribute nothing and are dropped, so r may shrink.  The
-    reconstruction is preserved exactly.
+    column contribute nothing and are dropped, so r may shrink; the rest come
+    by descending weight (ties keep their order), so rescaled or permuted
+    copies share one normal form.  The reconstruction is preserved exactly.
     """
     if not _instance(model, "model", KruskalModel).nonneg:
         raise ValueError("normalize requires a nonnegative model")
@@ -161,7 +164,8 @@ def l2_normalize(model):
     """Unit-l2-column form for signed models; magnitudes and signs go to delta.
 
     Used by the degeneracy metrics: after this rescaling |delta_p| equals the
-    F-norm of the p-th rank-1 summand.  Zero columns drop the component.
+    F-norm of the p-th rank-1 summand.  Zero columns drop the component; the
+    rest come by descending |delta_p|, as in :func:`normalize`.
     """
     # Per-column norms: np.linalg.norm(m, axis=0) sums in another order.
     return _rescale_columns(

@@ -30,24 +30,19 @@ factor is an (S, d_i, r) stack with one matrix per entry, so one matmul, ufunc
 or LAPACK call serves all S entries, and a single fit is a batch of one.  The
 MU entries come first; each mode update passes an all-MU stack to the MU tail
 directly, or else each family's contiguous slice to its tail, which writes it
-into one fresh C-ordered stack.  The MU tail divides and multiplies in place
-into the fresh MTTKRP.  Per-entry events (a failed start, a signed
+into one fresh C-ordered stack.  Per-entry events (a failed start, a signed
 target's for MU included, the stop rule, the finiteness of the trace, the MU
 coercivity check, a ridge note, a failed solve, a model with no normal form)
-concern one entry.  One flush and one retire end every started entry: the
-flush appends its rows through FitTrace.append_block and decides its outcome,
-the retire drops it from every stack and per-entry list, and its batch-mates
-carry on.  An entry's arithmetic never mixes with its batch-mates', so it gets
-the same trace, notes, model or exception, byte for byte, in any batch, on
-every shape (modes of size 1 and order 1 included).
+concern one entry: one flush and one retire end it (see _fit_batch), and its
+batch-mates carry on.  An entry's arithmetic never mixes with its batch-mates',
+so it gets the same trace, notes, model or exception, byte for byte, in any
+batch, on every shape (modes of size 1 and order 1 included).
 
 The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
 are batched matmuls with the Khatri-Rao product K of the factors other than
 W^(n), one fixed-shape product per stack entry whatever S is, so the batch
-never changes a seed's summation order.  K is gathered: each other factor's
-rows are taken along index arrays built once per fit and multiplied in place
-in mode order, the same products, bit for bit, as broadcasting each factor
-against the running product.  Each mode update builds its K once;
+never changes a seed's summation order.  K is gathered along index arrays
+built once per fit (see _khatri_rao).  Each mode update builds its K once;
 its MTTKRP (matricized tensor times Khatri-Rao product) is A_(n) @ K, the
 unfoldings A_(n) built once per fit.  The reconstruction after a sweep is
 W^(0) K^T, whose K the next mode-0 update reuses; it and the residual stay
@@ -332,13 +327,11 @@ def _fit_batch(a, cfg, entries):
     what each gives alone, in order (see :func:`fit_seeds`); ``cfg.seed`` and
     ``cfg.nonneg`` are ignored.
 
-    The stacks hold the live nonnegative entries first.  A family is a start
-    (_init_nonneg or _init_signed) of one seed's factors, a rescale and a
-    mode tail.  An all-MU stack goes to _mu_tail whole; otherwise each tail
-    writes its slice of one fresh stack, and _als_tail returns its ridged and
-    failed entries, which the driver notes or ends at its offset.  ``flush``
-    is the one place that packages a FitResult or records an error, and
-    ``retire``, which flushes first, the one place that drops an entry.
+    A family is a start (_init_nonneg or _init_signed) of one seed's factors,
+    a mode tail and a normal form.  _als_tail returns its ridged and failed
+    entries, which the driver notes or ends at its offset.  ``flush`` is the
+    one place that packages a FitResult or records an error, and ``retire``,
+    which flushes first, the one place that drops an entry.
     """
     _instance(a, "the target")
     order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
@@ -403,7 +396,7 @@ def _fit_batch(a, cfg, entries):
                     )
                 if stop or its[-1] == max_iters:
                     raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in fs[-1]])
-                    model = _sort_by_weight((normalize if nonneg[j] else l2_normalize)(raw))
+                    model = (normalize if nonneg[j] else l2_normalize)(raw)
                     ended[j] = FitResult(model, traces[j], stop, seed_objs[-1])
             except Exception as exc:
                 ended[j] = exc
@@ -489,16 +482,13 @@ def _fit_batch(a, cfg, entries):
             kr0, x0 = kr0[keep], x0[keep]  # the next sweep's mode 0 reads them
 
 
-def _sort_by_weight(model):
-    """Components reordered by descending |weight| (stable)."""
-    order = np.argsort(-np.abs(model.delta), kind="stable")
-    return KruskalModel(model.shape, model.delta[order], [f[:, order] for f in model.factors])
-
-
 def _init_nonneg(a, cfg):
     if not _nonnegative(a.data):
         raise ValueError("fit_nncp requires a nonnegative tensor")
-    m = random_model(a.shape, cfg.rank, cfg.seed, nonneg=True, e_norm=norm(a, "E") or 1.0)
+    e_norm = norm(a, "E")  # inf only beyond the double range
+    if e_norm == math.inf:
+        raise ValueError("fit_nncp requires a target whose E-norm is within the double range")
+    m = random_model(a.shape, cfg.rank, cfg.seed, nonneg=True, e_norm=e_norm or 1.0)
     return [f * m.delta ** (1.0 / len(a.shape)) for f in m.factors]
 
 
@@ -576,9 +566,9 @@ def _fit_one(a, cfg):
 def fit_nncp(a, cfg):
     """Nonnegative CP fit by multiplicative updates.
 
-    Requires a nonnegative target and cfg.nonneg = True.  Returns a
-    simplex-normalized nonnegative model, the iteration trace, and a
-    convergence flag.  Deterministic given (a, cfg).
+    Requires a nonnegative target and cfg.nonneg = True.  Returns the model
+    in the simplex normal form (by descending weight), the iteration trace,
+    and a convergence flag.  Deterministic given (a, cfg).
     """
     if not _instance(cfg, "cfg", FitConfig).nonneg:
         raise ValueError("fit_nncp requires cfg.nonneg = True")
@@ -590,7 +580,7 @@ def fit_cp_unconstrained(a, cfg):
 
     Each mode solve is exact; singular normal equations fall back to a 1e-12
     ridge, noted on the trace.  Returns a model with unit-l2 columns and
-    signed weights.  Deterministic given (a, cfg).
+    signed weights, by descending |weight|.  Deterministic given (a, cfg).
     """
     if _instance(cfg, "cfg", FitConfig).nonneg:
         raise ValueError("fit_cp_unconstrained requires cfg.nonneg = False")

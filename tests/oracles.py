@@ -99,7 +99,9 @@ def brute_kl(a, b):
 def em_naive_bayes(a, prior, conditionals, sweeps):
     """The generalized KL divergence D_KL(A, max(X, 1e-300)) of the tensor A
     from its naive-Bayes model X, at the start and after each of ``sweeps``
-    EM sweeps, by explicit loops over the entries and the classes.
+    EM sweeps, by explicit loops over the entries and the classes, and the
+    final prior and conditionals: ``(divergences, prior, conditionals)``, the
+    latter two as lists of floats.
 
     X[j] = sum_p prior[p] prod_i conditionals[i][j_i][p]: ``prior`` holds the
     r class weights (expected class counts, summing to the mass of X) and
@@ -108,7 +110,9 @@ def em_naive_bayes(a, prior, conditionals, sweeps):
     given entry j from the current parameters, and the M-step sets the prior
     and conditional n (the others held) from the expected counts A[j] times
     those posteriors, so sum X = sum A after every mode.  This is the KL
-    multiplicative update of mode n read in the model's own parameters."""
+    multiplicative update of mode n read in the model's own parameters.  A
+    class whose expected count is 0 has no mass left: its prior stays 0 and
+    its conditional n is 0 (the update's zero column)."""
     shape, r = a.shape, len(prior)
     prior = [float(p) for p in prior]
     cond = [[[float(x) for x in row] for row in c] for c in conditionals]
@@ -141,9 +145,10 @@ def em_naive_bayes(a, prior, conditionals, sweeps):
                     for p in range(r):
                         counts[idx[n]][p] += x_a * t[p] / x
             prior = [sum(row[p] for row in counts) for p in range(r)]
-            cond[n] = [[row[p] / prior[p] for p in range(r)] for row in counts]
+            cond[n] = [[row[p] / prior[p] if prior[p] else 0.0 for p in range(r)]
+                       for row in counts]
         out.append(divergence())
-    return out
+    return out, prior, cond
 
 
 def max_abs_diff(tensor, entries):

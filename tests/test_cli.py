@@ -144,6 +144,10 @@ def test_normalize_command(tmp_path):
     out_path = tmp_path / "norm.json"
     assert run(["normalize", "--model", model_path, "--out", out_path]) == 0
     assert read_model(out_path).normalized
+    # The normal form orders the components by descending weight.
+    model_path.write_text('{"shape":[2],"delta":[1,3],"factors":[[[1,1],[1,1]]]}\n')
+    assert run(["normalize", "--model", model_path, "--out", out_path]) == 0
+    assert read_model(out_path).delta.tolist() == [6.0, 2.0]
 
 
 def test_degeneracy_summary(tmp_path, capsys):

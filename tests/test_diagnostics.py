@@ -288,6 +288,18 @@ def test_contrast_fits_both_families_with_one_batch_of_kernel_calls(monkeypatch,
     assert calls == {"_khatri_rao": 1 + 3 * max_iters, "_reconstruct": max_iters + 1}
 
 
+@pytest.mark.parametrize("seeds", [[0, 0], [1, 2, 1], [3, np.int64(3)]])
+def test_contrast_rejects_repeated_seeds_before_fitting(monkeypatch, seeds):
+    # reports holds one report per (seed, family): a repeat would lose one.
+    def no_fit(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(solvers, "_init_nonneg", no_fit)
+    monkeypatch.setattr(solvers, "_init_signed", no_fit)
+    with pytest.raises(ValueError, match="^seeds must not repeat"):
+        run_contrast_experiment(bclr_limit(4), rank=2, seeds=seeds, max_iters=5)
+
+
 @pytest.mark.parametrize("bad", [3, 0, {"blowup_ratio": 5.0}, (10.0, 2.0)])
 def test_contrast_rejects_bad_thresholds_before_fitting(monkeypatch, bad):
     def no_fit(*args):

@@ -238,17 +238,20 @@ def test_scale_gauge_invariance():
 
 
 def test_normalize_quotients_the_scale_gauge():
-    # rescaled copies of a nonnegative model share one normal form
+    # rescaled and permuted copies of a nonnegative model share one normal
+    # form: the scale gauge and the order gauge
     m = random_model((3, 2, 4), 2, seed=14, nonneg=True, e_norm=2.0)
     factors = [f.copy() for f in m.factors]
     factors[0][:, 1] *= 4.0
     factors[2][:, 1] /= 4.0
     rescaled = KruskalModel(m.shape, m.delta, factors)
+    permuted = KruskalModel(m.shape, m.delta[::-1], [f[:, ::-1] for f in m.factors])
     n0 = normalize(m)
-    n1 = normalize(rescaled)
-    assert np.max(np.abs(n0.delta - n1.delta)) <= 1e-12
-    for f, g in zip(n0.factors, n1.factors):
-        assert np.max(np.abs(f - g)) <= 1e-12
+    assert n0.delta[0] > n0.delta[1]
+    for n1 in (normalize(rescaled), normalize(permuted)):
+        assert np.max(np.abs(n0.delta - n1.delta)) <= 1e-12
+        for f, g in zip(n0.factors, n1.factors):
+            assert np.max(np.abs(f - g)) <= 1e-12
 
 
 def test_l2_normalize_weights_are_component_f_norms():
@@ -259,11 +262,15 @@ def test_l2_normalize_weights_are_component_f_norms():
     t0 = reconstruct(m).as_array()
     t1 = reconstruct(out).as_array()
     assert np.max(np.abs(t0 - t1)) <= 1e-12 * (1 + np.max(np.abs(t0)))
-    # |weight_p| equals the F-norm of the p-th rank-1 summand
-    for p in range(m.r):
-        cols = [f[:, p] for f in m.factors]
-        expect = abs(m.delta[p]) * np.prod([np.linalg.norm(c) for c in cols])
-        assert abs(out.delta[p]) == pytest.approx(expect, rel=1e-12)
+    # |weight_q| equals the F-norm of the q-th largest rank-1 summand p, and
+    # column q of each factor is that summand's unit column
+    norms = [abs(m.delta[p]) * np.prod([np.linalg.norm(f[:, p]) for f in m.factors])
+             for p in range(m.r)]
+    assert len(set(norms)) == m.r
+    for q, p in enumerate(np.argsort(norms)[::-1]):
+        assert abs(out.delta[q]) == pytest.approx(norms[p], rel=1e-12)
+        for f, g in zip(out.factors, m.factors):
+            assert np.abs(f[:, q]) == pytest.approx(np.abs(g[:, p]) / np.linalg.norm(g[:, p]))
 
 
 def test_to_naive_bayes_uniform():

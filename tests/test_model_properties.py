@@ -80,31 +80,46 @@ def _check_normal_form(m, rescale, power):
     c (power 1 for normalize, 2 for l2_normalize), and each factor entry's
     |.|**power is |c|**power / s.  A weight above the float maximum has no
     finite normal form; a draw within 1e-12 relative of that boundary is too
-    close to call."""
-    exact, entries = [], []
+    close to call.  The survivors come in order of descending |weight|: the
+    q-th weight is within the bound of the q-th largest exact one, and its
+    columns are those of a survivor whose exact weight is within the bound of
+    it too, so only components whose exact weights lie within the bound of
+    each other may trade places."""
+    exact = []  # (|weight|**power, the factor entries' |.|**power by mode)
     for p, w in enumerate(m.delta.tolist()):
         cols = [f[:, p].tolist() for f in m.factors]
         if w != 0 and all(any(col) for col in cols):
-            x = Fraction(abs(w)) ** power
+            x, entries = Fraction(abs(w)) ** power, []
             for col in cols:
                 s = sum(Fraction(abs(c)) ** power for c in col)
                 x *= s
                 entries.append([Fraction(abs(c)) ** power / s for c in col])
-            exact.append(x)
+            exact.append((x, entries))
     limit = _DBL_MAX**power
-    if any(abs(x / limit - 1) <= power * Fraction(1e-12) for x in exact):
+    if any(abs(x / limit - 1) <= power * Fraction(1e-12) for x, _ in exact):
         return None
-    if any(x > limit for x in exact):
+    if any(x > limit for x, _ in exact):
         with pytest.raises(ValueError, match="no finite normal form"):
             rescale(m)
         return None
     out = rescale(m)
     assert out.r == len(exact)
-    assert all(_close(w, x, power) for w, x in zip(out.delta.tolist(), exact))
-    # The factors column by column, in the order ``entries`` was filled.
-    cols = [f[:, p].tolist() for p in range(out.r) for f in out.factors]
-    for col, xs in zip(cols, entries, strict=True):
-        assert all(_close(c, x, power) for c, x in zip(col, xs, strict=True))
+    weights = out.delta.tolist()
+    assert [abs(w) for w in weights] == sorted(map(abs, weights), reverse=True)
+    # Python's sort is stable, as the normal form's is.
+    ranked = sorted(exact, key=lambda c: c[0], reverse=True)
+    unmatched = list(range(len(exact)))
+    for q, w in enumerate(weights):
+        assert _close(w, ranked[q][0], power)
+        cols = [f[:, q].tolist() for f in out.factors]
+        match = [j for j in unmatched if _close(w, ranked[j][0], power) and all(
+            _close(c, x, power)
+            for col, xs in zip(cols, ranked[j][1], strict=True)
+            for c, x in zip(col, xs, strict=True)
+        )]
+        assert match
+        # The q-th survivor first: it is the match unless a near-tie traded places.
+        unmatched.remove(q if q in match else match[0])
     return out
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from nncp import solvers
 from nncp.divergence import DivergenceKind, distance
-from nncp.kruskal import KruskalModel, random_model, reconstruct
+from nncp.kruskal import KruskalModel, random_model, reconstruct, to_naive_bayes
 from nncp.pathologies import bclr_limit, kl_counterexample, w_sequence
 from nncp.solvers import (
     KL_SOLVER_FLOOR,
@@ -161,6 +161,18 @@ def test_a_frobenius_loss_beyond_the_double_range_ends_the_fit_without_a_warning
     assert objective(a, m, Loss.FROBENIUS) == math.inf
 
 
+@pytest.mark.parametrize("loss", list(Loss))
+def test_a_target_whose_e_norm_is_beyond_the_double_range_fails_every_mu_start(loss):
+    # ||A||_E = 6e308 is inf: the start, which scales to it, fails by naming
+    # the target (not random_model's e_norm), with no warning, in every entry.
+    a = DenseTensor.from_array(np.full((3, 4, 5), 1e307))
+    message = "fit_nncp requires a target whose E-norm is within the double range"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_nncp(a, FitConfig(rank=2, loss=loss))
+    results = solvers.fit_seeds(a, FitConfig(rank=2, loss=loss), [0, 1])
+    assert [str(r) for r in results] == [message] * 2
+
+
 def _kl_case(rng, shape, stack=3, zeros=0.0):
     a = rng.uniform(size=shape)
     a[rng.uniform(size=shape) < zeros] = 0.0
@@ -234,10 +246,13 @@ def test_kl_fit_is_em_for_the_naive_bayes_model(data):
     # The KL multiplicative update of a mode is the EM step of the prior and
     # that mode's conditional, so fit_nncp's KL objectives follow the
     # explicit-loop EM oracle from the fit's own start (random_model as
-    # _init_nonneg draws it), and every update keeps the mass of the target.
-    # The solver's D_KL adds sum(x) - sum(a) to the log terms, so its rounding
-    # is relative to ||A||_E: the bound is 2e-12 relative to the larger of the
-    # objective and ||A||_E.
+    # _init_nonneg draws it), every update keeps the mass of the target, and
+    # the fit's naive-Bayes reading is the oracle's final prior and
+    # conditionals.  The solver's D_KL adds sum(x) - sum(a) to the log terms,
+    # so its rounding is relative to ||A||_E: the bound is 2e-12 relative to
+    # the larger of the objective and ||A||_E.  The parameters are
+    # probabilities, held to 1e-11 absolute, best over component orders (the
+    # fit's come by weight); a class the fit dropped counts by its prior.
     order = data.draw(st.integers(1, 4), label="order")
     shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
     size = math.prod(shape)
@@ -248,9 +263,19 @@ def test_kl_fit_is_em_for_the_naive_bayes_model(data):
     sweeps, a_e = 30, norm(a, "E")
     fit = fit_nncp(a, FitConfig(rank=rank, loss=Loss.KL, max_iters=sweeps, tol=0.0, seed=seed))
     start = random_model(shape, rank, seed, nonneg=True, e_norm=a_e)
-    want = em_naive_bayes(a, start.delta, start.factors, sweeps)
+    want, prior, conditionals = em_naive_bayes(a, start.delta, start.factors, sweeps)
     assert list(fit.trace.columns.objective) == pytest.approx(want, rel=2e-12, abs=2e-12 * a_e)
     assert mass_drift(fit.trace.columns, a_e) == []
+    nb, total = to_naive_bayes(fit.model), sum(prior)
+    errors = []
+    for classes in itertools.permutations(range(rank), nb.r):
+        diffs = [prior[p] / total for p in range(rank) if p not in classes]
+        for q, p in enumerate(classes):
+            diffs.append(abs(nb.prior[q] - prior[p] / total))
+            diffs += [abs(c[j, q] - oc[j][p]) for c, oc in zip(nb.conditionals, conditionals)
+                      for j in range(len(oc))]
+        errors.append(max(diffs))
+    assert min(errors) <= 1e-11
 
 
 def test_kl_fit_attains_the_boundary_infimum():
