@@ -12,7 +12,6 @@ iterate respected the coercivity cap that nonnegative fits must obey
 
 import collections
 import math
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .kruskal import reconstruct
 from .solvers import FitConfig, FitTrace, _fit_batch, coercivity_bound
-from .tensor import _csv_text, _instance, _nonnegative, _real, _sequence, _write_text
+from .tensor import _csv_text, _instance, _integer, _nonnegative, _real, _sequence, _write_text
 from .tensor import add_scaled, norm
 
 # The single-fit entry points stay importable from here: perfbench's sweep
@@ -134,6 +133,14 @@ def _contrast_row(a, a_norms, seed, family, result, thresholds):
     return ContrastRow(seed, family, "ERROR", math.nan, math.nan, math.nan, 0, str(error)), None
 
 
+def _seed_key(seed):
+    """``seed`` as FitConfig reads it, or as given if FitConfig rejects it."""
+    try:
+        return _integer(seed, "seed", 0)
+    except ValueError:
+        return seed
+
+
 def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     """Fit each seed with both families under identical budgets.
 
@@ -144,9 +151,12 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     family demands it); an invalid rank or budget raises ValueError from
     FitConfig, and ``thresholds`` other than None or a DegeneracyThresholds
     raises ValueError, both before any fit runs, as does a repeated seed.
-    Both families fit every seed as one batch (:func:`nncp.solvers._fit_batch`),
-    each fit exactly as it runs alone; a seed whose fit raises, an invalid seed
-    included, gets an ERROR row and the others are unaffected.
+    Rows and ``reports`` hold each seed as FitConfig reads it, an int by
+    operator.index, so ``[3, np.array(3)]`` repeats a seed; one that FitConfig
+    rejects stays as given.  Both families fit every seed as one batch
+    (:func:`nncp.solvers._fit_batch`), each fit exactly as it runs alone; a
+    seed whose fit raises, an invalid seed included, gets an ERROR row and
+    the others are unaffected.
     """
     if not _nonnegative(_instance(a, "the target").data):
         raise ValueError("contrast experiment requires a nonnegative tensor")
@@ -154,8 +164,8 @@ def run_contrast_experiment(a, rank, seeds, max_iters=2000, thresholds=None):
     summary = ContrastSummary()
     a_norms = (norm(a, "E"), norm(a, "F"))
     cfg = FitConfig(rank=rank, max_iters=max_iters, tol=0.0)
-    seeds = _sequence(seeds, "seeds")
-    keys = [seed for seed in seeds if isinstance(seed, Hashable)]  # the others fail alone
+    seeds = [_seed_key(seed) for seed in _sequence(seeds, "seeds")]
+    keys = [seed for seed in seeds if type(seed) is int]  # a seed that is no int fails alone
     if len(set(keys)) < len(keys):  # a repeat would share its key in ``reports``
         raise ValueError("seeds must not repeat")
     runs = [(seed, family) for seed in seeds for family in _FAMILIES]

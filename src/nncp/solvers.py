@@ -15,14 +15,15 @@ Two entry points share one fit driver and one trace format:
 
 :func:`fit_seeds` runs either solver from many random starts at once.
 :class:`FitConfig` rejects every invalid configuration; each entry point
-hands the config to the driver :func:`_fit_batch`, which checks the tensor
-and owns the sweeps, the stop rule, the trace rows, the coercivity check and
-the packaging.  The driver reconstructs X once per sweep; the objective, the
-trace row and the next sweep's first KL update all read that one
-reconstruction.  It caches each factor's Gram (for KL its column sums),
-refreshed after its update.  For KL the reconstruction is floored at
-KL_SOLVER_FLOOR once, in place, after the residual is taken, and each KL
-ratio A/X is written over its own fresh reconstruction.
+hands the config to the driver :func:`_fit_batch`, which owns the starts,
+the stop rule, the trace rows, the coercivity check and the packaging.  A
+private :class:`_Stack` holds the sweep, a map of the factors blind to all
+of these: ``sweep`` updates every mode and ``evaluate`` reconstructs X once,
+which the objective, the trace row and the next sweep's first KL update read.
+The stack caches each factor's Gram (for KL its column sums), refreshed after
+its update.  For KL the reconstruction is floored at KL_SOLVER_FLOOR once, in
+place, after the residual is taken, and each KL ratio A/X is written over its
+own fresh reconstruction.
 
 The driver fits a batch of stack entries, each a seed and a family (MU or ALS;
 the contrast experiment fits both Frobenius families as one batch).  Every
@@ -33,7 +34,7 @@ directly, or else each family's contiguous slice to its tail, which writes it
 into one fresh C-ordered stack.  Per-entry events (a failed start, a signed
 target's for MU included, the stop rule, the finiteness of the trace, the MU
 coercivity check, a ridge note, a failed solve, a model with no normal form)
-concern one entry: one flush and one retire end it (see _fit_batch), and its
+concern one entry: one flush and one retire (one _Stack.keep) end it, and its
 batch-mates carry on.  An entry's arithmetic never mixes with its batch-mates',
 so it gets the same trace, notes, model or exception, byte for byte, in any
 batch, on every shape (modes of size 1 and order 1 included).
@@ -321,6 +322,79 @@ def fit_seeds(a, cfg, seeds):
     return _fit_batch(a, cfg, [(seed, cfg.nonneg) for seed in _sequence(seeds, "seeds")])
 
 
+class _Stack:
+    """A batch's entries as one stack: their state and the fit's constants.
+    ``keep`` alone drops entries; ``sweep`` and ``evaluate`` read no stop rule."""
+
+    def __init__(self, a_arr, cfg, slots, nonneg, starts):
+        self.kl, self.rho = cfg.loss is Loss.KL, cfg.reg_rho
+        self.rows = [_gather_rows(a_arr.shape, n) for n in range(a_arr.ndim)]  # of each mode's K
+        self.others = [[i for i in range(a_arr.ndim) if i != n] for n in range(a_arr.ndim)]
+        # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support;
+        # the loss and residual_E read unfold[0], whose +0.0s change none of their bits.
+        self.unfold = _unfoldings(a_arr + 0.0 if self.kl else a_arr)
+        self.loss = _loss(self.unfold[0], cfg.loss, self.rho)
+        # Per entry: output index, family (MU first), trace, stop-window objectives,
+        # factors, their statistics, and evaluate's mode-0 K and X (kr0, x0).
+        self.slots, self.nonneg, self.traces = slots, nonneg, [FitTrace() for _ in slots]
+        self.window = []  # the objective lists of the last STOP_WINDOW iterations, if tol > 0
+        self.factors = [np.stack(stack) for stack in zip(*starts)]
+        self.stats = [_factor_stat(f, self.kl) for f in self.factors]
+
+    def keep(self, idx):
+        """Keep the entries at the positions ``idx``, in order; drop the rest."""
+        lists = [self.slots, self.nonneg, self.traces, *self.window]
+        self.slots, self.nonneg, self.traces, *self.window = [[x[j] for j in idx] for x in lists]
+        self.factors, self.stats = ([f[idx] for f in fs] for fs in (self.factors, self.stats))
+        self.kr0, self.x0 = self.kr0[idx], self.x0[idx]
+
+    def sweep(self, it, fail):
+        """Update every mode once, after an evaluation; note ridged ALS solves at
+        iteration ``it``, and hand a mode's failed ones, (position, LinAlgError)
+        pairs, at once to ``fail``, which drops them.  Stops if none is left."""
+        for n, rows in enumerate(self.rows):
+            if not self.slots:
+                return
+            factors, stats = self.factors, self.stats
+            kr = self.kr0 if n == 0 else _khatri_rao(factors, n, rows)
+            if self.kl:  # (A/X)_(n) K, X_(n) = W^(n) K^T floored; the ratio overwrites X
+                x = self.x0
+                if n:
+                    x = _reconstruct(factors[n], kr)
+                    np.maximum(x, KL_SOLVER_FLOOR, out=x)
+                mt = np.divide(self.unfold[n], x, out=x) @ kr
+            else:
+                mt = self.unfold[n] @ kr
+            rest = self.others[n]
+            prod = stats[rest[0]] if rest else np.ones_like(stats[n])
+            for i in rest[1:]:
+                prod = prod * stats[i]
+            w, failed = factors[n], ()
+            if self.nonneg[-1]:  # the MU entries come first: an all-MU stack ends with one
+                factors[n] = _mu_tail(w, prod, mt, self.kl, self.rho)
+            else:  # each family's tail writes its slice of one fresh stack
+                new = factors[n] = np.empty(w.shape)
+                mu = self.nonneg.count(True)
+                if mu:
+                    _mu_tail(w[:mu], prod[:mu], mt[:mu], self.kl, self.rho, new[:mu])
+                ridged, failed = _als_tail(w[mu:], prod[mu:], mt[mu:], self.rho, new[mu:])
+                for j in ridged:
+                    self.traces[mu + j].note(it, f"ridge jitter on mode {n}")
+            stats[n] = _factor_stat(factors[n], self.kl)
+            if failed:
+                fail([(mu + j, exc) for j, exc in failed])
+
+    def evaluate(self):
+        """Reconstruct X, keeping mode-0 K and X (floored for KL) for the next
+        sweep; return the objective list and the (S, d0, size/d0) residual."""
+        self.kr0 = _khatri_rao(self.factors, 0, self.rows[0])
+        x0 = self.x0 = _reconstruct(self.factors[0], self.kr0)
+        resid = self.unfold[0] - x0
+        if self.kl:
+            np.maximum(x0, KL_SOLVER_FLOOR, out=x0)
+        return self.loss(x0, resid, self.factors), resid
+
+
 @np.errstate(over="ignore")  # an objective beyond the double range is inf: its entry ends
 def _fit_batch(a, cfg, entries):
     """Fit the (seed, nonneg) ``entries`` of ``cfg`` as one batch and return
@@ -328,24 +402,14 @@ def _fit_batch(a, cfg, entries):
     ``cfg.nonneg`` are ignored.
 
     A family is a start (_init_nonneg or _init_signed) of one seed's factors,
-    a mode tail and a normal form.  _als_tail returns its ridged and failed
-    entries, which the driver notes or ends at its offset.  ``flush`` is the
-    one place that packages a FitResult or records an error, and ``retire``,
-    which flushes first, the one place that drops an entry.
+    a mode tail and a normal form.  A _Stack of the starts runs the sweeps.
+    ``flush`` is the one place that packages a FitResult or records an error,
+    and ``retire``, which flushes first, the one place that ends entries (one
+    ``_Stack.keep``); the sweep hands it each failed ALS solve at once.
     """
     _instance(a, "the target")
     order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
-    a_arr = a.as_array()
     a_e = norm(a, "E")
-    kl, rho = cfg.loss is Loss.KL, cfg.reg_rho
-    max_iters, tol, trace_every = cfg.max_iters, cfg.tol, cfg.trace_every
-    modes = range(a_arr.ndim)
-    rows = [_gather_rows(a_arr.shape, n) for n in modes]  # of each mode's Khatri-Rao product
-    others = [[i for i in modes if i != n] for n in modes]
-    # a_arr >= 0 and -0.0 + 0.0 is +0.0: the KL ratio is +0.0 off the support;
-    # the loss and residual_E read unfold[0], whose +0.0s change none of their bits.
-    unfold = _unfoldings(a_arr + 0.0 if kl else a_arr)
-    loss = _loss(unfold[0], cfg.loss, rho)
     out = [None] * len(entries)
     slots, nonneg, starts = [], [], []  # slots[j]: the output index of stack entry j
     for i in order:
@@ -359,12 +423,9 @@ def _fit_batch(a, cfg, entries):
             out[i] = exc
     if not slots:
         return out
-    factors = [np.stack(stack) for stack in zip(*starts)]
-    stats = [_factor_stat(f, kl) for f in factors]
-    traces = [FitTrace() for _ in slots]
-    window = []  # the objective lists of the last STOP_WINDOW iterations, if tol > 0
+    stack = _Stack(a.as_array(), cfg, slots, nonneg, starts)
     block = []  # the traced iterates whose rows are not yet in the traces
-    ended = {}  # stack entry -> its FitResult or exception
+    ended = {}  # stack position -> its FitResult or exception
 
     def flush():
         """Append the block's rows to the traces and end entries: by an error,
@@ -376,17 +437,17 @@ def _fit_batch(a, cfg, entries):
             return
         its, objs, res_es, fs, traced, stops = zip(*block)
         block.clear()
-        cols = _trace_columns(res_es, fs, nonneg)
+        cols = _trace_columns(res_es, fs, stack.nonneg)
         res_e, dl1, cmax = (c.T.tolist() for c in cols)
         over = (~(cols[1] <= coercivity_bound(a_e, cols[0]))).T.tolist()
         for j, seed_objs in enumerate(zip(*objs)):
             stop = stops[-1][j]
             n = len(its) - (not traced[-1] and not stop)
             # The coercivity cap binds the nonnegative entries only.
-            k = over[j].index(True) if nonneg[j] and True in over[j][:n] else None
+            k = over[j].index(True) if stack.nonneg[j] and True in over[j][:n] else None
             m = n if k is None else k + 1
             try:
-                traces[j].append_block(
+                stack.traces[j].append_block(
                     its[:m], seed_objs[:m], dl1[j][:m], cmax[j][:m], res_e[j][:m]
                 )
                 if k is not None:
@@ -394,92 +455,50 @@ def _fit_batch(a, cfg, entries):
                         f"coercivity bound violated at iteration {its[k]}: "
                         f"{dl1[j][k]} > {a_e + res_e[j][k]}"
                     )
-                if stop or its[-1] == max_iters:
+                if stop or its[-1] == cfg.max_iters:
                     raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in fs[-1]])
-                    model = (normalize if nonneg[j] else l2_normalize)(raw)
-                    ended[j] = FitResult(model, traces[j], stop, seed_objs[-1])
+                    model = (normalize if stack.nonneg[j] else l2_normalize)(raw)
+                    ended[j] = FitResult(model, stack.traces[j], stop, seed_objs[-1])
             except Exception as exc:
                 ended[j] = exc
 
-    def retire():
-        """Flush the block, record the ended entries, drop them from the
-        stacks and the per-entry lists, and return the kept entries."""
+    def retire(failed=()):
+        """End the entries in ``failed``, (position, exception) pairs, and those the flush ends."""
+        ended.update(failed)
         flush()
         for j, res in ended.items():
-            out[slots[j]] = res
-        keep = [j for j in range(len(slots)) if j not in ended]
-        for per_entry in (slots, traces, nonneg, *window):
-            per_entry[:] = [per_entry[j] for j in keep]
-        factors[:] = [f[keep] for f in factors]
-        stats[:] = [st[keep] for st in stats]
+            out[stack.slots[j]] = res
+        stack.keep([j for j in range(len(stack.slots)) if j not in ended])
         ended.clear()
-        return keep
 
-    def update(w, prod, mt):
-        """The update of a stack with ALS entries: each family's tail writes
-        its slice of one fresh stack."""
-        split = nonneg.count(True)
-        new = np.empty(w.shape)
-        if split:
-            _mu_tail(w[:split], prod[:split], mt[:split], kl, rho, new[:split])
-        ridged, failed = _als_tail(w[split:], prod[split:], mt[split:], rho, new[split:])
-        for j in ridged:
-            traces[split + j].note(it, f"ridge jitter on mode {n}")
-        for j, exc in failed:
-            ended[split + j] = exc
-        return new
-
-    for it in range(max_iters + 1):
+    for it in range(cfg.max_iters + 1):
         if it > 0:
-            for n in modes:
-                kr = kr0 if n == 0 else _khatri_rao(factors, n, rows[n])
-                if kl:  # (A/X)_(n) K, X_(n) = W^(n) K^T floored; the ratio overwrites X
-                    x = x0
-                    if n:
-                        x = _reconstruct(factors[n], kr)
-                        np.maximum(x, KL_SOLVER_FLOOR, out=x)
-                    mt = np.divide(unfold[n], x, out=x) @ kr
-                else:
-                    mt = unfold[n] @ kr
-                rest = others[n]
-                prod = stats[rest[0]] if rest else np.ones_like(stats[n])
-                for i in rest[1:]:
-                    prod = prod * stats[i]
-                w = factors[n]  # the MU entries come first: an all-MU stack ends with one
-                factors[n] = _mu_tail(w, prod, mt, kl, rho) if nonneg[-1] else update(w, prod, mt)
-                stats[n] = _factor_stat(factors[n], kl)
-                if ended and not retire():
-                    return out
-        kr0 = _khatri_rao(factors, 0, rows[0])
-        x0 = _reconstruct(factors[0], kr0)
-        resid = unfold[0] - x0
-        if kl:  # the loss and the next sweep's mode-0 ratio read X floored
-            np.maximum(x0, KL_SOLVER_FLOOR, out=x0)
-        objs = loss(x0, resid, factors)
-        last = it == max_iters
-        traced = last or it % trace_every == 0
+            stack.sweep(it, retire)
+        if not stack.slots:
+            break
+        objs, resid = stack.evaluate()
+        last = it == cfg.max_iters
+        traced = last or it % cfg.trace_every == 0
         # Relative decrease over the trailing window; a full window starts
         # with the objectives of iteration it - STOP_WINDOW.
         stops = [False] * len(objs)
-        if tol > 0:
-            if len(window) == STOP_WINDOW:
-                ref = window.pop(0)
-                stops = [(r - o) / max(abs(r), 1e-300) < tol for r, o in zip(ref, objs)]
-            window.append(objs)
+        if cfg.tol > 0:
+            if len(stack.window) == STOP_WINDOW:
+                ref = stack.window.pop(0)
+                stops = [(r - o) / max(abs(r), 1e-300) < cfg.tol for r, o in zip(ref, objs)]
+            stack.window.append(objs)
         stopping = True in stops
         if traced or stopping:
             # resid is (S, d0, size/d0); the loss has read it
             res_e = np.add.reduce(np.abs(resid, out=resid), axis=(1, 2))
-            block.append((it, objs, res_e, tuple(factors), traced, stops))
+            block.append((it, objs, res_e, tuple(stack.factors), traced, stops))
             full = len(block) == TRACE_BLOCK
             # A seed whose objective is not finite ends at this iteration.
             if last or stopping or full or not all(map(math.isfinite, objs)):
                 flush()
         if ended:
-            keep = retire()
-            if not keep:
-                return out
-            kr0, x0 = kr0[keep], x0[keep]  # the next sweep's mode 0 reads them
+            retire()
+    return out
 
 
 def _init_nonneg(a, cfg):

@@ -4,12 +4,14 @@ traces, and the one probe of an immutable array.
 
 Everything here works entry by entry in plain Python floats (brute_kl in
 decimal arithmetic), deliberately avoiding the vectorized code paths under
-test.
+test; one_sweep alone calls numpy, np.einsum over the full tensor.
 """
 
 import decimal
 import itertools
 import math
+
+import numpy as np
 
 
 def indices(shape):
@@ -149,6 +151,35 @@ def em_naive_bayes(a, prior, conditionals, sweeps):
                        for row in counts]
         out.append(divergence())
     return out, prior, cond
+
+
+def one_sweep(a, factors, nonneg, rho=0.0):
+    """The factors after one Frobenius sweep of the modes, in order, from the
+    d_i x r matrices ``factors`` of the order >= 2 target array ``a``: MU
+    (Lee & Seung) if ``nonneg``, else ALS, with the penalty rho ||W||_F^2;
+    and the 2-norm condition number of each mode's K^T K + rho I.  np.einsum
+    contracts the full tensor with the other factors for the MTTKRP A_(n) K,
+    and the other factors with themselves for K^T K, with no caches:
+
+      MU:  W <- W * (A_(n) K) / max(W (K^T K) + rho W, 1e-12)
+      ALS: W <- (A_(n) K) (K^T K + rho I)^-1, by np.linalg.solve
+    """
+    factors = [np.array(f, dtype=float) for f in factors]
+    axes = "abcdefgh"[:a.ndim]
+    conds = []
+    for n, w in enumerate(factors):
+        other = [i for i in range(a.ndim) if i != n]
+        mt = np.einsum(",".join([axes] + [axes[i] + "z" for i in other]) + f"->{axes[n]}z",
+                       a, *(factors[i] for i in other))
+        gram = np.einsum(",".join(f"{axes[i]}y,{axes[i]}z" for i in other) + "->yz",
+                         *(factors[i] for i in other for _ in "yz"))
+        system = gram + rho * np.eye(len(gram))
+        conds.append(np.linalg.cond(system))
+        if nonneg:
+            factors[n] = w * mt / np.maximum(w @ gram + rho * w, 1e-12)
+        else:
+            factors[n] = np.linalg.solve(system, mt.T).T
+    return factors, conds
 
 
 def max_abs_diff(tensor, entries):

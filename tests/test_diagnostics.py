@@ -288,7 +288,7 @@ def test_contrast_fits_both_families_with_one_batch_of_kernel_calls(monkeypatch,
     assert calls == {"_khatri_rao": 1 + 3 * max_iters, "_reconstruct": max_iters + 1}
 
 
-@pytest.mark.parametrize("seeds", [[0, 0], [1, 2, 1], [3, np.int64(3)]])
+@pytest.mark.parametrize("seeds", [[0, 0], [1, 2, 1], [3, np.int64(3)], [3, np.array(3)]])
 def test_contrast_rejects_repeated_seeds_before_fitting(monkeypatch, seeds):
     # reports holds one report per (seed, family): a repeat would lose one.
     def no_fit(*args):
@@ -298,6 +298,14 @@ def test_contrast_rejects_repeated_seeds_before_fitting(monkeypatch, seeds):
     monkeypatch.setattr(solvers, "_init_signed", no_fit)
     with pytest.raises(ValueError, match="^seeds must not repeat"):
         run_contrast_experiment(bclr_limit(4), rank=2, seeds=seeds, max_iters=5)
+
+
+def test_contrast_keys_a_seed_by_its_integer_value():
+    # A 0-d integer array is the seed 3 to FitConfig, and to rows and reports.
+    summary = run_contrast_experiment(bclr_limit(4), rank=2, seeds=[np.array(3)], max_iters=5)
+    assert [(type(r.seed), r.seed, r.verdict) for r in summary.rows] == [
+        (int, 3, "BOUNDED"), (int, 3, "BOUNDED")]
+    assert summary.reports[(3, "nonneg")].verdict == "BOUNDED"
 
 
 @pytest.mark.parametrize("bad", [3, 0, {"blowup_ratio": 5.0}, (10.0, 2.0)])

@@ -29,7 +29,7 @@ from nncp.solvers import (
     objective,
 )
 from nncp.tensor import DenseTensor, norm
-from oracles import brute_kl, em_naive_bayes, mass_drift, objective_rises
+from oracles import brute_kl, em_naive_bayes, mass_drift, objective_rises, one_sweep
 
 
 def rank1_target(seed, shape=(4, 5, 3), e_norm=5.0):
@@ -879,6 +879,27 @@ def _nan_at_call_11(victim):
     return fault
 
 
+def _singular_at_als_call(k, victim):
+    """``victim``'s Gram is 1e20 everywhere at the k-th ALS tail call, the
+    update of mode k - 1 in the first sweep of an order-3 fit: singular even
+    after the ridge, so its solve fails there, after the earlier modes ran."""
+
+    def fault(monkeypatch, entries, clean):
+        j = [e for e in entries if e[1] == "als"].index(victim)  # its place in the ALS slice
+        real, calls = solvers._als_tail, []
+
+        def singular(w, gram, mt, rho, out):
+            calls.append(None)
+            if len(calls) == k:
+                gram = gram.copy()
+                gram[j] = 1e20
+            return real(w, gram, mt, rho, out)
+
+        monkeypatch.setattr(solvers, "_als_tail", singular)
+
+    return fault
+
+
 def _singular_starts(monkeypatch, zero_column=(), twin_columns=()):
     """Signed starts whose mode-0 Gram is singular from the first sweep on: a
     zero column in the last mode for the seeds in ``zero_column`` (a ridge
@@ -1016,6 +1037,12 @@ _ISOLATION = {
         {(2, "als"): (solvers.FitResult, [(1, "ridge jitter on mode 0")], iters),
          (1, "als"): (np.linalg.LinAlgError, "Singular matrix")})
        for iters in (5, 50)},
+    # ALS seed 1's solve fails at mode 1 or 2 of the first sweep.
+    **{f"als-fails-at-call-{k}": _Row(
+        _NB, range(3), _FIT_50 | {"max_iters": 20}, ("als", "mixed"),
+        _singular_at_als_call(k, (1, "als")),
+        {(1, "als"): (np.linalg.LinAlgError, "Singular matrix")})
+       for k in (2, 3)},
     # Within 300 sweeps MU seeds 1 and 2, and every KL seed, bring residual_E
     # below 0.02, each at its own iteration; MU seeds 0 and 3 do not, and the
     # signed fits have no cap.
@@ -1210,6 +1237,19 @@ def test_mixed_batch_calls_no_tail_after_its_last_als_entry_ends(monkeypatch):
     assert _tail_calls(calls) == (3 * 30, 1)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_mixed_batch_calls_no_tail_after_its_als_entry_fails_mid_sweep(monkeypatch, k):
+    # The only ALS entry ends at the mode of its failed solve, the k-th ALS
+    # tail call: the MU tail runs every mode of every sweep, the ALS tail k times.
+    cfg = FitConfig(rank=2, max_iters=20, tol=0.0)
+    entries = [(0, True), (1, True), (1, False)]
+    _singular_at_als_call(k, (1, "als"))(monkeypatch, [(0, "mu"), (1, "mu"), (1, "als")], None)
+    calls = _count_calls(monkeypatch, _TAILS)
+    batch = solvers._fit_batch(_NB, cfg, entries)
+    assert [type(r) for r in batch] == [solvers.FitResult] * 2 + [np.linalg.LinAlgError]
+    assert _tail_calls(calls) == (3 * 20, k)
+
+
 def test_mixed_batch_calls_no_tail_after_its_last_mu_entry_ends(monkeypatch):
     # Nonnegative seeds 1 and 2 violate the tightened cap, each at its own
     # iteration; with blocks of one row each ends there, so the MU tail runs
@@ -1225,6 +1265,32 @@ def test_mixed_batch_calls_no_tail_after_its_last_mu_entry_ends(monkeypatch):
     calls.clear()
     solvers._fit_batch(_NB, cfg, [(s, f) for f in (True, False) for s in (1, 2)])
     assert _tail_calls(calls) == (3 * last, 3 * 300)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+@pytest.mark.parametrize("target, rank", [(bclr_limit(4), 5), (_NB, 2)], ids=["bclr", "nb"])
+def test_one_sweep_matches_the_einsum_oracle(target, rank, rho):
+    # One sweep of a mixed stack, MU seeds then ALS seeds, against
+    # oracles.one_sweep: each factor within 64 eps of the oracle's, relative
+    # to its largest entry, times for ALS the largest condition number of the
+    # sweep's normal equations (a solve's forward error grows with it).
+    cfg = FitConfig(rank=rank, reg_rho=rho)
+    entries = [(seed, flag) for flag in (True, False) for seed in range(3)]
+    starts = [(solvers._init_nonneg if flag else solvers._init_signed)(
+        target, dataclasses.replace(cfg, seed=seed, nonneg=flag)) for seed, flag in entries]
+    stack = solvers._Stack(target.as_array(), cfg, list(range(6)), [f for _, f in entries], starts)
+
+    def fail(failed):
+        raise AssertionError(f"failed solves: {failed}")
+
+    stack.evaluate()
+    stack.sweep(1, fail)
+    assert [t.notes for t in stack.traces] == [[]] * 6
+    for j, (start, (_, flag)) in enumerate(zip(starts, entries)):
+        want, conds = one_sweep(target.as_array(), start, flag, rho)
+        bound = 64 * np.finfo(float).eps * (1.0 if flag else max(conds))
+        for got, ref in zip(stack.factors, want):
+            assert np.max(np.abs(got[j] - ref)) <= bound * np.max(np.abs(ref)), (j, bound)
 
 
 # --- trace blocks -----------------------------------------------------------------
