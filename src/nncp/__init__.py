@@ -19,7 +19,6 @@ from .divergence import DivergenceKind, bregman_from_phi, distance, kl_phi
 from .kruskal import (
     KruskalModel,
     NaiveBayesModel,
-    delta_l1_equals_e_norm_check,
     l2_normalize,
     model_from_json,
     model_to_json,
@@ -74,7 +73,6 @@ __all__ = [
     "bclr_a_eps",
     "bclr_limit",
     "bregman_from_phi",
-    "delta_l1_equals_e_norm_check",
     "detect_degeneracy",
     "distance",
     "fit_cp_unconstrained",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .tensor import DenseTensor, _divided, _flag, _frozen, _integer, _json_document
 from .tensor import _instance, _nonnegative, _read_text, _real, _scaled, _sequence, _shape
-from .tensor import _unscaled, _write_text, norm
+from .tensor import _unscaled, _write_text
 
 
 def _unit_l1_columns(m):
@@ -172,18 +172,6 @@ def l2_normalize(model):
         _instance(model, "model", KruskalModel),
         lambda m: np.array([np.linalg.norm(c) for c in m.T]),
     )
-
-
-def delta_l1_equals_e_norm_check(model):
-    """Return (||delta||_1, E-norm of the reconstruction) for a normalized model.
-
-    For every normalized nonnegative model the two agree (up to rounding):
-    the E-norm of a nonnegative rank-1 term with unit-l1 factors is exactly
-    its weight, and nonnegativity makes the E-norm additive over components.
-    """
-    if not _instance(model, "model", KruskalModel).normalized:
-        raise ValueError("check requires a normalized nonnegative model")
-    return float(_unscaled(*_scaled(model.delta, np.sum))), norm(reconstruct(model), "E")
 
 
 class NaiveBayesModel:

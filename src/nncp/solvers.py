@@ -34,10 +34,11 @@ directly, or else each family's contiguous slice to its tail, which writes it
 into one fresh C-ordered stack.  Per-entry events (a failed start, a signed
 target's for MU included, the stop rule, the finiteness of the trace, the MU
 coercivity check, a ridge note, a failed solve, a model with no normal form)
-concern one entry: one flush and one retire (one _Stack.keep) end it, and its
-batch-mates carry on.  An entry's arithmetic never mixes with its batch-mates',
-so it gets the same trace, notes, model or exception, byte for byte, in any
-batch, on every shape (modes of size 1 and order 1 included).
+concern one entry: one end call, which appends the block's rows first and
+calls _Stack.keep once, ends it, and its batch-mates carry on.  An entry's
+arithmetic never mixes with its batch-mates', so it gets the same trace,
+notes, model or exception, byte for byte, in any batch, on every shape (modes
+of size 1 and order 1 included).
 
 The kernels, from nncp.kruskal (whose reconstruct is their one-model case),
 are batched matmuls with the Khatri-Rao product K of the factors other than
@@ -60,8 +61,9 @@ seed ends, one pass joins each factor's T stacks as an (S, d, T, r) array,
 reduces it over d as an outer axis, checks the coercivity cap as one array
 expression, and appends each seed's rows.  The objectives are still checked
 for finiteness every traced iteration, so a diverging seed ends where it
-did; a cap violation surfaces at the next flush, naming the first violating
-iteration, and replaces any later error of that seed (a failed solve since).
+did; a cap violation surfaces when its block's rows are appended, naming the
+first violating iteration, and replaces any later error of that seed (a
+failed solve since).
 
 On the per-iteration path every reduction is a direct ufunc call
 (np.add.reduce, np.maximum.reduce), never np.sum, ndarray.sum or
@@ -124,9 +126,9 @@ class Loss(enum.Enum):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver hyperparameters, checked at construction (ValueError); tol = 0
-    disables the convergence stop so runs exhaust max_iters (used by the
-    degeneracy experiments)."""
+    """Solver hyperparameters, checked at construction (ValueError) and stored
+    as the checked int, float or bool; tol = 0 disables the convergence stop
+    so runs exhaust max_iters (used by the degeneracy experiments)."""
 
     rank: int
     loss: Loss = Loss.FROBENIUS
@@ -139,19 +141,21 @@ class FitConfig:
 
     def __post_init__(self):
         for name, least in (("rank", 1), ("max_iters", 1), ("trace_every", 1), ("seed", 0)):
-            _integer(getattr(self, name), name, least)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         _instance(self.loss, "loss", Loss)
-        _flag(self.nonneg, "nonneg")
-        _real(self.tol, "tol", least=0)
-        _reg_rho(self.reg_rho, self.loss)
+        object.__setattr__(self, "nonneg", _flag(self.nonneg, "nonneg"))
+        object.__setattr__(self, "tol", _real(self.tol, "tol", least=0))
+        object.__setattr__(self, "reg_rho", _reg_rho(self.reg_rho, self.loss))
         if self.loss is Loss.KL and not self.nonneg:
             raise ValueError("the KL loss requires nonneg=True")
 
 
 def _reg_rho(value, loss):
-    """reg_rho: a finite real >= 0, and > 0 only with the Frobenius loss."""
-    if _real(value, "reg_rho", least=0) > 0 and loss is not Loss.FROBENIUS:
+    """reg_rho as a float: a finite real >= 0, and > 0 only with the Frobenius loss."""
+    value = _real(value, "reg_rho", least=0)
+    if value > 0 and loss is not Loss.FROBENIUS:
         raise ValueError("reg_rho > 0 requires the Frobenius loss")
+    return value
 
 
 class TraceRow(NamedTuple):  # one traced iterate; the fields are the CSV columns
@@ -403,9 +407,11 @@ def _fit_batch(a, cfg, entries):
 
     A family is a start (_init_nonneg or _init_signed) of one seed's factors,
     a mode tail and a normal form.  A _Stack of the starts runs the sweeps.
-    ``flush`` is the one place that packages a FitResult or records an error,
-    and ``retire``, which flushes first, the one place that ends entries (one
-    ``_Stack.keep``); the sweep hands it each failed ALS solve at once.
+    ``retire`` is the one place that ends entries: it appends the block's
+    rows, packages a FitResult or records an error, and calls ``_Stack.keep``
+    once.  The loop calls it with the flags of an iterate that ends a block;
+    a stop ends one at once, so the sweep, which hands it each failed ALS
+    solve at once, meets only traced iterates that stop no entry.
     """
     _instance(a, "the target")
     order = sorted(range(len(entries)), key=lambda i: not entries[i][1])
@@ -425,51 +431,46 @@ def _fit_batch(a, cfg, entries):
         return out
     stack = _Stack(a.as_array(), cfg, slots, nonneg, starts)
     block = []  # the traced iterates whose rows are not yet in the traces
-    ended = {}  # stack position -> its FitResult or exception
 
-    def flush():
-        """Append the block's rows to the traces and end entries: by an error,
-        or by a FitResult if the entry stops at the block's last iterate or
-        reaches max_iters.  A block entry is (iteration, objective list,
-        residual_E array, factor stacks, traced, stop flags); an untraced
-        iterate is a row only of the entries that stop there."""
-        if not block:
-            return
-        its, objs, res_es, fs, traced, stops = zip(*block)
-        block.clear()
-        cols = _trace_columns(res_es, fs, stack.nonneg)
-        res_e, dl1, cmax = (c.T.tolist() for c in cols)
-        over = (~(cols[1] <= coercivity_bound(a_e, cols[0]))).T.tolist()
-        for j, seed_objs in enumerate(zip(*objs)):
-            stop = stops[-1][j]
-            n = len(its) - (not traced[-1] and not stop)
-            # The coercivity cap binds the nonnegative entries only.
-            k = over[j].index(True) if stack.nonneg[j] and True in over[j][:n] else None
-            m = n if k is None else k + 1
-            try:
-                stack.traces[j].append_block(
-                    its[:m], seed_objs[:m], dl1[j][:m], cmax[j][:m], res_e[j][:m]
-                )
-                if k is not None:
-                    raise RuntimeError(
-                        f"coercivity bound violated at iteration {its[k]}: "
-                        f"{dl1[j][k]} > {a_e + res_e[j][k]}"
+    def retire(failed=(), stops=(), traced=True):
+        """End the entries in ``failed``, (position, exception) pairs, and
+        those the block ends: append its rows to the traces, and end an entry
+        by an error, or by a FitResult if it stops at the last iterate
+        (``stops``, one flag per entry) or that iterate is max_iters.  A block
+        entry is (iteration, objective list, residual_E array, factor stacks);
+        an untraced last iterate is a row only of the entries that stop there."""
+        ended = dict(failed)  # stack position -> its FitResult or exception
+        if block:
+            its, objs, res_es, fs = zip(*block)
+            block.clear()
+            cols = _trace_columns(res_es, fs, stack.nonneg)
+            res_e, dl1, cmax = (c.T.tolist() for c in cols)
+            over = (~(cols[1] <= coercivity_bound(a_e, cols[0]))).T.tolist()
+            for j, seed_objs in enumerate(zip(*objs)):
+                stop = bool(stops) and stops[j]
+                n = len(its) - (not traced and not stop)
+                # The coercivity cap binds the nonnegative entries only.
+                k = over[j].index(True) if stack.nonneg[j] and True in over[j][:n] else None
+                m = n if k is None else k + 1
+                try:
+                    stack.traces[j].append_block(
+                        its[:m], seed_objs[:m], dl1[j][:m], cmax[j][:m], res_e[j][:m]
                     )
-                if stop or its[-1] == cfg.max_iters:
-                    raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in fs[-1]])
-                    model = (normalize if stack.nonneg[j] else l2_normalize)(raw)
-                    ended[j] = FitResult(model, stack.traces[j], stop, seed_objs[-1])
-            except Exception as exc:
-                ended[j] = exc
-
-    def retire(failed=()):
-        """End the entries in ``failed``, (position, exception) pairs, and those the flush ends."""
-        ended.update(failed)
-        flush()
-        for j, res in ended.items():
-            out[stack.slots[j]] = res
-        stack.keep([j for j in range(len(stack.slots)) if j not in ended])
-        ended.clear()
+                    if k is not None:
+                        raise RuntimeError(
+                            f"coercivity bound violated at iteration {its[k]}: "
+                            f"{dl1[j][k]} > {a_e + res_e[j][k]}"
+                        )
+                    if stop or its[-1] == cfg.max_iters:
+                        raw = KruskalModel(a.shape, np.ones(cfg.rank), [f[j] for f in fs[-1]])
+                        model = (normalize if stack.nonneg[j] else l2_normalize)(raw)
+                        ended[j] = FitResult(model, stack.traces[j], stop, seed_objs[-1])
+                except Exception as exc:
+                    ended[j] = exc
+        if ended:
+            for j, res in ended.items():
+                out[stack.slots[j]] = res
+            stack.keep([j for j in range(len(stack.slots)) if j not in ended])
 
     for it in range(cfg.max_iters + 1):
         if it > 0:
@@ -491,13 +492,11 @@ def _fit_batch(a, cfg, entries):
         if traced or stopping:
             # resid is (S, d0, size/d0); the loss has read it
             res_e = np.add.reduce(np.abs(resid, out=resid), axis=(1, 2))
-            block.append((it, objs, res_e, tuple(stack.factors), traced, stops))
-            full = len(block) == TRACE_BLOCK
+            block.append((it, objs, res_e, tuple(stack.factors)))
             # A seed whose objective is not finite ends at this iteration.
-            if last or stopping or full or not all(map(math.isfinite, objs)):
-                flush()
-        if ended:
-            retire()
+            if (last or stopping or len(block) == TRACE_BLOCK
+                    or not all(map(math.isfinite, objs))):
+                retire(stops=stops, traced=traced)
     return out
 
 

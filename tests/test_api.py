@@ -100,7 +100,6 @@ _API = {  # callable -> {parameter: (kind, valid value[, name in the message])}
     "bclr_limit": {"n": ("int>=4", 4)},
     "bregman_from_phi": {"a": _TENSOR, "b": _TENSOR, "phi_a": ("real", 0.0),
                          "phi_b": ("real", 0.0), "grad_phi_b": _TENSOR},
-    "delta_l1_equals_e_norm_check": {"model": _MODEL},
     "detect_degeneracy": {"trace": ("trace", _TRACE), "a_norms": ("seq:real>=0", (1.0, 1.0)),
                           "thresholds": ("thresholds", None)},
     "distance": {"a": _TENSOR, "b": _TENSOR,

@@ -6,7 +6,6 @@ import pytest
 from nncp.kruskal import (
     KruskalModel,
     NaiveBayesModel,
-    delta_l1_equals_e_norm_check,
     l2_normalize,
     model_from_json,
     model_to_json,
@@ -207,19 +206,14 @@ def test_rescale_reaches_a_finite_normal_form(rescale, delta, factors, weight, c
 
 
 def test_delta_l1_identity_worked_example():
-    d, e = delta_l1_equals_e_norm_check(normalize(small_model()))
-    assert d == pytest.approx(4.0, abs=1e-14)
-    assert e == pytest.approx(4.0, abs=1e-14)
+    m = normalize(small_model())
+    assert np.sum(m.delta) == pytest.approx(4.0, abs=1e-14)
+    assert norm(reconstruct(m), "E") == pytest.approx(4.0, abs=1e-14)
 
 
 def test_delta_l1_identity_rank_zero():
     m = KruskalModel((2, 2), [], [np.zeros((2, 0)), np.zeros((2, 0))])
-    assert delta_l1_equals_e_norm_check(m) == (0.0, 0.0)
-
-
-def test_delta_l1_identity_requires_normalized():
-    with pytest.raises(ValueError):
-        delta_l1_equals_e_norm_check(small_model())
+    assert (np.sum(m.delta), norm(reconstruct(m), "E")) == (0.0, 0.0)
 
 
 def test_scale_gauge_invariance():
@@ -285,7 +279,7 @@ def test_to_naive_bayes_uniform():
 def test_to_naive_bayes_reads_an_unflagged_model():
     m = KruskalModel((2, 2), [2.0], [[[0.25], [0.75]], [[0.5], [0.5]]])
     assert to_naive_bayes(m).prior.tolist() == [1.0]
-    assert delta_l1_equals_e_norm_check(m) == (2.0, 2.0)
+    assert (np.sum(m.delta), norm(reconstruct(m), "E")) == (2.0, 2.0)
 
 
 def test_to_naive_bayes_prior_normalization():
@@ -306,7 +300,9 @@ def test_to_naive_bayes_prior_when_delta_l1_overflows():
     assert np.all(np.isfinite(reconstruct(m).as_array()))
     assert to_naive_bayes(m).prior.tolist() == [0.5, 0.5]
     # ||delta||_1 and the E-norm are both 2e308, beyond the double range.
-    assert delta_l1_equals_e_norm_check(m) == (np.inf, np.inf)
+    with np.errstate(over="ignore"):
+        assert np.sum(m.delta) == np.inf
+    assert norm(reconstruct(m), "E") == np.inf
 
 
 def test_to_naive_bayes_worked_example():
@@ -400,9 +396,8 @@ def test_random_model_determinism_and_seeds():
 def test_random_model_nonneg_is_normalized():
     m = random_model((4, 3, 2), 3, seed=2, nonneg=True, e_norm=6.0)
     assert m.nonneg and m.normalized
-    d, e = delta_l1_equals_e_norm_check(m)
-    assert d == pytest.approx(6.0, rel=1e-12)
-    assert e == pytest.approx(6.0, rel=1e-12)
+    assert np.sum(m.delta) == pytest.approx(6.0, rel=1e-12)
+    assert norm(reconstruct(m), "E") == pytest.approx(6.0, rel=1e-12)
 
 
 def test_model_json_round_trip():

@@ -45,8 +45,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="nonneg"):
         FitConfig(rank=1, loss=Loss.KL, nonneg=False)
     FitConfig(rank=1, tol=0.0)  # tol = 0 turns the convergence stop off
-    FitConfig(rank=np.int64(2), max_iters=np.int32(3), trace_every=np.uint8(1), seed=np.int64(4))
-    FitConfig(rank=1, nonneg=np.True_)
+    # numpy values are stored as the int, float or bool each rule returns, so
+    # every config is hashable, a 0-d seed array included.
+    cfg = FitConfig(rank=np.int64(2), max_iters=np.int32(3), trace_every=np.uint8(1),
+                    seed=np.array(4), tol=np.float32(0.5), reg_rho=np.float32(0.5),
+                    nonneg=np.True_)
+    stored = [(type(v), v) for v in dataclasses.astuple(cfg) if v is not Loss.FROBENIUS]
+    assert stored == [(int, 2), (bool, True), (int, 3), (float, 0.5), (int, 4), (float, 0.5),
+                      (int, 1)]
+    assert hash(cfg) == hash(FitConfig(rank=2, max_iters=3, tol=0.5, seed=4, reg_rho=0.5))
 
 
 def test_trace_invariants():
@@ -881,8 +888,9 @@ def _nan_at_call_11(victim):
 
 def _singular_at_als_call(k, victim):
     """``victim``'s Gram is 1e20 everywhere at the k-th ALS tail call, the
-    update of mode k - 1 in the first sweep of an order-3 fit: singular even
-    after the ridge, so its solve fails there, after the earlier modes ran."""
+    update of mode (k - 1) % 3 in sweep (k - 1) // 3 + 1 of an order-3 fit:
+    singular even after the ridge, so its solve fails there, after the earlier
+    modes ran.  No ALS entry ahead of ``victim`` may end before that call."""
 
     def fault(monkeypatch, entries, clean):
         j = [e for e in entries if e[1] == "als"].index(victim)  # its place in the ALS slice
@@ -1043,6 +1051,15 @@ _ISOLATION = {
         _singular_at_als_call(k, (1, "als")),
         {(1, "als"): (np.linalg.LinAlgError, "Singular matrix")})
        for k in (2, 3)},
+    # Both callers of the end call in one batch: ALS seeds 1 and 0 stop by tol
+    # at iterations 18 and 23, between the traced iterates of trace_every=4,
+    # so each is a stop-only flush; then ALS seed 2, first in the ALS slice,
+    # fails at mode 1 of sweep 30 (the 89th ALS tail call), and the sweep ends
+    # it with the traced iterates 24 and 28 in the block.
+    "als-fails-after-stops": _Row(
+        _NOISE, [2, 1, 0], {"rank": 2, "max_iters": 3000, "tol": 1e-6, "trace_every": 4},
+        ("als", "mixed"), _singular_at_als_call(89, (2, "als")),
+        {(2, "als"): (np.linalg.LinAlgError, "Singular matrix")}),
     # Within 300 sweeps MU seeds 1 and 2, and every KL seed, bring residual_E
     # below 0.02, each at its own iteration; MU seeds 0 and 3 do not, and the
     # signed fits have no cap.
